@@ -1,4 +1,4 @@
-"""Directed-graph plumbing: connectivity, shortest connectors, mean cycles.
+"""Directed-graph plumbing: connectivity, closed classes, mean cycles.
 
 Graphs are dense 0/1 numpy adjacency matrices throughout; vertex count is
 desk-scale (recoded block graphs), so dense is fine and keeps indexing dumb.
@@ -16,7 +16,6 @@ __all__ = [
     "strong_components",
     "is_strongly_connected",
     "closed_classes",
-    "shortest_path_between",
     "min_mean_cycle",
     "max_mean_cycle",
 ]
@@ -47,48 +46,6 @@ def closed_classes(adj: np.ndarray) -> list[np.ndarray]:
         if not adj[np.ix_(inside, ~inside)].any():
             out.append(np.flatnonzero(inside))
     return out
-
-
-def shortest_path_between(adj: np.ndarray, sources, targets) -> list[int]:
-    """BFS shortest path (fewest edges, >= 1) from any source to any target.
-
-    Returns the full vertex path [s, ..., t].  Sources and targets may
-    overlap; a length-0 path never counts, so self-connectors come back as
-    genuine cycles through the graph.
-    """
-    sources = list(sources)
-    target_set = set(int(t) for t in targets)
-    parent = {}
-    frontier = []
-    for s in sources:
-        for t in np.flatnonzero(adj[s]):
-            t = int(t)
-            if t not in parent:
-                parent[t] = int(s)
-                frontier.append(t)
-    seen = set(frontier)
-    level = 1
-    while frontier:
-        hit = [v for v in frontier if v in target_set]
-        if hit:
-            # Walk back exactly `level` steps: a rediscovered source carries
-            # a parent entry too, so membership in `parent` cannot be the
-            # stopping rule.
-            path = [hit[0]]
-            for _ in range(level):
-                path.append(parent[path[-1]])
-            return path[::-1]
-        nxt = []
-        for u in frontier:
-            for t in np.flatnonzero(adj[u]):
-                t = int(t)
-                if t not in seen:
-                    parent[t] = u
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-        level += 1
-    raise DomainError("no path between the given vertex sets", name="disconnected")
 
 
 def min_mean_cycle(adj: np.ndarray, weight: np.ndarray) -> tuple[float, list[int]]:

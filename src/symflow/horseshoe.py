@@ -32,6 +32,7 @@ from .sft import (
     LocallyConstantFunction,
     Sft,
     _parse_word_key,
+    _perron_right,
     _word_key,
     admissible_words,
 )
@@ -558,25 +559,6 @@ def _simplex_grid(K: int, res: int) -> np.ndarray:
     return np.asarray(out, dtype=float) / res
 
 
-def _free_graph_perron(count: int) -> float:
-    """Perron root of the all-ones word graph, applied matrix-free.
-
-    Free concatenation makes the word graph complete, so the transfer
-    operator is v -> sum(v) * ones; power iteration needs only the running
-    vector, never the count x count matrix.
-    """
-    v = np.full(count, 1.0 / count)
-    lam = 0.0
-    for _ in range(64):
-        w = np.full(count, float(v.sum()))
-        new = float(w @ v) / float(v @ v)
-        w /= np.linalg.norm(w)
-        if abs(new - lam) <= 1e-12 * max(1.0, abs(new)):
-            return new
-        lam, v = new, w
-    return lam
-
-
 def _sample_weights(union_size: int, seed: int, index: int) -> np.ndarray:
     """Dirichlet(1,..,1) word weights from a counter-derived seed."""
     g = np.random.default_rng([seed, index])
@@ -611,9 +593,9 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     numU = len(union)
     disjoint = len(set(union)) == len(union)
 
-    entropies = []
-    for c in counts:
-        entropies.append(float(np.log(_free_graph_perron(c))) / pack.n)
+    # Free concatenation makes each word graph complete: the all-ones
+    # count x count matrix has Perron root exactly count.
+    entropies = [float(np.log(c)) / pack.n for c in counts]
     target_h = [mu.entropy() for mu in pack.measures]
     margins = [e - (h - pack.eta) for e, h in zip(entropies, target_h)]
 
@@ -748,7 +730,7 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
             wts = np.exp(-s * (base - b0))
             Gm = np.bincount(combo, weights=wts, minlength=Kp * Ks).reshape(Kp, Ks)
             M = np.exp(-s * cross)
-            lam = float(np.abs(np.linalg.eigvals(M @ Gm)).max())
+            lam, _ = _perron_right(M @ Gm)
             return float(np.log(lam)) - s * b0
 
     if hi - lo < 1e-15:

@@ -3,8 +3,10 @@
 An SFT is the set of bi-infinite symbol sequences over {0, ..., k-1} whose
 consecutive pairs are allowed by a 0/1 transition matrix A.  Everything
 downstream (pressure, spectra, horseshoes) reduces to finite linear algebra
-on A or on a block recoding of it, so this module also carries the shared
-Perron-root power iteration and the word enumeration with its budget guard.
+on A or on a block recoding of it, so this module also carries the one
+Perron solver of the package (a dense ``eig`` start refined by shifted
+inverse iteration until a Collatz-Wielandt bracket certifies the root) and
+the word enumeration with its budget guard.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 2**24
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 Word = tuple  # words are plain tuples of ints throughout
 
@@ -116,58 +120,106 @@ def _require_irreducible(sft: Sft):
         raise DomainError("transition matrix is reducible; trim or restrict first", name="reducible")
 
 
+def _perron_right(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
+    """Perron root and positive right vector (sum 1) of an irreducible
+    nonnegative matrix, certified by a Collatz-Wielandt bracket.
+
+    1. Start from the dense ``eig`` vector (``rng`` scales it entrywise).
+    2. Unless that vector already certifies, take n power steps on B + cI
+       with c = eps * (eig's root): every entry becomes positive and takes
+       its scale from its successors, not from the noise or exact zeros
+       ``eig`` returns for entries far below the largest.
+    3. Run inverse iteration on the balanced matrix diag(r)^-1 B diag(r)
+       with shift sigma = hi + min(hi - lo, 1e-6 * hi) > lambda, folding
+       each solution (floored at eps times its maximum) into r.
+
+    lo and hi are the extreme row sums of the balanced matrix, i.e. the
+    Collatz-Wielandt ratios (Br)_i / r_i, so lo <= lambda <= hi; the sums
+    have no cancellation, so the bracket is exact to a few ulps however
+    small the entries of r.  The root comes back once hi - lo <= tol * lo.
+    Near the root the shift is hi + (hi - lo) and the bracket shrinks
+    quadratically; the 1e-6 cap lets entries that start orders of
+    magnitude too large fall by a factor up to 1e-6 per step.  If for
+    three steps neither the relative width halves nor an entry of r moves
+    by a factor 2, the bracket has stalled and ``iteration_cap`` is raised
+    with it.
+    """
+    B = np.asarray(B, dtype=float)
+    n = B.shape[0]
+    if not (B > 0).any():
+        raise DomainError("matrix has no positive entries", name="degenerate")
+    vals, vecs = np.linalg.eig(B)
+    i = int(np.argmax(vals.real))
+    r = np.abs(np.real(vecs[:, i]))
+    if rng is not None:
+        r = r * rng.uniform(0.5, 1.5, size=n)
+    balanced, lo, hi = _balanced(B, r)
+    if not hi - lo <= tol * lo:
+        c = _EPS * max(float(vals.real[i]), 0.0)
+        for _ in range(n):
+            r = B @ r + c * r
+            r /= r.max()
+        r = np.maximum(r, _TINY)
+        balanced, lo, hi = _balanced(B, r)
+    best, stalled = np.inf, 0
+    for _ in range(maxiter + 1):
+        if hi - lo <= tol * lo:
+            return 0.5 * (lo + hi), r / r.sum()
+        width = (hi - lo) / lo if lo > 0.0 else np.inf
+        if stalled >= 3:
+            break
+        sigma = hi + min(hi - lo, 1e-6 * hi)
+        x = np.linalg.solve(sigma * np.eye(n) - balanced, np.ones(n))
+        if not np.isfinite(x).all() or x.max() <= 0.0:
+            break
+        x = np.maximum(x / x.max(), _EPS)
+        stalled = 0 if (width <= 0.5 * best or x.min() < 0.5) else stalled + 1
+        best = min(best, width)
+        r = r * x
+        r /= r.max()
+        balanced, lo, hi = _balanced(B, r)
+    raise DomainError(
+        f"Perron bracket stalled at [{lo:.17g}, {hi:.17g}], wider than tol = {tol:.3g} relative",
+        name="iteration_cap",
+    )
+
+
+def _balanced(B: np.ndarray, r: np.ndarray):
+    """diag(r)^-1 B diag(r) and its extreme row sums, the Collatz-Wielandt
+    bounds lo <= lambda <= hi for a positive r (NaN where r has zeros)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        balanced = B * r[None, :] / r[:, None]
+    ratios = balanced.sum(axis=1)
+    return balanced, float(ratios.min()), float(ratios.max())
+
+
 def perron_root(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
-    """Perron root and positive left/right eigenvectors of an irreducible
+    """Perron root and positive right/left eigenvectors of an irreducible
     nonnegative matrix.
 
-    Power iteration on a diagonally shifted copy (the shift kills
-    periodicity without moving the eigenvectors); Collatz-Wielandt ratio
-    bounds supply the stopping test, so the root comes back with relative
-    error <= tol.  Vectors are normalised to sum 1.
+    Each vector comes from ``_perron_right`` (on B and on its transpose): a
+    dense ``eig`` start, n power steps on B + cI, then shifted inverse
+    iteration on the balanced matrix until the Collatz-Wielandt bracket
+    certifies the root to relative error <= tol.  Vectors are normalised to
+    sum 1.
 
     Parameters
     ----------
     B : array_like, nonnegative, irreducible
-    tol : relative tolerance on the root
-    maxiter : iteration cap
+    tol : relative tolerance on the root (width of the certified bracket)
+    maxiter : cap on inverse-iteration steps
     rng : optional numpy Generator; randomises the starting vector (used to
         check that results do not depend on initialisation)
     """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    c = B.sum(axis=1).max()
-    if c <= 0:
-        raise DomainError("matrix has no positive entries", name="degenerate")
-    M = B + c * np.eye(n)
-
-    def start():
-        if rng is None:
-            return np.full(n, 1.0 / n)
-        v = rng.uniform(0.5, 1.5, size=n)
-        return v / v.sum()
-
-    def iterate(M):
-        v = start()
-        for _ in range(maxiter):
-            Mv = M @ v
-            ratios = Mv / v
-            lo, hi = float(ratios.min()), float(ratios.max())
-            v = Mv / Mv.sum()
-            if hi - lo <= tol * lo:
-                return 0.5 * (lo + hi), v
-        raise DomainError(
-            f"power iteration did not converge within {maxiter} iterations", name="iteration_cap"
-        )
-
-    lam_r, right = iterate(M)
-    _, left = iterate(M.T)
-    return lam_r - c, right, left
+    lam, right = _perron_right(B, tol=tol, maxiter=maxiter, rng=rng)
+    _, left = _perron_right(np.asarray(B, dtype=float).T, tol=tol, maxiter=maxiter, rng=rng)
+    return lam, right, left
 
 
 def topological_entropy(sft: Sft, tol: float = 1e-12) -> float:
     """log of the Perron root of A; requires an irreducible SFT."""
     _require_irreducible(sft)
-    lam, _, _ = perron_root(sft.A, tol=tol)
+    lam, _ = _perron_right(sft.A, tol=tol)
     return float(np.log(lam))
 
 

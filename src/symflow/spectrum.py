@@ -7,9 +7,10 @@ The same machinery, with two observables or with a roof function in the
 linear combination, gives the two-dimensional spectrum and the suspension
 flow spectrum.
 
-All solvers share ``_EdgeModel``: one block recoding on which every
+All solvers share ``thermo._EdgeModel``: one block recoding on which every
 potential in play is an exact edge function, so tilted pressures, means and
-mean-weight cycles come from a single weighted graph.
+mean-weight cycles come from a single weighted graph, and every tilted
+equilibrium comes from the certified Perron solve in ``thermo``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .errors import DomainError
-from .graphs import max_mean_cycle, min_mean_cycle
-from .measures import MarkovComponent, stationary
-from .sft import LocallyConstantFunction, Sft, block_recode, is_irreducible, perron_root
+from .measures import MarkovComponent
+from .sft import LocallyConstantFunction, Sft
+from .thermo import _EdgeModel
 
 __all__ = [
     "BirkhoffRange",
@@ -64,87 +65,6 @@ class SpectrumResult:
     witness: MarkovComponent
     status: str = "interior"
     s: float | None = None
-
-
-@dataclass
-class _Solve:
-    """Equilibrium data of one tilted potential on the recoded graph."""
-
-    P: float
-    Q: np.ndarray
-    pi: np.ndarray
-    means: tuple
-    entropy: float
-
-
-class _EdgeModel:
-    """Several locally constant functions realized as exact edge weights.
-
-    Recodes once at memory max(1, max_memory - 1); each function is then a
-    function of the recoded edge, so any linear combination is an edge
-    potential and both spectral (pressure/equilibrium) and combinatorial
-    (mean-weight cycle) computations are exact on this one graph.
-    """
-
-    def __init__(self, sft: Sft, funcs, min_memory: int = 1):
-        if not is_irreducible(sft):
-            raise DomainError("spectrum needs an irreducible SFT", name="reducible")
-        self.sft = sft
-        self.funcs = list(funcs)
-        memory = max(f.memory for f in self.funcs)
-        self.rec = block_recode(sft, max(1, min_memory, memory - 1))
-        A = self.rec.sft.A
-        self.mask = A > 0
-        self.edges = [np.zeros_like(A, dtype=float) for _ in self.funcs]
-        for i in range(A.shape[0]):
-            for j in np.flatnonzero(A[i]):
-                w = self.rec.edge_word(i, int(j))
-                for E, f in zip(self.edges, self.funcs):
-                    E[i, j] = f(w)
-
-    def _combined(self, coeffs) -> np.ndarray:
-        E = np.zeros_like(self.edges[0])
-        for c, Ek in zip(coeffs, self.edges):
-            if c != 0.0:
-                E = E + c * Ek
-        return E
-
-    def solve(self, coeffs, tol: float = 1e-12) -> _Solve:
-        """Equilibrium of the potential sum(coeffs[k] * funcs[k])."""
-        E = self._combined(coeffs)
-        offset = float(E[self.mask].max())
-        W = np.where(self.mask, np.exp(np.maximum(E - offset, -700.0)), 0.0)
-        lam, right, _ = perron_root(W, tol=tol)
-        P = offset + float(np.log(lam))
-        Q = W * right[None, :] / (lam * right[:, None])
-        Q[~self.mask] = 0.0
-        Q /= Q.sum(axis=1, keepdims=True)
-        pi = stationary(Q)
-        flux = pi[:, None] * Q
-        means = tuple(float((flux * Ek).sum()) for Ek in self.edges)
-        with np.errstate(divide="ignore"):
-            logQ = np.where(Q > 0, np.log(np.where(Q > 0, Q, 1.0)), 0.0)
-        entropy = float(-(flux * logQ).sum())
-        return _Solve(P=P, Q=Q, pi=pi, means=means, entropy=entropy)
-
-    def component(self, sol: _Solve) -> MarkovComponent:
-        return MarkovComponent(self.sft, self.rec.m, self.rec.words, sol.Q, sol.pi)
-
-    def max_cycle(self, coeffs):
-        """(value, recoded cycle) of the maximum mean-weight cycle."""
-        return max_mean_cycle(self.rec.sft.A, self._combined(coeffs))
-
-    def min_cycle(self, coeffs):
-        return min_mean_cycle(self.rec.sft.A, self._combined(coeffs))
-
-    def cycle_sums(self, cycle, which) -> float:
-        """Sum of edge weights of funcs[which] along a recoded cycle."""
-        E = self.edges[which]
-        n = len(cycle)
-        return float(sum(E[cycle[i], cycle[(i + 1) % n]] for i in range(n)))
-
-    def project(self, cycle) -> tuple:
-        return self.rec.project_cycle(cycle)
 
 
 def birkhoff_range(sft: Sft, g: LocallyConstantFunction) -> BirkhoffRange:

@@ -21,7 +21,8 @@ from scipy.optimize import brentq, nnls
 from .errors import DomainError, InputError
 from .measures import InvariantMeasure, MarkovComponent, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
-from .spectrum import _EdgeModel, _edge_tol, _expand_bracket, conditional_entropy_spectrum_2d
+from .spectrum import _edge_tol, _expand_bracket, conditional_entropy_spectrum_2d
+from .thermo import _EdgeModel, _equilibrium
 
 __all__ = [
     "low_entropy_mean_witness",
@@ -236,32 +237,19 @@ def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, u_index: int 
     Returns (Q, pi, mean_g, value) where value = entropy + mean of u (or
     just the entropy when no u is supplied).  The tilted mean is
     nondecreasing in beta, so a sign-change bracket plus brentq suffices.
+    Near the deterministic end of the path the spectral gap of the tilted
+    matrix vanishes; ``thermo._equilibrium`` certifies its Perron root by a
+    Collatz-Wielandt bracket and needs no gap.
     """
     Eg = model.edges[0]
     mask = Qt > 0.0
     off = float(Eg[mask].max())
+    edges = [Eg] + ([model.edges[u_index]] if u_index is not None else [])
 
     def solve(beta: float):
         W = np.where(mask, Qt * np.exp(np.maximum(beta * (Eg - off), -700.0)), 0.0)
-        # Dense Perron data: the path matrices are small, and near the
-        # deterministic end their spectral gap vanishes, which starves any
-        # power iteration.
-        vals, vecs = np.linalg.eig(W)
-        i = int(np.argmax(vals.real))
-        lam = float(vals.real[i])
-        right = np.maximum(np.abs(np.real(vecs[:, i])), 1e-300)
-        Q = W * right[None, :] / (lam * right[:, None])
-        Q[~mask] = 0.0
-        Q /= Q.sum(axis=1, keepdims=True)
-        pi = stationary(Q)
-        flux = pi[:, None] * Q
-        mean = float((flux * Eg).sum())
-        with np.errstate(divide="ignore"):
-            logQ = np.where(mask, np.log(np.where(mask, Q, 1.0)), 0.0)
-        value = float(-(flux * logQ).sum())
-        if u_index is not None:
-            value += float((flux * model.edges[u_index]).sum())
-        return Q, pi, mean, value
+        sol = _equilibrium(W, mask, edges)
+        return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:])
 
     def f(beta: float) -> float:
         return solve(beta)[2] - alpha

@@ -11,7 +11,6 @@ from symflow.graphs import (
     is_strongly_connected,
     max_mean_cycle,
     min_mean_cycle,
-    shortest_path_between,
     strong_components,
 )
 
@@ -42,29 +41,6 @@ def test_closed_classes():
     adj = np.array([[0, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
     classes = closed_classes(adj)
     assert [list(c) for c in classes] == [[2]]
-
-
-def test_shortest_path_between():
-    adj = np.array(
-        [
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-        ],
-        dtype=np.int8,
-    )
-    path = shortest_path_between(adj, [0], [3])
-    assert path == [0, 1, 2, 3]
-    # A self connector must go around the cycle, not stand still.
-    loop = shortest_path_between(adj, [0], [0])
-    assert loop[0] == 0 and loop[-1] == 0 and len(loop) == 5
-
-
-def test_shortest_path_disconnected():
-    adj = np.array([[1, 0], [0, 1]], dtype=np.int8)
-    with pytest.raises(DomainError):
-        shortest_path_between(adj, [0], [1])
 
 
 def test_mean_cycle_on_known_graph():

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from symflow.errors import DomainError, InputError
 from symflow.sft import (
@@ -86,6 +87,16 @@ def test_entropy_values_and_runtime(full2, golden):
     assert abs(h_gold - np.log(PHI)) < 1e-10
     assert elapsed < 1.0
     assert topological_entropy(Sft([[1]])) == 0.0
+
+
+def test_entropy_of_cycle_with_chord():
+    # A 200-cycle with the chord 0 -> 100 has first-return loops of lengths
+    # 200 and 101, so lambda^200 = lambda^99 + 1; its spectrum crowds the
+    # circle of radius lambda.
+    A = np.roll(np.eye(200, dtype=int), 1, axis=1)
+    A[0, 100] = 1
+    x = brentq(lambda x: np.exp(-200 * x) + np.exp(-101 * x) - 1.0, 1e-4, 0.1, xtol=1e-18)
+    assert abs(topological_entropy(Sft(A)) - x) < 1e-12
 
 
 def test_entropy_requires_irreducible():

@@ -97,6 +97,19 @@ def test_golden_spectrum_matches_closed_form_and_brute_force(golden):
         assert abs(res.entropy - brute_golden_H(alpha)) < 1e-5
 
 
+@pytest.mark.parametrize("c, eps", [(-0.3, 1e-4), (-0.3, 1e-6), (0.5, 1e-6)])
+def test_golden_spectrum_near_the_top_of_L_g(golden, c, eps):
+    # At alpha = hi - eps*|L_g| the dual tilt beta lies between 10 and 230
+    # and the tilted matrix has almost no spectral gap.
+    g = ind1(golden) + c * LocallyConstantFunction.indicator(golden, (1, 0, 1))
+    r = birkhoff_range(golden, g)
+    alpha = r.hi - eps * (r.hi - r.lo)
+    res = conditional_entropy_spectrum(golden, g, alpha)
+    mu = InvariantMeasure.single(res.witness)
+    assert abs(mu.integrate(g) - alpha) <= 1e-9
+    assert abs(mu.entropy() - res.entropy) <= 1e-8
+
+
 def test_spectrum_domain_errors(full2):
     g = ind1(full2)
     with pytest.raises(DomainError) as e:

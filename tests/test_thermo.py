@@ -71,6 +71,16 @@ def test_variational_gap_nonnegative_and_tight(full2):
         assert verify_equilibrium(full2, g, mu) >= -1e-9
 
 
+def test_variational_gap_at_large_tilt(full2):
+    # 100*g spans hundreds of nats: the weighted matrix and its Perron
+    # vectors range over dozens of orders of magnitude.
+    rng = np.random.default_rng(0)
+    g = 100.0 * LocallyConstantFunction(full2, 3, {w: float(rng.normal()) for w in admissible_words(full2, 3)})
+    res = pressure(full2, g)
+    eq = InvariantMeasure.single(res.equilibrium)
+    assert abs(res.gap(eq, g)) <= 1e-9
+
+
 def test_gap_at_fixed_point_orbit(full2):
     zero = LocallyConstantFunction.constant(full2, 0.0)
     delta = periodic_orbit_measure(full2, (0,))

@@ -9,6 +9,7 @@ from symflow.measures import InvariantMeasure, d_star, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft
 from symflow.spectrum import conditional_entropy_spectrum
 from symflow.witness import (
+    _connector,
     birkhoff_witness_2d,
     intermediate_witness,
     low_entropy_mean_witness,
@@ -18,6 +19,19 @@ from symflow.witness import (
 
 def ind1(sft: Sft) -> LocallyConstantFunction:
     return LocallyConstantFunction.indicator(sft, (1,))
+
+
+def test_connector_shortest_path():
+    cycle4 = Sft(np.roll(np.eye(4, dtype=int), 1, axis=1))
+    assert _connector(cycle4, 1, [(0,)], {(3,)}) == [(0,), (1,), (2,), (3,)]
+    # Multi-source: the path starts at the source nearest the targets.
+    assert _connector(cycle4, 2, [(0, 1), (1, 2)], {(3, 0)}) == [(1, 2), (2, 3), (3, 0)]
+
+
+def test_connector_disconnected():
+    two_loops = Sft([[1, 0], [0, 1]])
+    with pytest.raises(DomainError):
+        _connector(two_loops, 1, [(0,)], {(1,)})
 
 
 def test_low_entropy_witness_basic(full2):
