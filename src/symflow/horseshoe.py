@@ -12,9 +12,17 @@ push-forwards to the ambient shift (phase-averaged over the block) are what
 the certificates compare against the convex family spanned by the targets.
 At realistic block lengths the word alphabets run into the hundreds of
 thousands, so the certificate machinery never materialises anything
-quadratic in the alphabet: level tables are batched through sparse
-occurrence counts, and spectral quantities are taken on the word graph
-collapsed to its (suffix, prefix) classes.
+quadratic in the alphabet:
+
+* every level table up to the d* depth N is a marginal of three depth-N
+  histograms per word weight vector (in-word windows, suffixes, prefixes)
+  and, for word chains, of N-1 joint (suffix, prefix) histograms with k^N
+  bins each; the certificate draws each random chain once and reads all
+  its depths from one set of statistics;
+* the factory classifies each candidate chunk against all targets at once,
+  extending window codes level by level for the rows still undecided;
+* spectral quantities are taken on the word graph collapsed to its
+  (suffix, prefix) classes.
 """
 
 from __future__ import annotations
@@ -77,121 +85,146 @@ def _measure_tables(sft: Sft, mu, N: int) -> list:
     return tables
 
 
-def _d_tables(ta: list, tb: list, N: int) -> float:
-    return sum(float(np.abs(ta[ell] - tb[ell]).max()) / 2.0**ell for ell in range(1, N + 1))
-
-
 class _TableEngine:
-    """Batched push-forward tables for one fixed word alphabet.
+    """Level tables of word-concatenation chains from depth-N statistics.
 
-    Holds the word block as an int8 array and serves, per cylinder depth, a
-    sparse matrix of non-crossing window counts plus one-hot suffix/prefix
-    encodings, so that the ambient level table of any word-Bernoulli weight
-    vector (or a whole batch of them) is a couple of sparse mat-mats instead
-    of a per-measure sweep over the block.
+    The phase-averaged ambient table at depth ell <= N counts the length-ell
+    windows inside a word plus those crossing into the next word.  All of
+    them are marginals of three histograms per word weight vector theta:
+
+    * ``H = theta . C_N``, the windows of length N inside the word;
+    * ``S = theta . onehot(suffix_{N-1})``;
+    * ``P = theta . onehot(prefix_{N-1})``.
+
+    An in-word window of length ell is a prefix of an H window or sits at
+    an offset 0..N-1-ell inside the suffix.  A crossing window is a suffix
+    of length a followed by a prefix of length ell-a of the next word: for
+    i.i.d. words that is the product of S and P marginals, and for a chain
+    it is a marginal of the joint histogram J_a of (suffix_a, prefix_{N-a}
+    of the successor), so the N-1 joints of k^N bins serve every depth.
+    H, S and P of a whole block of weight vectors are one product with a
+    stacked sparse operator.  Every table method returns a list indexed by
+    ell = 1..N (entry 0 is None) of (batch, k^ell) arrays.
     """
 
-    def __init__(self, sft: Sft, arr: np.ndarray):
-        self.sft = sft
-        self.arr = np.ascontiguousarray(arr, dtype=np.int8)
-        self.num, self.n = self.arr.shape
-        self._suf: dict = {}
-        self._pre: dict = {}
+    def __init__(self, sft: Sft, arr: np.ndarray, N: int):
+        arr = np.ascontiguousarray(arr, dtype=np.int8)
+        self.num, self.n = arr.shape
+        if not 1 <= N <= self.n + 1:
+            raise InputError(f"cylinder depth {N} exceeds block length {self.n} + 1")
+        k = self.k = sft.k
+        self.N = N
+        m = N - 1
+        self.suf = arr[:, self.n - m :].astype(np.int64) @ _powers(k, m)
+        self.pre = arr[:, :m].astype(np.int64) @ _powers(k, m)
+        # Rows of the stacked operator: H codes (when a length-N window fits
+        # inside a word), then S codes, then P codes.
+        codes = []
+        if N <= self.n:
+            code = arr[:, :N].astype(np.int64) @ _powers(k, N)
+            codes.append(code)
+            for p in range(N, self.n):
+                code = code % k**m * k + arr[:, p]
+                codes.append(code)
+        self._h = k**N if codes else 0
+        codes.append(self.suf + self._h)
+        codes.append(self.pre + self._h + k**m)
+        rows = np.stack(codes, axis=1)
+        indptr = np.arange(self.num + 1, dtype=np.int64) * rows.shape[1]
+        op = sparse.csc_matrix(
+            (np.ones(rows.size), rows.ravel(), indptr), shape=(self._h + 2 * k**m, self.num)
+        ).tocsr()
+        op.sum_duplicates()
+        self._op = op
+        self._uniform = None
 
-    def suffix_codes(self, a: int) -> np.ndarray:
-        if a not in self._suf:
-            self._suf[a] = self.arr[:, self.n - a :].astype(np.int64) @ _powers(self.sft.k, a)
-        return self._suf[a]
+    def stats(self, W: np.ndarray) -> tuple:
+        """(H, S, P) for the weight columns of W (num, B); H is None when N > n."""
+        Y = np.ascontiguousarray((self._op @ np.ascontiguousarray(W, dtype=float)).T)
+        h, km = self._h, self.k ** (self.N - 1)
+        return (Y[:, :h] if h else None), Y[:, h : h + km], Y[:, h + km :]
 
-    def prefix_codes(self, b: int) -> np.ndarray:
-        if b not in self._pre:
-            self._pre[b] = self.arr[:, :b].astype(np.int64) @ _powers(self.sft.k, b)
-        return self._pre[b]
-
-    def _onehot(self, codes: np.ndarray, size: int) -> sparse.csr_matrix:
-        data = np.ones(self.num)
-        indptr = np.arange(self.num + 1)
-        return sparse.csr_matrix((data, codes, indptr), shape=(self.num, size))
-
-    def count_matrix(self, ell: int) -> sparse.csr_matrix:
-        """(num, k^ell) occurrence counts of the non-crossing windows."""
-        k = self.sft.k
-        phases = self.n - ell + 1
-        size = k**ell
-        pw = _powers(k, ell)
-        cols = np.empty(self.num * phases, dtype=np.int64)
-        chunk = max(1, (1 << 24) // max(1, phases * ell))
-        for s in range(0, self.num, chunk):
-            block = self.arr[s : s + chunk]
-            w = sliding_window_view(block, ell, axis=1).astype(np.int64)
-            cols[s * phases : (s + block.shape[0]) * phases] = (w @ pw).reshape(-1)
-        data = np.ones(self.num * phases)
-        indptr = np.arange(self.num + 1, dtype=np.int64) * phases
-        C = sparse.csr_matrix((data, cols, indptr), shape=(self.num, size))
-        C.sum_duplicates()
-        return C
-
-    def level(self, ell: int) -> "_LevelSlice":
-        if ell > self.n + 1:
-            raise InputError(f"cylinder depth {ell} exceeds block length {self.n} + 1")
-        return _LevelSlice(self, ell)
-
-
-class _LevelSlice:
-    """All depth-ell table machinery, built once and shared by a batch."""
-
-    def __init__(self, engine: _TableEngine, ell: int):
-        self.engine = engine
-        self.ell = ell
-        self.size = engine.sft.k**ell
-        self.C = engine.count_matrix(ell) if ell <= engine.n else None
-        self._suf_oh = {}
-        self._pre_oh = {}
-        k = engine.sft.k
-        for a in range(1, ell):
-            b = ell - a
-            self._suf_oh[a] = engine._onehot(engine.suffix_codes(a), k**a)
-            self._pre_oh[b] = engine._onehot(engine.prefix_codes(b), k**b)
-
-    def bernoulli(self, TH: np.ndarray) -> np.ndarray:
-        """Level tables for rows of word weights: (S, num) -> (S, k^ell)."""
-        TH = np.atleast_2d(np.asarray(TH, dtype=float))
-        S = TH.shape[0]
-        if self.C is not None:
-            acc = np.asarray((self.C.T @ TH.T).T)
-        else:
-            acc = np.zeros((S, self.size))
-        for a in range(1, self.ell):
-            b = self.ell - a
-            su = np.asarray((self._suf_oh[a].T @ TH.T).T)
-            pr = np.asarray((self._pre_oh[b].T @ TH.T).T)
-            acc += np.einsum("si,sj->sij", su, pr).reshape(S, self.size)
-        return acc / self.engine.n
-
-    def perm_mix(self, specs: list) -> np.ndarray:
-        """Level tables for (eps, perm) word chains with uniform marginal."""
-        e = self.engine
-        k = e.sft.k
-        pi = np.full(e.num, 1.0 / e.num)
-        if self.C is not None:
-            base = np.asarray(self.C.T @ pi).reshape(-1)
-        else:
-            base = np.zeros(self.size)
-        indep = np.zeros(self.size)
-        parts = []
-        for a in range(1, self.ell):
-            b = self.ell - a
-            su = np.asarray(self._suf_oh[a].T @ pi).reshape(-1)
-            pr = np.asarray(self._pre_oh[b].T @ pi).reshape(-1)
-            indep += np.outer(su, pr).reshape(-1)
-            parts.append((e.suffix_codes(a), e.prefix_codes(b), k**b))
-        out = np.empty((len(specs), self.size))
-        for idx, (eps, perm) in enumerate(specs):
-            pair = np.zeros(self.size)
-            for suf, pre, shift in parts:
-                pair += np.bincount(suf * shift + pre[perm], weights=pi, minlength=self.size)
-            out[idx] = (base + (1.0 - eps) * indep + eps * pair) / e.n
+    def _inword(self, H, S) -> list:
+        k, N, m = self.k, self.N, self.N - 1
+        B = S.shape[0]
+        out = [None] + [np.zeros((B, k**ell)) for ell in range(1, N + 1)]
+        if H is not None:
+            cur = H
+            for ell in range(N, 0, -1):
+                out[ell] += cur
+                cur = cur.reshape(B, -1, k).sum(axis=2)
+        for ell in range(1, m + 1):
+            for j in range(m - ell + 1):
+                out[ell] += S.reshape(B, k**j, k**ell, -1).sum(axis=(1, 3))
         return out
+
+    def _cross_indep(self, S, P) -> list:
+        k, N, m = self.k, self.N, self.N - 1
+        B = S.shape[0]
+        su = [None] + [S.reshape(B, -1, k**a).sum(axis=1) for a in range(1, m + 1)]
+        pr = [None] + [P.reshape(B, k**b, -1).sum(axis=2) for b in range(1, m + 1)]
+        out = [None, np.zeros((B, k))]
+        for ell in range(2, N + 1):
+            out.append(sum((su[a][:, :, None] * pr[ell - a][:, None, :]).reshape(B, -1) for a in range(1, ell)))
+        return out
+
+    def _cross_joint(self, J: np.ndarray) -> list:
+        """Crossing terms from joints J (B, N-1, k^N) of (suffix_a, prefix_{N-a})."""
+        k, N = self.k, self.N
+        B = J.shape[0]
+        out = [None, np.zeros((B, k))]
+        for ell in range(2, N + 1):
+            out.append(
+                sum(J[:, a - 1].reshape(B, k**a, k ** (ell - a), -1).sum(axis=3).reshape(B, -1) for a in range(1, ell))
+            )
+        return out
+
+    def bernoulli_tables(self, H, S, P) -> list:
+        inw, cross = self._inword(H, S), self._cross_indep(S, P)
+        return [None] + [(inw[ell] + cross[ell]) / self.n for ell in range(1, self.N + 1)]
+
+    def bernoulli(self, W: np.ndarray) -> list:
+        """Tables of i.i.d. words drawn with the weight columns of W (num, B)."""
+        return self.bernoulli_tables(*self.stats(W))
+
+    def perm_mix(self, specs: list) -> list:
+        """Tables of (eps, perm) word chains with uniform marginal."""
+        k, N = self.k, self.N
+        if self._uniform is None:
+            H, S, P = self.stats(np.full((self.num, 1), 1.0 / self.num))
+            # Joint a-1 holds (suffix_a, prefix_{N-a}) in flat bin
+            # (a-1)*k^N + suffix_a*k^(N-a) + prefix_{N-a}, and prefix_{N-a}
+            # is prefix_{N-1} // k^(a-1).
+            a = np.arange(1, N, dtype=np.int64)[:, None]
+            suf = (self.suf[None, :] % k**a) * k ** (N - a) + (a - 1) * k**N
+            self._uniform = (self._inword(H, S), self._cross_indep(S, P), suf, k ** (a - 1))
+        inw, indep, suf, div = self._uniform
+        J = np.stack(
+            [np.bincount((suf + self.pre[perm] // div).ravel(), minlength=(N - 1) * k**N) for _, perm in specs]
+        ).reshape(len(specs), N - 1, -1) / self.num
+        pair = self._cross_joint(J)
+        eps = np.array([e for e, _ in specs])[:, None]
+        return [None] + [(inw[ell] + (1.0 - eps) * indep[ell] + eps * pair[ell]) / self.n for ell in range(1, N + 1)]
+
+    def markov(self, pi: np.ndarray, Q: np.ndarray) -> list:
+        """Tables of the word chain with stationary vector pi and transitions Q."""
+        k, N = self.k, self.N
+        PQ = pi[:, None] * Q
+        J = np.empty((1, N - 1, k**N))
+        for a in range(1, N):
+            b = N - a
+            su = _onehot(self.suf % k**a, k**a).T
+            pr = _onehot(self.pre // k ** (a - 1), k**b)
+            # Bin the smaller side first so the intermediate stays num x k^min(a, b).
+            J[0, a - 1] = np.asarray(su @ (PQ @ pr) if b <= a else (su @ PQ) @ pr).reshape(-1)
+        H, S, _ = self.stats(pi[:, None])
+        inw, cross = self._inword(H, S), self._cross_joint(J)
+        return [None] + [(inw[ell] + cross[ell]) / self.n for ell in range(1, N + 1)]
+
+
+def _onehot(codes: np.ndarray, size: int) -> sparse.csr_matrix:
+    num = codes.shape[0]
+    return sparse.csr_matrix((np.ones(num), codes, np.arange(num + 1)), shape=(num, size))
 
 
 class WordProcessMeasure:
@@ -206,9 +239,9 @@ class WordProcessMeasure:
     * ``("markov", pi, Q)`` - an explicit small chain.
 
     Ambient cylinder probabilities are phase averages over the n positions
-    of the block and are served from per-depth tables, so membership in the
-    d* metric is cheap.  Depth is limited to n+1 (a pattern never spans
-    more than two blocks).
+    of the block and are served from per-depth tables, all depths up to the
+    d* depth built at once, so membership in the d* metric is cheap.  Depth
+    is limited to n+1 (a pattern never spans more than two blocks).
     """
 
     def __init__(self, sft: Sft, words, kind: tuple):
@@ -216,7 +249,7 @@ class WordProcessMeasure:
         self.words = list(words)
         self.n = len(self.words[0])
         self.kind = kind
-        self._engine = _TableEngine(sft, np.asarray(self.words, dtype=np.int8))
+        self._arr = np.asarray(self.words, dtype=np.int8)
         self._tables: dict = {}
         num = len(self.words)
         tag = kind[0]
@@ -231,36 +264,21 @@ class WordProcessMeasure:
         else:
             raise InputError(f"unknown word process kind {tag!r}")
 
-    def _markov_level(self, slc: _LevelSlice) -> np.ndarray:
-        # Pair-weighted crossing terms; the word count is capped so the
-        # num^2 flattening stays materialisable.
-        e = self._engine
-        k = self.sft.k
-        Q = np.asarray(self.kind[2], dtype=float)
-        if slc.C is not None:
-            acc = np.asarray(slc.C.T @ self._pi).reshape(-1)
-        else:
-            acc = np.zeros(slc.size)
-        for a in range(1, slc.ell):
-            b = slc.ell - a
-            shift = k**b
-            flat = (e.suffix_codes(a)[:, None] * shift + e.prefix_codes(b)[None, :]).ravel()
-            acc += np.bincount(flat, weights=(self._pi[:, None] * Q).ravel(), minlength=slc.size)
-        return acc / e.n
-
     def _level_table(self, ell: int) -> np.ndarray:
         if ell in self._tables:
             return self._tables[ell]
-        slc = self._engine.level(ell)
+        depth = max(ell, min(self.n + 1, _DSTAR_DEPTH))
+        engine = _TableEngine(self.sft, self._arr, depth)
         tag = self.kind[0]
         if tag == "bernoulli":
-            t = slc.bernoulli(self._pi[None, :])[0]
+            t = engine.bernoulli(self._pi[:, None])
         elif tag == "perm_mix":
-            t = slc.perm_mix([(self.kind[1], self.kind[2])])[0]
+            t = engine.perm_mix([(self.kind[1], self.kind[2])])
         else:
-            t = self._markov_level(slc)
-        self._tables[ell] = t
-        return t
+            t = engine.markov(self._pi, np.asarray(self.kind[2], dtype=float))
+        for d in range(1, depth + 1):
+            self._tables.setdefault(d, t[d][0])
+        return self._tables[ell]
 
     def tables(self, N: int) -> list:
         return [None] + [self._level_table(ell) for ell in range(1, N + 1)]
@@ -318,7 +336,7 @@ class WordProcessMeasure:
             idx[0] = rng.choice(num, p=self._pi)
             for t in range(1, num_words):
                 idx[t] = rng.choice(num, p=Q[idx[t - 1]])
-        return self._engine.arr[idx].reshape(-1).astype(np.int64)
+        return self._arr[idx].reshape(-1).astype(np.int64)
 
 
 @dataclass
@@ -388,40 +406,68 @@ class HorseshoePack:
         )
 
 
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Number of True entries in each row of a 2-D boolean array."""
+    return np.einsum("ij->i", mask.view(np.int8), dtype=np.int8 if mask.shape[1] < 128 else np.int32)
+
+
 def _classify(sft: Sft, W: np.ndarray, tables: list, zeta: float, N: int = _DSTAR_DEPTH) -> np.ndarray:
-    """Mask of rows of W whose cyclic empirical measure is zeta/2-close.
+    """Masks (targets, rows) of rows of W whose cyclic empirical measure is
+    zeta/2-close to each target's tables.
 
     Levels are processed in order with running partial sums of the d*
-    series; a word is rejected as soon as the partial sum reaches zeta/2
-    and accepted as soon as even all-ones deeper deviations cannot lift it
-    there.
+    series; a word is rejected for a target as soon as its partial sum
+    reaches zeta/2 and accepted as soon as even all-ones deeper deviations
+    cannot lift it there.  Each level's empirical histogram is built once
+    for the rows still undecided under some target, from window codes that
+    extend the previous level's codes by one symbol; levels with few codes
+    are counted code by code, deeper ones by one bincount per row block.
     """
     num, n = W.shape
     k = sft.k
     half = zeta / 2.0
-    partial = np.zeros(num)
-    status = np.zeros(num, dtype=np.int8)  # 0 undecided, 1 in, -1 out
-    pad = np.concatenate([W, W[:, : N - 1]], axis=1)
+    accepted = np.zeros((len(tables), num), dtype=bool)
+    live = np.arange(num)
+    # Partial sums and undecided flags of the live rows.  A row decided
+    # under one target keeps accumulating there while another target still
+    # needs it, which is harmless: only undecided entries are ever tested.
+    partial = np.zeros((len(tables), num))
+    undecided = np.ones((len(tables), num), dtype=bool)
+    codes, pad = W, None
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if k**N <= np.iinfo(t).max)
     for ell in range(1, N + 1):
-        live = np.flatnonzero(status == 0)
-        if live.size == 0:
-            break
-        t = tables[ell]
         size = k**ell
-        chunk = max(1, (1 << 20) // size)
-        pw = _powers(k, ell)
-        windows = sliding_window_view(pad, ell, axis=1)[:, :n, :]
-        for start in range(0, live.size, chunk):
-            rows = live[start : start + chunk]
-            codes = windows[rows] @ pw
-            flat = (np.arange(rows.size)[:, None] * size + codes).ravel()
-            emp = np.bincount(flat, minlength=rows.size * size).reshape(rows.size, size) / n
-            dev = np.abs(emp - t[None, :]).max(axis=1)
-            partial[rows] += dev / 2.0**ell
+        if ell > 1:
+            if pad is None:
+                pad = np.concatenate([codes, codes[:, : N - 1]], axis=1)
+                codes = pad[:, :n].astype(dtype)
+            codes = codes * k + pad[:, ell - 1 : ell - 1 + n]
+        if size <= n:
+            emps = [(0, np.stack([_row_counts(codes == c) for c in range(size)]) / n)]
+        else:
+            chunk = max(1, (1 << 20) // size)
+            emps = []
+            for start in range(0, live.size, chunk):
+                c = codes[start : start + chunk].astype(np.int64)
+                rows = c.shape[0]
+                flat = (c * rows + np.arange(rows)[:, None]).ravel()
+                emps.append((start, np.bincount(flat, minlength=size * rows).reshape(size, rows) / n))
+        for i, t in enumerate(tables):
+            for start, emp in emps:
+                dev = np.abs(emp - t[ell][:, None]).max(axis=0)
+                partial[i, start : start + dev.size] += dev / 2.0**ell
         rem = 2.0**-ell - 2.0**-N
-        status[(status == 0) & (partial >= half)] = -1
-        status[(status == 0) & (partial + rem < half)] = 1
-    return status == 1
+        ok = undecided & (partial + rem < half)
+        for i in np.flatnonzero(ok.any(axis=1)):
+            accepted[i, live[ok[i]]] = True
+        undecided &= ~ok & (partial < half)
+        keep = undecided.any(axis=0)
+        if not keep.any():
+            break
+        live, partial, undecided, codes = live[keep], partial[:, keep], undecided[:, keep], codes[keep]
+        if pad is not None:
+            pad = pad[keep]
+    return accepted
 
 
 def _anchored_word_chunks(sft: Sft, n: int, anchor: int, chunk: int = _CHUNK_ROWS, budget: int = _BUILD_ROW_BUDGET):
@@ -491,7 +537,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
             counts = [0] * K
             try:
                 for cand in _anchored_word_chunks(sft, n, anchor):
-                    masks = [_classify(sft, cand, t, zeta) for t in tables]
+                    masks = _classify(sft, cand, tables, zeta)
                     for i in range(K):
                         for j in range(i + 1, K):
                             if bool((masks[i] & masks[j]).any()):
@@ -517,10 +563,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
                 best = (deficit, n, anchor)
             if not ok:
                 continue
-            sets = [
-                [tuple(int(a) for a in row) for row in np.concatenate(accepted[i], axis=0)]
-                for i in range(K)
-            ]
+            sets = [list(map(tuple, np.concatenate(accepted[i], axis=0).tolist())) for i in range(K)]
             return HorseshoePack(
                 sft=sft,
                 n=n,
@@ -603,44 +646,47 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     grid = _simplex_grid(K, 40 if K == 2 else 8)
     G = grid.shape[0]
 
-    engine = _TableEngine(pack.sft, np.asarray(union, dtype=np.int8))
+    engine = _TableEngine(pack.sft, np.asarray(union, dtype=np.int8), N)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    TH_unif = np.zeros((K, numU))
+    TH_unif = np.zeros((numU, K))
     for i in range(K):
-        TH_unif[i, starts[i] : starts[i + 1]] = 1.0 / counts[i]
-    # A matched lift spreads each theta_i uniformly over G_i.
-    TH_match = grid @ TH_unif
+        TH_unif[starts[i] : starts[i + 1], i] = 1.0 / counts[i]
+    # Tables of all depths side by side; d* is a weighted sum of per-depth
+    # maxima over the segments.
+    offsets = np.cumsum([0] + [pack.sft.k**ell for ell in range(1, N)])
+    weights = 2.0 ** -np.arange(1, N + 1)
 
-    bern_idx = [s for s in range(samples) if s % 2 == 0]
-    perm_idx = [s for s in range(samples) if s % 2 == 1]
+    def flat(tables: list) -> np.ndarray:
+        return np.concatenate(tables[1:], axis=-1)
+
+    def dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(np.abs(a - b), offsets, axis=1) @ weights
+
+    t_target = np.stack([flat(t) for t in target_tables])
+    t_grid = grid @ t_target
+    H, S, P = engine.stats(TH_unif)
+    push = dist(flat(engine.bernoulli_tables(H, S, P)), t_target)
+    # A matched lift spreads each theta_i uniformly over G_i, so its
+    # statistics are the grid mixtures of the uniform lifts' statistics.
+    t_match = engine.bernoulli_tables(None if H is None else grid @ H, grid @ S, grid @ P)
+    D_gm = dist(t_grid, flat(t_match))  # d(grid theta, matched lift theta), per theta
+
+    # Each sample is drawn once and its tables at every depth come from one
+    # set of statistics: Dirichlet Bernoulli weights at even indices,
+    # permutation mixtures at odd ones.
     block = 64
-
-    push = np.zeros(K)
-    D_gm = np.zeros(G)  # d(grid theta, matched lift theta), per theta
     D_gs = np.zeros((G, samples))  # d(grid theta, sampled chain)
-    for ell in range(1, N + 1):
-        slc = engine.level(ell)
-        weight = 2.0**-ell
-        t_target = np.stack([target_tables[i][ell] for i in range(K)])
-        t_unif = slc.bernoulli(TH_unif)
-        push += np.abs(t_unif - t_target).max(axis=1) * weight
-        t_grid = grid @ t_target
-        t_match = slc.bernoulli(TH_match)
-        D_gm += np.abs(t_grid - t_match).max(axis=1) * weight
-        t_samp = np.empty((samples, slc.size))
-        for lo in range(0, len(bern_idx), block):
-            rows = bern_idx[lo : lo + block]
-            TH = np.stack([_sample_weights(numU, seed, s) for s in rows])
-            t_samp[rows] = slc.bernoulli(TH)
-        for lo in range(0, len(perm_idx), block):
-            rows = perm_idx[lo : lo + block]
-            specs = [_sample_perm_spec(numU, seed, s) for s in rows]
-            t_samp[rows] = slc.perm_mix(specs)
-        for lo in range(0, samples, block):
-            seg = t_samp[lo : lo + block]
-            D_gs[:, lo : lo + block] += (
-                np.abs(t_grid[:, None, :] - seg[None, :, :]).max(axis=2) * weight
-            )
+    for lo in range(0, samples, block):
+        hi = min(samples, lo + block)
+        t_samp = np.empty((hi - lo, t_grid.shape[1]))
+        bern, perm = np.arange(lo, hi, 2), np.arange(lo + 1, hi, 2)
+        if bern.size:
+            TH = np.stack([_sample_weights(numU, seed, int(s)) for s in bern])
+            t_samp[bern - lo] = flat(engine.bernoulli(TH.T))
+        if perm.size:
+            t_samp[perm - lo] = flat(engine.perm_mix([_sample_perm_spec(numU, seed, int(s)) for s in perm]))
+        for s in range(lo, hi):
+            D_gs[:, s] = dist(t_grid, t_samp[s - lo])
 
     def hausdorff(count: int) -> float:
         sub = D_gs[:, :count]

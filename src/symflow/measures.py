@@ -59,6 +59,14 @@ def stationary(Q: np.ndarray) -> np.ndarray:
     for j in range(1, m):
         pi[j] = pi[:j] @ T[:j, j]
     pi /= pi.sum()
+    # Every state of an irreducible class has positive mass; an entry that
+    # is not finite and positive means the masses span more than the
+    # double range.
+    if not (np.all(np.isfinite(pi)) and np.all(pi > 0.0)):
+        raise DomainError(
+            "stationary vector out of floating-point range on its closed class",
+            name="stationary_range",
+        )
     out = np.zeros(n)
     out[cls] = pi
     return out

@@ -11,12 +11,14 @@ from symflow.errors import DomainError, InputError
 from symflow.horseshoe import (
     HorseshoePack,
     WordProcessMeasure,
+    _classify,
+    _measure_tables,
     _word_roof_root,
     build_multi_horseshoe,
     certify_pack,
     lift_pack_to_flow,
 )
-from symflow.measures import InvariantMeasure, d_star
+from symflow.measures import InvariantMeasure, d_star, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
 from symflow.suspension import SuspensionSystem
 
@@ -265,3 +267,115 @@ def test_pack_json_round_trip(small_pack):
     a = certify_pack(pack, samples=8, seed=1)
     b = certify_pack(again, samples=8, seed=1)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def brute_level_tables(k: int, words, pair_weight, depth: int) -> list:
+    """Dumb reference: phase-averaged window counts over every word pair.
+
+    ``pair_weight[i, j]`` is the stationary probability of word i followed
+    by word j; a window of length <= n + 1 starting inside the first word
+    lies inside the concatenation of the pair.
+    """
+    n = len(words[0])
+    tables = [None] + [np.zeros(k**ell) for ell in range(1, depth + 1)]
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            p = pair_weight[i, j]
+            if p == 0.0:
+                continue
+            uv = tuple(u) + tuple(v)
+            for ell in range(1, depth + 1):
+                for phase in range(n):
+                    code = 0
+                    for a in uv[phase : phase + ell]:
+                        code = code * k + a
+                    tables[ell][code] += p / n
+    return tables
+
+
+@pytest.mark.parametrize("k, n, num", [(2, 5, 14), (3, 4, 17), (2, 12, 9)])
+def test_level_tables_match_word_pair_oracle(k, n, num):
+    # n < 10 puts the statistics at depth n + 1, where no window of that
+    # length fits inside one word; n = 12 serves depths 11..13 from deeper
+    # statistics than the default d* depth.
+    sft = Sft(np.ones((k, k), dtype=int))
+    rng = np.random.default_rng(7 * k + n)
+    words = [tuple(int(a) for a in rng.integers(0, k, n)) for _ in range(num)]
+    theta = rng.dirichlet(np.ones(num))
+    eps, perm = 0.3, rng.permutation(num)
+    Q = rng.random((num, num)) * (rng.random((num, num)) < 0.6)
+    Q[np.arange(num), rng.permutation(num)] += 0.5  # irreducible-ish and no empty rows
+    Q /= Q.sum(axis=1, keepdims=True)
+    w, v = np.linalg.eig(Q.T)
+    pi = np.abs(np.real(v[:, np.argmin(np.abs(w - 1.0))]))
+    pi /= pi.sum()
+    P_perm = np.full((num, num), (1.0 - eps) / num**2)
+    P_perm[np.arange(num), perm] += eps / num
+    cases = [
+        (("bernoulli", theta), np.outer(theta, theta)),
+        (("perm_mix", eps, perm), P_perm),
+        (("markov", pi, Q), pi[:, None] * Q),
+    ]
+    for kind, pair_weight in cases:
+        want = brute_level_tables(k, words, pair_weight, n + 1)
+        wp = WordProcessMeasure(sft, words, kind)
+        for ell in range(1, n + 2):
+            got = wp.tables(ell)[ell]
+            assert np.abs(got - want[ell]).max() < 1e-13, (kind[0], ell)
+        with pytest.raises(InputError):
+            wp.cylinder_prob((0,) * (n + 2))
+
+
+def _closable_walks(sft: Sft, n: int, count: int, rng) -> list:
+    out = []
+    while len(out) < count:
+        w = [int(rng.integers(sft.k))]
+        for _ in range(n - 1):
+            w.append(int(rng.choice(np.flatnonzero(sft.A[w[-1]]))))
+        if sft.A[w[-1], w[0]]:
+            out.append(tuple(w))
+    return out
+
+
+@pytest.mark.parametrize("shift", ["full2", "golden"])
+def test_classify_matches_periodic_orbit_d_star(shift):
+    sft = Sft([[1, 1], [1, 1]]) if shift == "full2" else Sft([[1, 1], [1, 0]])
+    rng = np.random.default_rng(11)
+    targets = [InvariantMeasure.single(random_markov_component(sft, 2, rng)) for _ in range(2)]
+    zeta = 0.3
+    words = _closable_walks(sft, 13, 30, rng)
+    tables = [_measure_tables(sft, mu, 10) for mu in targets]
+    masks = _classify(sft, np.asarray(words, dtype=np.int8), tables, zeta)
+    assert masks.shape == (2, len(words))
+    decided = 0
+    for j, w in enumerate(words):
+        orbit = periodic_orbit_measure(sft, w)
+        for i, mu in enumerate(targets):
+            d = d_star(orbit, mu, N=10)
+            if abs(d - zeta / 2) < 1e-12:
+                continue
+            assert bool(masks[i, j]) == (d < zeta / 2), (w, i, d)
+            decided += 1
+    assert decided > 0 and masks.any() and not masks.all()
+
+
+def test_certify_small_pack_reproduces_recorded_certificate(small_pack):
+    # Recorded from the per-level table engine that preceded the depth-N
+    # statistics; both engines compute the same tables up to rounding.
+    rep = certify_pack(small_pack, samples=24, seed=0)
+    c2, c3 = rep["condition2"], rep["condition3"]
+    recorded = {
+        "horseshoe_entropies": [0.5241747015059642, 0.451085950651685],
+        "count_entropies": [0.5241747015059642, 0.451085950651685],
+        "target_entropies": [0.5623351446188083, 0.5623351446188083],
+        "margins": [0.46183955688715594, 0.3887508060328767],
+        "push_distances": [0.08689291485369657, 0.11155697632744783],
+        "hausdorff_estimate": 0.11155697632744783,
+        "hausdorff_estimate_half": 0.11155697632744783,
+    }
+    got = {**c2, **c3}
+    for key, want in recorded.items():
+        assert np.abs(np.asarray(got[key]) - np.asarray(want)).max() <= 1e-12, key
+    assert rep["condition1"] == {"alphabet_sizes": [189, 91], "transitive": True, "disjoint": True}
+    assert (c2["all_positive"], c3["pass"], rep["pass"]) == (True, True, True)
+    assert (c3["samples"], c3["seed"], c3["depth"], c3["zeta"]) == (24, 0, 10, 0.4)

@@ -81,6 +81,18 @@ def test_variational_gap_at_large_tilt(full2):
     assert abs(res.gap(eq, g)) <= 1e-9
 
 
+@pytest.mark.parametrize("seed", [8, 17])
+def test_stationary_out_of_double_range_is_named(full2, seed):
+    # The Perron solve certifies, but the equilibrium's stationary masses
+    # span more than the double range (at seed 17, l.r is about 1e-349):
+    # GTH back-substitution yields inf/NaN or zero entries.
+    rng = np.random.default_rng(seed)
+    g = 100.0 * LocallyConstantFunction(full2, 3, {w: float(rng.normal()) for w in admissible_words(full2, 3)})
+    with pytest.raises(DomainError) as e:
+        pressure(full2, g)
+    assert e.value.name == "stationary_range"
+
+
 def test_gap_at_fixed_point_orbit(full2):
     zero = LocallyConstantFunction.constant(full2, 0.0)
     delta = periodic_orbit_measure(full2, (0,))
