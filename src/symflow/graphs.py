@@ -2,13 +2,18 @@
 
 Graphs are dense 0/1 numpy adjacency matrices throughout; vertex count is
 desk-scale (recoded block graphs), so dense is fine and keeps indexing dumb.
+
+Strong components come from the dense boolean transitive closure (Warshall's
+n vectorised passes), with no scipy.sparse graph round trip.  There is no
+size switch to a sparse or linear-time search: the closure's n passes over
+n^2 booleans cost no more than the n GTH elimination passes that
+``measures.stationary`` runs next on the same matrix, and the largest graphs
+that reach this code are recoded block graphs of a few dozen states.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
 
@@ -24,28 +29,39 @@ __all__ = [
 def strong_components(adj: np.ndarray) -> tuple[int, np.ndarray]:
     """Strongly connected components of a 0/1 adjacency matrix.
 
-    Returns (number of components, label per vertex).
+    Returns (number of components, label per vertex).  Labels are numbered
+    in the order of each component's smallest vertex, so vertex 0 is in
+    component 0.
     """
-    n, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    return n, labels
+    n = adj.shape[0]
+    if n == 0:
+        return 0, np.zeros(0, dtype=np.intp)
+    reach = np.array(adj, dtype=bool)
+    reach.flat[:: n + 1] = True
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[k]
+    mutual = reach & reach.T
+    # A component's label is the rank of its smallest vertex.
+    first = mutual.argmax(axis=1)
+    roots = np.flatnonzero(first == np.arange(n))
+    return len(roots), roots.searchsorted(first)
 
 
 def is_strongly_connected(adj: np.ndarray) -> bool:
-    if adj.shape[0] == 0:
-        return False
     n, _ = strong_components(adj)
     return n == 1
 
 
 def closed_classes(adj: np.ndarray) -> list[np.ndarray]:
-    """Closed communicating classes: SCCs with no edge leaving the class."""
-    _, labels = strong_components(adj)
-    out = []
-    for c in np.unique(labels):
-        inside = labels == c
-        if not adj[np.ix_(inside, ~inside)].any():
-            out.append(np.flatnonzero(inside))
-    return out
+    """Closed communicating classes: SCCs with no edge leaving the class.
+
+    Listed in label order, i.e. by smallest vertex.
+    """
+    count, labels = strong_components(adj)
+    leaving = np.array(adj, dtype=bool) & (labels[:, None] != labels)
+    is_open = np.zeros(count, dtype=bool)
+    is_open[labels[leaving.any(axis=1)]] = True
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(~is_open)]
 
 
 def min_mean_cycle(adj: np.ndarray, weight: np.ndarray) -> tuple[float, list[int]]:

@@ -32,33 +32,40 @@ def stationary(Q: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic matrix.
 
     Uses GTH elimination (no subtractions, so small entries keep relative
-    accuracy).  When the support graph has several closed classes the
-    stationary vector is not unique and we refuse rather than pick one.
+    accuracy).  The support graph ``Q > 0`` must have exactly one closed
+    class (``graphs.closed_classes``, a dense closure search); with several
+    the stationary vector is not unique and we refuse rather than pick one.
+    GTH runs on that class, and transient states get mass 0.  A vector
+    whose masses span more than the double range raises
+    ``DomainError("stationary_range")`` without floating-point warnings.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    classes = graphs.closed_classes((Q > 0).astype(np.int8))
+    classes = graphs.closed_classes(Q > 0)
     if len(classes) != 1:
         raise DomainError(
             f"non-unique stationary distribution: support has {len(classes)} closed classes",
             name="non_unique_stationary",
         )
     cls = classes[0]
-    T = Q[np.ix_(cls, cls)].astype(float)
     m = len(cls)
+    T = Q.copy() if m == n else Q[np.ix_(cls, cls)]
     # GTH elimination phase: fold state s into the smaller chain.  The
     # column is rescaled after the rank-one update so back-substitution
     # reads the divided entries.
     for s in range(m - 1, 0, -1):
         scale = T[s, :s].sum()
         T[s, :s] /= scale
-        T[:s, :s] += np.outer(T[:s, s], T[s, :s])
+        T[:s, :s] += T[:s, s, None] * T[s, :s]
         T[:s, s] /= scale
     pi = np.zeros(m)
     pi[0] = 1.0
-    for j in range(1, m):
-        pi[j] = pi[:j] @ T[:j, j]
-    pi /= pi.sum()
+    # Masses beyond the double range overflow to inf/NaN here; the check
+    # below names that failure, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(1, m):
+            pi[j] = pi[:j] @ T[:j, j]
+        pi /= pi.sum()
     # Every state of an irreducible class has positive mass; an entry that
     # is not finite and positive means the masses span more than the
     # double range.

@@ -11,7 +11,9 @@ identity P = h + integral is available as an exact check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,14 +32,20 @@ class PressureResult:
     ``left``/``right`` are the Perron vectors of the weighted matrix on the
     recoded graph whose words are listed in ``states`` (the equilibrium
     component's state list); ``root`` is the Perron root lambda with
-    P = log(lambda).
+    P = log(lambda).  ``left`` is solved on first access (a second certified
+    Perron solve, on the transposed matrix, with the ``tol`` and ``rng``
+    given to :func:`pressure`) and kept.
     """
 
     value: float
     equilibrium: MarkovComponent
     root: float
-    left: np.ndarray
     right: np.ndarray
+    _left_solve: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return self._left_solve()[1]
 
     def gap(self, mu: InvariantMeasure, g: LocallyConstantFunction) -> float:
         return self.value - (mu.entropy() + mu.integrate(g))
@@ -150,9 +158,12 @@ def pressure(sft: Sft, g: LocallyConstantFunction, tol: float = 1e-12, rng=None)
     model = _EdgeModel(sft, [g])
     W, offset = model.weights((1.0,))
     sol = _equilibrium(W, model.mask, model.edges, offset, tol=tol, rng=rng)
-    _, left = _perron_right(W.T, tol=tol, rng=rng)
     return PressureResult(
-        value=sol.P, equilibrium=model.component(sol), root=float(np.exp(sol.P)), left=left, right=sol.right
+        value=sol.P,
+        equilibrium=model.component(sol),
+        root=float(np.exp(sol.P)),
+        right=sol.right,
+        _left_solve=partial(_perron_right, W.T, tol=tol, rng=rng),
     )
 
 

@@ -4,6 +4,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from symflow.errors import DomainError
 from symflow.graphs import (
@@ -41,6 +43,31 @@ def test_closed_classes():
     adj = np.array([[0, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
     classes = closed_classes(adj)
     assert [list(c) for c in classes] == [[2]]
+
+
+def test_strong_components_match_csgraph_on_random_graphs():
+    # scipy's sparse strong-components pass is the reference partition.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(0, 71))
+        adj = (rng.random((n, n)) < rng.uniform(0.0, 0.5)).astype(np.int8)
+        adj[rng.random(n) < 0.2] = 0  # some vertices without successors
+        count, labels = strong_components(adj)
+        ref_count, ref_labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
+        assert count == ref_count
+        assert labels.shape == (n,)
+        # Same partition up to renaming: the label pairs form a bijection.
+        assert len(set(zip(labels.tolist(), ref_labels.tolist()))) == count
+        # Labels are numbered by each component's smallest vertex.
+        firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+        assert firsts == sorted(firsts)
+        assert is_strongly_connected(adj) == (n > 0 and ref_count == 1)
+        ref_closed = []
+        for c in range(ref_count):
+            inside = ref_labels == c
+            if not adj[np.ix_(inside, ~inside)].any():
+                ref_closed.append(np.flatnonzero(inside).tolist())
+        assert [c.tolist() for c in closed_classes(adj)] == sorted(ref_closed)
 
 
 def test_mean_cycle_on_known_graph():

@@ -46,6 +46,17 @@ def test_stationary_matches_eigensolver_on_random_chains():
         assert np.abs(pi @ Q - pi).sum() < 1e-12
 
 
+def test_stationary_puts_no_mass_on_transient_states():
+    # State 2 leaks into the closed class {0, 1} and is never re-entered.
+    pi = stationary(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]))
+    assert pi[2] == 0.0
+    assert np.abs(pi[:2] - 0.5).max() < 1e-15
+    # The transient state need not be the last one.
+    pi = stationary(np.array([[0.2, 0.5, 0.3], [0.0, 0.1, 0.9], [0.0, 0.6, 0.4]]))
+    assert pi[0] == 0.0
+    assert np.abs(pi[1:] - [0.4, 0.6]).max() < 1e-15
+
+
 def test_stationary_refuses_multiple_closed_classes():
     with pytest.raises(DomainError):
         stationary(np.eye(2))

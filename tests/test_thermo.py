@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,11 +88,37 @@ def test_stationary_out_of_double_range_is_named(full2, seed):
     # The Perron solve certifies, but the equilibrium's stationary masses
     # span more than the double range (at seed 17, l.r is about 1e-349):
     # GTH back-substitution yields inf/NaN or zero entries.
+    # The error names the failure; numpy prints no overflow or invalid-value
+    # warnings before it.
     rng = np.random.default_rng(seed)
     g = 100.0 * LocallyConstantFunction(full2, 3, {w: float(rng.normal()) for w in admissible_words(full2, 3)})
-    with pytest.raises(DomainError) as e:
-        pressure(full2, g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError) as e:
+            pressure(full2, g)
     assert e.value.name == "stationary_range"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_left_perron_vector_of_weighted_matrix(full2, golden):
+    rng = np.random.default_rng(23)
+    for sft in (full2, golden):
+        for memory in (2, 3):
+            table = {w: float(rng.normal()) for w in admissible_words(sft, memory)}
+            res = pressure(sft, LocallyConstantFunction(sft, memory, table))
+            # Weighted matrix on the recoded states, built from the table:
+            # the edge state u -> state v reads g on the word u + v[-1:].
+            states = res.equilibrium.states
+            W = np.zeros((len(states), len(states)))
+            for i, u in enumerate(states):
+                for j, v in enumerate(states):
+                    if u[1:] == v[:-1] and sft.is_admissible(u + v[-1:]):
+                        W[i, j] = np.exp(table[u + v[-1:]])
+            left = res.left
+            assert (left > 0).all()
+            assert abs(left.sum() - 1.0) < 1e-14
+            assert np.abs(left @ W / left - res.root).max() <= 1e-12 * res.root
+            assert res.left is left  # solved once, then kept
 
 
 def test_gap_at_fixed_point_orbit(full2):
