@@ -37,11 +37,13 @@ from scipy.optimize import brentq
 from .errors import DomainError, InputError
 from .measures import InvariantMeasure, d_star
 from .sft import (
+    ENUMERATION_BUDGET,
     LocallyConstantFunction,
     Sft,
     _parse_word_key,
     _perron_right,
     _word_key,
+    _word_levels,
     admissible_words,
 )
 from .suspension import SuspensionSystem, abramov_entropy, d_star_flow, flow_integral, flow_mixture_weights
@@ -67,22 +69,18 @@ def _powers(k: int, ell: int) -> np.ndarray:
     return k ** np.arange(ell - 1, -1, -1, dtype=np.int64)
 
 
-def _encode(word, k: int) -> int:
-    code = 0
-    for a in word:
-        code = code * k + int(a)
-    return code
+def _admissible_codes(sft: Sft, N: int, budget: int = ENUMERATION_BUDGET) -> list:
+    """[None, c_1, ..., c_N], c_ell the base-k codes of ``admissible_words(sft, ell)``."""
+    codes = [np.zeros(1, dtype=np.int64)]
+    for parent, last, _ in _word_levels(sft, N, budget)[1 : N + 1]:
+        codes.append(codes[-1][parent] * sft.k + last)
+    return [None] + codes[1:]
 
 
 def _measure_tables(sft: Sft, mu, N: int) -> list:
     """tables[ell][code] = mu[cylinder], dense over all k^ell codes."""
-    tables = [None]
-    for ell in range(1, N + 1):
-        t = np.zeros(sft.k**ell)
-        for w in admissible_words(sft, ell):
-            t[_encode(w, sft.k)] = mu.cylinder_prob(w)
-        tables.append(t)
-    return tables
+    codes, tables = _admissible_codes(sft, N), mu.cylinder_tables(N)
+    return [None] + [np.bincount(codes[ell], weights=tables[ell], minlength=sft.k**ell) for ell in range(1, N + 1)]
 
 
 class _TableEngine:
@@ -280,13 +278,15 @@ class WordProcessMeasure:
             self._tables.setdefault(d, t[d][0])
         return self._tables[ell]
 
-    def tables(self, N: int) -> list:
-        return [None] + [self._level_table(ell) for ell in range(1, N + 1)]
+    def cylinder_tables(self, N: int, budget: int = ENUMERATION_BUDGET) -> list:
+        """As :meth:`MarkovComponent.cylinder_tables`: tables over the admissible words."""
+        codes = _admissible_codes(self.sft, N, budget)
+        return [None] + [self._level_table(ell)[codes[ell]] for ell in range(1, N + 1)]
 
     def cylinder_prob(self, word) -> float:
         if len(word) == 0:
             return 1.0
-        return float(self._level_table(len(word))[_encode(word, self.sft.k)])
+        return float(self._level_table(len(word))[np.asarray(word, dtype=np.int64) @ _powers(self.sft.k, len(word))])
 
     def entropy(self) -> float:
         """Ambient entropy rate: word-chain entropy divided by block length."""
@@ -309,11 +309,8 @@ class WordProcessMeasure:
         return h / self.n
 
     def integrate(self, f) -> float:
-        t = self._level_table(f.memory)
-        total = 0.0
-        for w in admissible_words(self.sft, f.memory):
-            total += t[_encode(w, self.sft.k)] * f(w)
-        return float(total)
+        t = self.cylinder_tables(f.memory)[f.memory]
+        return float(sum(t * f.values(admissible_words(self.sft, f.memory))))
 
     def sample_path(self, num_words: int, rng) -> np.ndarray:
         """Concatenation of num_words sampled blocks, as a symbol array."""
@@ -741,8 +738,7 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
     k = system.base.k
 
     vals = np.zeros(k**m)
-    for w in admissible_words(system.base, m):
-        vals[_encode(w, k)] = roof(w)
+    vals[_admissible_codes(system.base, m)[m]] = roof.values(admissible_words(system.base, m))
     pw = _powers(k, m)
     windows = sliding_window_view(arr, m, axis=1)
     base = vals[windows @ pw].sum(axis=1)

@@ -4,7 +4,10 @@ A component is a stationary Markov chain whose states are admissible
 m-words; a measure is a finite convex combination of components.  Entropy,
 integrals of locally constant functions, and cylinder probabilities are all
 exact finite sums here, which is what makes the desk-scale certificates in
-the rest of the package possible.
+the rest of the package possible.  Cylinder probabilities come as whole
+tables over the admissible words of each length (``cylinder_tables``),
+which every d* computation reads; ``cylinder_prob`` is the per-word
+reference.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import graphs
 from .errors import DomainError, InputError
-from .sft import ENUMERATION_BUDGET, LocallyConstantFunction, Sft, admissible_words
+from .sft import ENUMERATION_BUDGET, LocallyConstantFunction, Sft, _extend, _word_levels, admissible_words, block_recode
 
 __all__ = [
     "MarkovComponent",
@@ -199,14 +202,39 @@ class MarkovComponent:
             i = nxt
         return float(p)
 
+    def cylinder_tables(self, N: int, budget: int = ENUMERATION_BUDGET) -> list:
+        """[None, t_1, ..., t_N] with t_ell[i] the measure of the i-th word of
+        ``admissible_words(sft, ell)``, equal (==) to :meth:`cylinder_prob`.
+
+        Up to the memory m a table sums pi over each state's ell-prefix in
+        state order; a longer word is its prefix's entry times the Q factor
+        of its last (m+1)-window.  Words are found by their positions in
+        ``_word_levels``, not by base-k codes, so nothing grows with k^ell.
+        """
+        k, m, levels = self.sft.k, self.memory, _word_levels(self.sft, N, budget)
+        states = np.asarray(self.states, dtype=np.int64)
+        at = np.zeros(len(states), dtype=np.int64)  # each state's ell-prefix in level ell
+        out = [None]
+        for ell in range(1, N + 1):
+            parent, last, suffix = levels[ell]
+            if ell <= m:
+                at = _extend(levels[ell], k, at, states[:, ell - 1])
+                out.append(np.bincount(at, weights=self.pi, minlength=parent.size))
+                continue
+            if ell == m + 1:  # the state, if any, at each m-word; then the window factors
+                state = np.full(levels[m][0].size, -1)
+                state[at] = np.arange(len(states))
+                i, j = state[parent], state[suffix]
+                factor = np.where((i >= 0) & (j >= 0), self.Q[i, j], 0.0)
+                window = np.arange(parent.size)
+            else:  # the parent window's m-suffix followed by the last symbol
+                window = _extend(levels[m + 1], k, levels[m + 1][2][window[parent]], last)
+            out.append(out[-1][parent] * factor[window])
+        return out
+
     def integrate(self, g: LocallyConstantFunction) -> float:
         comp = self.lift(max(self.memory, g.memory))
         return float(sum(p * g(w) for w, p in zip(comp.states, comp.pi) if p > 0))
-
-    def support_edges(self) -> set:
-        """Ambient edges (a, b) charged by the measure."""
-        comp = self.lift(max(self.memory, 2))
-        return {(w[0], w[1]) for w, p in zip(comp.states, comp.pi) if p > 0}
 
     def sample_path(self, steps: int, rng: np.random.Generator) -> np.ndarray:
         """Stationary sample of the ambient symbol sequence."""
@@ -223,24 +251,18 @@ class MarkovComponent:
         Rows of states the measure never visits are padded uniformly over
         their recoded successors; this changes nothing the measure can see.
         """
-        words = admissible_words(self.sft, self.memory)
-        N = len(words)
-        index = {w: i for i, w in enumerate(words)}
-        Q = np.zeros((N, N))
-        pi = np.zeros(N)
-        for w, p, row in zip(self.states, self.pi, self.Q):
-            i = index[w]
-            pi[i] = p
-            for j, q in enumerate(row):
-                if q > 0:
-                    Q[i, index[self.states[j]]] = q
-        for i, w in enumerate(words):
-            if Q[i].sum() == 0.0:
-                succ = [index[w[1:] + (b,)] for b in self.sft.successors(w[-1]) if (w[1:] + (b,)) in index]
-                if not succ:
-                    raise DomainError(f"word {w} has no admissible extension; trim the SFT first", name="degenerate_sft")
-                Q[i, succ] = 1.0 / len(succ)
-        return words, Q, pi
+        rec = block_recode(self.sft, self.memory)
+        at = [rec.index[w] for w in self.states]
+        Q = np.zeros(rec.sft.A.shape)
+        pi = np.zeros(len(rec.words))
+        Q[np.ix_(at, at)] = self.Q
+        pi[at] = self.pi
+        for i in np.flatnonzero(Q.sum(axis=1) == 0.0):
+            succ = rec.sft.successors(i)
+            if not succ.size:
+                raise DomainError(f"word {rec.words[i]} has no admissible extension; trim the SFT first", name="degenerate_sft")
+            Q[i, succ] = 1.0 / succ.size
+        return rec.words, Q, pi
 
 
 class InvariantMeasure:
@@ -291,6 +313,11 @@ class InvariantMeasure:
 
     def cylinder_prob(self, word) -> float:
         return float(sum(w * c.cylinder_prob(word) for w, c in zip(self.weights, self.components)))
+
+    def cylinder_tables(self, N: int, budget: int = ENUMERATION_BUDGET) -> list:
+        """The weighted sum of the components' :meth:`MarkovComponent.cylinder_tables`."""
+        tables = [c.cylinder_tables(N, budget) for c in self.components]
+        return [None] + [sum(w * t[ell] for w, t in zip(self.weights, tables)) for ell in range(1, N + 1)]
 
     def to_json(self) -> dict:
         out = []
@@ -348,30 +375,21 @@ def periodic_orbit_measure(sft: Sft, word) -> InvariantMeasure:
 def d_star(mu, nu, N: int = 10, budget: int = ENUMERATION_BUDGET) -> float:
     """Cylinder metric sum_{n=1..N} 2^-n max_{|w|=n} |mu[w] - nu[w]|.
 
-    Accepts anything exposing ``sft`` and ``cylinder_prob`` (measures,
-    components, word-level pushforwards).
+    Accepts anything exposing ``sft`` and ``cylinder_tables`` (measures,
+    components, word-level pushforwards); the maxima run over the
+    admissible n-words, whose enumeration is held to ``budget``.
     """
     if mu.sft != nu.sft:
         raise InputError("measures live on different SFTs")
     if N < 1:
         raise InputError("depth must be >= 1")
-    total = 0.0
-    for n in range(1, N + 1):
-        words = admissible_words(mu.sft, n, budget=budget)
-        dev = max(abs(mu.cylinder_prob(w) - nu.cylinder_prob(w)) for w in words)
-        total += 2.0**-n * dev
-    return total
+    a, b = mu.cylinder_tables(N, budget), nu.cylinder_tables(N, budget)
+    return sum(2.0**-n * float(np.abs(a[n] - b[n]).max()) for n in range(1, N + 1))
 
 
 def support_is_full(mu: InvariantMeasure) -> bool:
     """Does the measure charge every allowed edge of the ambient SFT?"""
-    edges = set()
-    for w, c in zip(mu.weights, mu.components):
-        if w > 0:
-            edges |= c.support_edges()
-    A = mu.sft.A
-    allowed = {(int(a), int(b)) for a, b in zip(*np.nonzero(A))}
-    return edges == allowed
+    return bool((mu.cylinder_tables(2)[2] > 0).all())
 
 
 def random_markov_component(
@@ -382,14 +400,12 @@ def random_markov_component(
     The ambient SFT must be irreducible, so the result is ergodic with full
     support; used by the sampling-style property checks and certificates.
     """
-    words = admissible_words(sft, memory)
-    index = {w: i for i, w in enumerate(words)}
-    N = len(words)
-    Q = np.zeros((N, N))
-    for i, w in enumerate(words):
-        succ = [index[w[1:] + (b,)] for b in sft.successors(w[-1]) if (w[1:] + (b,)) in index]
-        if not succ:
+    rec = block_recode(sft, memory)
+    Q = np.zeros(rec.sft.A.shape)
+    for i, w in enumerate(rec.words):
+        succ = rec.sft.successors(i)
+        if not succ.size:
             raise DomainError(f"word {w} has no admissible extension; trim the SFT first", name="degenerate_sft")
-        row = rng.gamma(concentration, 1.0, size=len(succ))
+        row = rng.gamma(concentration, 1.0, size=succ.size)
         Q[i, succ] = row / row.sum()
-    return MarkovComponent(sft, memory, words, Q)
+    return MarkovComponent(sft, memory, rec.words, Q)

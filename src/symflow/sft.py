@@ -53,6 +53,7 @@ class Sft:
         self.A = A.astype(np.int8)
         self.A.setflags(write=False)
         self._word_cache: dict[int, list[Word]] = {}
+        self._levels: list = []
 
     @property
     def k(self) -> int:
@@ -223,10 +224,41 @@ def topological_entropy(sft: Sft, tol: float = 1e-12) -> float:
     return float(np.log(lam))
 
 
-def _word_count(sft: Sft, n: int) -> float:
-    if n == 1:
-        return float(sft.k)
-    return float(np.linalg.matrix_power(sft.A.astype(float), n - 1).sum())
+def _word_levels(sft: Sft, N: int, budget: int = ENUMERATION_BUDGET) -> list:
+    """The admissible words of lengths 1..N in the order of
+    :func:`admissible_words`.  Entry ell (entry 0 is None) is (parent, last,
+    suffix): word i of length ell is word parent[i] of length ell - 1 plus
+    symbol last[i], and its (ell-1)-suffix is word suffix[i].  The key
+    parent[i]*k + last[i] ascends with i and stays below k times the size
+    of level ell - 1.  Each level built is held to ``budget``; the levels
+    are cached on the SFT while the deepest has at most 2^18 words.
+    """
+    k, levels = sft.k, list(sft._levels) or [None]
+    deg = sft.A.sum(axis=1)
+    first = np.cumsum(deg) - deg  # row-major position of each row's first edge
+    succ = np.nonzero(sft.A)[1]
+    while len(levels) <= N:
+        count = deg[levels[-1][1]] if len(levels) > 1 else np.ones(k, dtype=np.int64)
+        if count.sum() > budget:
+            msg = f"enumeration too large: {count.sum()} words of length {len(levels)} exceed the budget of {budget}"
+            raise DomainError(msg, name="enumeration_too_large")
+        if len(levels) == 1:
+            levels.append((np.zeros(k, dtype=np.int64), np.arange(k), np.zeros(k, dtype=np.int64)))
+            continue
+        _, prev_last, prev_suffix = levels[-1]
+        parent = np.repeat(np.arange(prev_last.size), count)
+        last = succ[np.repeat(first[prev_last] - np.cumsum(count) + count, count) + np.arange(parent.size)]
+        suffix = _extend(levels[-1], k, prev_suffix[parent], last)
+        levels.append((parent, last, suffix))
+    if len(levels) > len(sft._levels) and levels[-1][0].size <= 2**18:
+        sft._levels[:] = levels
+    return levels
+
+
+def _extend(level, k: int, index, symbol) -> np.ndarray:
+    """Positions in ``level`` of the admissible words index[i] of the level before + (symbol[i],)."""
+    parent, last, _ = level
+    return np.searchsorted(parent * k + last, index * k + symbol)
 
 
 def admissible_words(sft: Sft, n: int, budget: int = ENUMERATION_BUDGET) -> list[Word]:
@@ -235,16 +267,9 @@ def admissible_words(sft: Sft, n: int, budget: int = ENUMERATION_BUDGET) -> list
         raise InputError("word length must be >= 1")
     if n in sft._word_cache:
         return sft._word_cache[n]
-    if _word_count(sft, n) > budget:
-        raise DomainError(
-            f"enumeration too large: {int(_word_count(sft, n))} words of length {n} "
-            f"exceed the budget of {budget}",
-            name="enumeration_too_large",
-        )
-    words = [(a,) for a in range(sft.k)]
-    succ = [sft.successors(a).tolist() for a in range(sft.k)]
-    for _ in range(n - 1):
-        words = [w + (b,) for w in words for b in succ[w[-1]]]
+    words = [()]
+    for parent, last, _ in _word_levels(sft, n, budget)[1 : n + 1]:
+        words = [words[p] + (a,) for p, a in zip(parent.tolist(), last.tolist())]
     if len(words) <= 2**18:
         sft._word_cache[n] = words
     return words
@@ -261,13 +286,11 @@ class BlockRecoding:
 
     def __init__(self, base: Sft, m: int, budget: int = ENUMERATION_BUDGET):
         words = admissible_words(base, m, budget=budget)
-        N = len(words)
         index = {w: i for i, w in enumerate(words)}
-        A = np.zeros((N, N), dtype=np.int8)
-        for i, w in enumerate(words):
-            for j, w2 in enumerate(words):
-                if w[1:] == w2[:-1] and base.A[w[-1], w2[-1]]:
-                    A[i, j] = 1
+        # Each admissible (m+1)-word is the edge from its m-prefix to its m-suffix.
+        parent, _, suffix = _word_levels(base, m + 1, budget=budget)[m + 1]
+        A = np.zeros((len(words), len(words)), dtype=np.int8)
+        A[parent, suffix] = 1
         self.base = base
         self.m = m
         self.words = words

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError
 from .measures import InvariantMeasure
-from .sft import LocallyConstantFunction, Sft, admissible_words, topological_entropy
+from .sft import LocallyConstantFunction, Sft, _word_levels, admissible_words, topological_entropy
 from .thermo import pressure
 
 __all__ = [
@@ -94,15 +95,12 @@ def d_star_flow(system: SuspensionSystem, mu: InvariantMeasure, nu: InvariantMea
     roof = system.roof
     zmu = mu.integrate(roof)
     znu = nu.integrate(roof)
+    a, b = mu.cylinder_tables(N), nu.cylinder_tables(N)
+    levels = _word_levels(system.base, N)
     total = 0.0
-    for n in range(max(roof.memory, 1), N + 1):
-        worst = 0.0
-        for w in admissible_words(system.base, n):
-            r = roof(w)
-            diff = abs(mu.cylinder_prob(w) * r / zmu - nu.cylinder_prob(w) * r / znu)
-            if diff > worst:
-                worst = diff
-        total += worst / 2.0**n
+    for n in range(roof.memory, N + 1):
+        r = roof.values(admissible_words(system.base, n)) if n == roof.memory else r[levels[n][0]]
+        total += float(np.abs(a[n] * r / zmu - b[n] * r / znu).max()) / 2.0**n
     return total
 
 

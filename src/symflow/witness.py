@@ -210,27 +210,6 @@ def low_entropy_mean_witness(
     )
 
 
-def _dense_rows(model: _EdgeModel, comp: MarkovComponent) -> np.ndarray:
-    """Component transitions as a dense row-stochastic matrix on the model words.
-
-    States the component never visits get uniform rows over their allowed
-    successors, which leaves the measure untouched.
-    """
-    words = model.rec.words
-    index = {w: i for i, w in enumerate(words)}
-    A = model.rec.sft.A
-    deg = A.sum(axis=1)
-    D = np.where(A > 0, 1.0, 0.0) / np.maximum(deg, 1)[:, None]
-    lifted = comp.lift(model.rec.m)
-    for si, s in enumerate(lifted.states):
-        i = index[s]
-        D[i, :] = 0.0
-        for sj, t in enumerate(lifted.states):
-            if lifted.Q[si, sj] > 0.0:
-                D[i, index[t]] = lifted.Q[si, sj]
-    return D
-
-
 def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, u_index: int | None):
     """Tilt the stochastic matrix Qt by beta*g so its mean lands on alpha.
 
@@ -327,8 +306,8 @@ def intermediate_witness(
             nu_low = low_entropy_mean_witness(sft, g, alpha, h_cap).components[0]
             if work is None or nu_low.memory > work.rec.m:
                 work = _EdgeModel(sft, funcs, min_memory=max(need_memory, nu_low.memory))
-                Qtop = _dense_rows(work, model.component(sol_top))
-            Qlow = _dense_rows(work, nu_low)
+                Qtop = model.component(sol_top).lift(work.rec.m).dense()[1]
+            Qlow = nu_low.lift(work.rec.m).dense()[1]
             missing = (Qtop > 0.0) & (Qlow == 0.0)
             Qlow = np.where(missing, 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
@@ -411,21 +390,17 @@ def _markovize(model: _EdgeModel, mu: InvariantMeasure) -> np.ndarray:
     rows elsewhere; preserves every integral of functions with memory at
     most m+1 and can only increase entropy.
     """
-    words = model.rec.words
     A = model.rec.sft.A
-    deg = A.sum(axis=1)
-    D = np.where(A > 0, 1.0, 0.0) / np.maximum(deg, 1)[:, None]
-    rec = model.rec
-    for i, w in enumerate(words):
-        pw = mu.cylinder_prob(w)
-        if pw <= 1e-300:
-            continue
-        row = np.zeros(len(words))
-        for j in np.flatnonzero(A[i]):
-            row[j] = mu.cylinder_prob(w + (rec.words[int(j)][-1],))
-        s = row.sum()
-        if s > 0.0:
-            D[i] = row / s
+    m = model.rec.m
+    D = np.where(A > 0, 1.0, 0.0) / np.maximum(A.sum(axis=1), 1)[:, None]
+    t = mu.cylinder_tables(m + 1)
+    # The recoded symbols are the admissible m-words in order, so the
+    # row-major edges of A are the admissible (m+1)-words in order.
+    R = np.zeros(A.shape)
+    R[A > 0] = t[m + 1]
+    s = R.sum(axis=1)
+    keep = (t[m] > 1e-300) & (s > 0.0)
+    D[keep] = R[keep] / s[keep, None]
     return D
 
 

@@ -320,7 +320,7 @@ def test_level_tables_match_word_pair_oracle(k, n, num):
         want = brute_level_tables(k, words, pair_weight, n + 1)
         wp = WordProcessMeasure(sft, words, kind)
         for ell in range(1, n + 2):
-            got = wp.tables(ell)[ell]
+            got = wp.cylinder_tables(ell)[ell]
             assert np.abs(got - want[ell]).max() < 1e-13, (kind[0], ell)
         with pytest.raises(InputError):
             wp.cylinder_prob((0,) * (n + 2))

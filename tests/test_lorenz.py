@@ -121,3 +121,27 @@ def test_model_json_round_trip():
         LorenzModel.from_json({"f": {"c": 1.9}, "H": doc["H"], "lambda": doc["lambda"]})
     with pytest.raises(InputError):
         LorenzModel.from_json({"f": doc["f"], "H": doc["H"], "lambda": [-1.0, 2.0]})
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-0.5, 0.25), (-0.5, 1.0), (-0.2, 1.5), (0.3, 0.25), (-0.1, 0.6), (-0.5, -1.25), (0.1, -0.05)],
+)
+def test_h_entries_match_brute_force_grid(a, b):
+    model = LorenzModel(c=1.9, gamma=0.78, a=a, b=b, lambdas=(-3.0, -1.0, 2.0))
+    xs = np.linspace(0.02, 1.0, 50)
+    ys = np.linspace(-1.0, 1.0, 41)
+    pos, neg = model.H(xs[:, None], ys[None, :]), model.H(-xs[:, None], ys[None, :])
+    dy = max(np.abs(np.diff(side, axis=1) / np.diff(ys)).max() for side in (pos, neg))
+    dx = max(np.abs(np.diff(side, axis=0) / np.diff(s * xs)[:, None]).max() for side, s in ((pos, 1), (neg, -1)))
+    want = {
+        "sign H<0 on x>0": (pos.max(), -pos.max()),
+        "sign H>0 on x<0": (neg.min(), neg.min()),
+        "fiber contraction sup|dH/dy|<1": (dy, 1.0 - dy),
+        "section control sup|dH/dx|<1": (dx, 1.0 - dx),
+    }
+    entries = by_name(validate_lorenz(model, grid=200))
+    for name, (value, margin) in want.items():
+        e = entries[name]
+        assert abs(e["value"] - value) <= 1e-12 and abs(e["margin"] - margin) <= 1e-12, name
+        assert e["pass"] == (margin > 0.0), name

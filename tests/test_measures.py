@@ -248,3 +248,69 @@ def test_random_component_is_stochastic_and_full(golden):
     assert np.abs(comp.Q.sum(axis=1) - 1.0).max() < 1e-12
     assert comp.ergodic
     assert support_is_full(InvariantMeasure.single(comp))
+
+
+def _cycle_with_chord(k: int) -> Sft:
+    A = np.zeros((k, k), dtype=int)
+    A[np.arange(k), (np.arange(k) + 1) % k] = 1
+    A[0, 2] = 1
+    return Sft(A)
+
+
+@pytest.mark.parametrize("shift", ["full2", "golden", "three"])
+def test_cylinder_tables_equal_cylinder_prob(shift):
+    from symflow.horseshoe import WordProcessMeasure
+
+    sft = {
+        "full2": Sft(np.ones((2, 2), dtype=int)),
+        "golden": Sft([[1, 1], [1, 0]]),
+        "three": Sft([[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+    }[shift]
+    rng = np.random.default_rng(17)
+    comps = [random_markov_component(sft, m, rng, concentration=0.5) for m in (1, 2, 3) for _ in range(2)]
+    mix = InvariantMeasure(comps, rng.dirichlet(np.ones(len(comps))))
+    # Orbits of period 5 and 11: memory below and above the depth.
+    orbits = []
+    for n in (5, 11):
+        closable = [w for w in admissible_words(sft, n) if sft.A[w[-1], w[0]]]
+        orbits.append(periodic_orbit_measure(sft, closable[len(closable) // 2]))
+    words = [w for w in admissible_words(sft, 9) if w[0] == 0 and sft.A[w[-1], 0]][:40]
+    wp = WordProcessMeasure(sft, words, ("bernoulli", rng.dirichlet(np.ones(len(words)))))
+    for mu in comps + orbits + [mix, wp]:
+        tables = mu.cylinder_tables(8)
+        for ell in range(1, 9):
+            want = [mu.cylinder_prob(w) for w in admissible_words(sft, ell)]
+            assert tables[ell].tolist() == want, ell
+
+
+def _d_star_per_word(mu, nu, N):
+    want = 0.0
+    for n in range(1, N + 1):
+        dev = max(abs(mu.cylinder_prob(w) - nu.cylinder_prob(w)) for w in admissible_words(mu.sft, n))
+        want += 2.0**-n * dev
+    return want
+
+
+@pytest.mark.parametrize("k, N, m", [(8, 10, 9), (7, 25, 9), (80, 12, 10)])
+def test_d_star_on_sparse_large_alphabet(k, N, m):
+    # k^10 codes exceed the enumeration budget, the admissible 10-words do
+    # not; the memory-m chain has k^(m+1) windows too but few admissible
+    # ones.  7^25 and 80^10 overflow int64.
+    sft = _cycle_with_chord(k)
+    rng = np.random.default_rng(5)
+    mu = InvariantMeasure.single(random_markov_component(sft, 2, rng))
+    parts = [(0.4, mu)] + [(0.3, InvariantMeasure.single(random_markov_component(sft, j, rng))) for j in (1, m)]
+    nu = InvariantMeasure.mix(parts)
+    assert sft.k**10 > 2**24 > len(admissible_words(sft, 10))
+    assert d_star(mu, nu, N=N) == _d_star_per_word(mu, nu, N) > 0.0
+
+
+def test_d_star_of_a_long_orbit_on_a_sparse_shift():
+    # Period 22 = 8 + 7 + 7 around the 8-cycle and its chord: the orbit's
+    # memory is 22, and 8^22 overflows int64.
+    sft = _cycle_with_chord(8)
+    word = tuple(range(8)) + 2 * ((0,) + tuple(range(2, 8)))
+    mu = periodic_orbit_measure(sft, word)
+    nu = InvariantMeasure.single(random_markov_component(sft, 3, np.random.default_rng(9)))
+    assert mu.components[0].memory == 22
+    assert d_star(mu, nu, N=22) == _d_star_per_word(mu, nu, 22) > 0.0
