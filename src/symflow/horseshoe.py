@@ -35,7 +35,7 @@ from scipy import sparse
 from scipy.optimize import brentq
 
 from .errors import DomainError, InputError
-from .measures import InvariantMeasure, d_star
+from .measures import InvariantMeasure, _integrate, d_star
 from .sft import (
     ENUMERATION_BUDGET,
     LocallyConstantFunction,
@@ -308,9 +308,7 @@ class WordProcessMeasure:
             h = float(-(self._pi[:, None] * Q * lq).sum())
         return h / self.n
 
-    def integrate(self, f) -> float:
-        t = self.cylinder_tables(f.memory)[f.memory]
-        return float(sum(t * f.values(admissible_words(self.sft, f.memory))))
+    integrate = _integrate
 
     def sample_path(self, num_words: int, rng) -> np.ndarray:
         """Concatenation of num_words sampled blocks, as a symbol array."""

@@ -53,19 +53,19 @@ def stationary(Q: np.ndarray) -> np.ndarray:
     cls = classes[0]
     m = len(cls)
     T = Q.copy() if m == n else Q[np.ix_(cls, cls)]
-    # GTH elimination phase: fold state s into the smaller chain.  The
-    # column is rescaled after the rank-one update so back-substitution
-    # reads the divided entries.
-    for s in range(m - 1, 0, -1):
-        scale = T[s, :s].sum()
-        T[s, :s] /= scale
-        T[:s, :s] += T[:s, s, None] * T[s, :s]
-        T[:s, s] /= scale
     pi = np.zeros(m)
     pi[0] = 1.0
-    # Masses beyond the double range overflow to inf/NaN here; the check
-    # below names that failure, so numpy's warnings would only repeat it.
+    # Masses beyond the double range (or a row to fold that underflowed to
+    # 0) give inf/NaN below; the check after the loops names that failure.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # GTH elimination phase: fold state s into the smaller chain.  The
+        # column is rescaled after the rank-one update so back-substitution
+        # reads the divided entries.
+        for s in range(m - 1, 0, -1):
+            scale = T[s, :s].sum()
+            T[s, :s] /= scale
+            T[:s, :s] += T[:s, s, None] * T[s, :s]
+            T[:s, s] /= scale
         for j in range(1, m):
             pi[j] = pi[:j] @ T[:j, j]
         pi /= pi.sum()
@@ -80,6 +80,13 @@ def stationary(Q: np.ndarray) -> np.ndarray:
     out = np.zeros(n)
     out[cls] = pi
     return out
+
+
+def _integrate(mu, g: LocallyConstantFunction) -> float:
+    """Integral of g: the depth-m cylinder table of mu times g's values on
+    the admissible m-words (m = g.memory), added up in word order.  The
+    ``integrate`` of every measure class that has ``cylinder_tables``."""
+    return float(sum(mu.cylinder_tables(g.memory)[g.memory] * g.values(admissible_words(mu.sft, g.memory))))
 
 
 class MarkovComponent:
@@ -106,20 +113,23 @@ class MarkovComponent:
             raise InputError(f"Q must be {n}x{n} to match the state list")
         if len(set(states)) != n or n == 0:
             raise InputError("states must be distinct and non-empty")
-        for w in states:
-            if len(w) != memory or not sft.is_admissible(w):
-                raise InputError(f"state {w} is not an admissible {memory}-word")
+        S = np.array([w if len(w) == memory else (-1,) * memory for w in states], dtype=np.int64).reshape(n, memory)
+        fits = ((S >= 0) & (S < sft.k)).all(axis=1)  # a word of the wrong length reads as -1s
+        S[~fits] = 0
+        fits &= (sft.A[S[:, :-1], S[:, 1:]] > 0).all(axis=1)
+        if not fits.all():
+            raise InputError(f"state {states[int(np.argmin(fits))]} is not an admissible {memory}-word")
         if (Q < 0).any():
             raise InputError("Q has negative entries")
         rows = Q.sum(axis=1)
         if np.abs(rows - 1.0).max() > 1e-9:
             raise InputError("Q rows must sum to 1")
         index = {w: i for i, w in enumerate(states)}
-        for i, w in enumerate(states):
-            for j in np.flatnonzero(Q[i] > 0):
-                w2 = states[j]
-                if w[1:] != w2[:-1] or not sft.A[w[-1], w2[-1]]:
-                    raise InputError(f"Q charges a non-edge {w} -> {w2}")
+        i, j = np.nonzero(Q > 0)
+        edge = (S[i, 1:] == S[j, :-1]).all(axis=1) & (sft.A[S[i, -1], S[j, -1]] > 0)
+        if not edge.all():
+            e = int(np.argmin(edge))
+            raise InputError(f"Q charges a non-edge {states[i[e]]} -> {states[j[e]]}")
         if pi is None:
             pi = stationary(Q)
         pi = np.asarray(pi, dtype=float)
@@ -232,9 +242,7 @@ class MarkovComponent:
             out.append(out[-1][parent] * factor[window])
         return out
 
-    def integrate(self, g: LocallyConstantFunction) -> float:
-        comp = self.lift(max(self.memory, g.memory))
-        return float(sum(p * g(w) for w, p in zip(comp.states, comp.pi) if p > 0))
+    integrate = _integrate
 
     def sample_path(self, steps: int, rng: np.random.Generator) -> np.ndarray:
         """Stationary sample of the ambient symbol sequence."""
@@ -308,8 +316,7 @@ class InvariantMeasure:
     def entropy(self) -> float:
         return float(sum(w * c.entropy() for w, c in zip(self.weights, self.components)))
 
-    def integrate(self, g: LocallyConstantFunction) -> float:
-        return float(sum(w * c.integrate(g) for w, c in zip(self.weights, self.components)))
+    integrate = _integrate
 
     def cylinder_prob(self, word) -> float:
         return float(sum(w * c.cylinder_prob(word) for w, c in zip(self.weights, self.components)))

@@ -297,10 +297,6 @@ class BlockRecoding:
         self.index = index
         self.sft = Sft(A)
 
-    def edge_word(self, i: int, j: int) -> Word:
-        """The (m+1)-word spelled out by traversing edge i -> j."""
-        return self.words[i] + (self.words[j][-1],)
-
     def project_cycle(self, cycle: list[int]) -> Word:
         """Ambient periodic word read off a cycle of recoded symbols."""
         return tuple(self.words[i][0] for i in cycle)

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from .errors import DomainError
 from .measures import MarkovComponent
 from .sft import LocallyConstantFunction, Sft
-from .thermo import _EdgeModel
+from .thermo import _covariance, _EdgeModel
 
 __all__ = [
     "BirkhoffRange",
@@ -178,7 +178,10 @@ def rotation_set_2d(sft: Sft, g: LocallyConstantFunction, h: LocallyConstantFunc
     mean pair), so the true set is sandwiched between the hull of ``points``
     and the intersection of the support half-planes.
     """
-    model = _EdgeModel(sft, [g, h])
+    return _rotation_set(_EdgeModel(sft, [g, h]), directions)
+
+
+def _rotation_set(model: _EdgeModel, directions: int) -> RotationSet:
     thetas = 2.0 * np.pi * np.arange(directions) / directions
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     support = np.empty(directions)
@@ -218,13 +221,18 @@ def conditional_entropy_spectrum_2d(
     """Joint spectrum H(alpha) = sup{h(mu) : (int g, int h) = alpha}.
 
     Requires alpha strictly interior to the rotation set (inner hull with
-    1e-6 clearance); solves the two-dimensional tilt equation by damped
-    Newton with a Nelder-Mead fallback on the convex dual.
+    1e-6 clearance).  Minimizes the strictly convex dual
+    D(beta) = P(beta.(g, h)) - beta.alpha by Newton's method with Armijo
+    backtracking: the gradient is the equilibrium means minus alpha, the
+    Hessian their asymptotic covariance (``thermo._covariance``).  Stops once
+    the means are within ``tol`` of alpha and raises ``no_convergence``
+    otherwise.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (2,):
         raise DomainError("alpha must be a pair", name="input")
-    rset = rotation_set_2d(sft, g, h, directions=directions)
+    model = _EdgeModel(sft, [g, h])
+    rset = _rotation_set(model, directions)
     cls = rset.classify(alpha)
     if cls == "exterior":
         raise DomainError("exterior: alpha outside the rotation set", name="exterior")
@@ -233,56 +241,38 @@ def conditional_entropy_spectrum_2d(
     if cls == "boundary":
         raise DomainError("boundary: spectrum not computed", name="boundary")
 
-    model = _EdgeModel(sft, [g, h])
-
-    def F(beta: np.ndarray) -> np.ndarray:
+    def dual(beta: np.ndarray):
         sol = model.solve((beta[0], beta[1]))
-        return np.array(sol.means) - alpha
+        return sol, sol.P - float(beta @ alpha)
 
     beta = np.zeros(2)
-    val = F(beta)
-    best_beta, best_norm = beta.copy(), float(np.linalg.norm(val))
+    sol, D = dual(beta)
     for _ in range(80):
-        if np.max(np.abs(val)) <= tol:
-            break
-        J = np.empty((2, 2))
-        step = 1e-6 * max(1.0, float(np.max(np.abs(beta))))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            J[:, k] = (F(beta + e) - F(beta - e)) / (2.0 * step)
+        grad = np.array(sol.means) - alpha
+        if np.abs(grad).max() <= tol:
+            return SpectrumResult(alpha=tuple(alpha), entropy=D, beta=beta, witness=model.component(sol))
         try:
-            delta = np.linalg.solve(J, -val)
-        except np.linalg.LinAlgError:
+            step = np.linalg.solve(_covariance(sol, model.edges), -grad)
+        except np.linalg.LinAlgError:  # the chain has gone deterministic
             break
+        # move beta at most tenfold a step: along a nearly flat direction
+        # the iterates walk out instead of jumping past the Perron solve's range
+        step *= min(1.0, 10.0 * max(1.0, np.abs(beta).max()) / np.abs(step).max())
+        # Armijo on D.  Each P is certified to 1e-12, so two values of D are
+        # compared with that much slack.
         t = 1.0
-        base = float(np.linalg.norm(val))
-        while t > 1e-8:
-            cand = beta + t * delta
-            cval = F(cand)
-            if float(np.linalg.norm(cval)) < (1.0 - 1e-4 * t) * base:
-                beta, val = cand, cval
+        while t >= 1e-10:
+            try:
+                cand, D_cand = dual(beta + t * step)
+            except DomainError:  # the Perron solve failed out there: shorten the step
+                D_cand = np.inf
+            if D_cand <= D + 1e-4 * t * float(grad @ step) + 2e-12:
                 break
             t *= 0.5
         else:
             break
-        if float(np.linalg.norm(val)) < best_norm:
-            best_beta, best_norm = beta.copy(), float(np.linalg.norm(val))
-
-    if np.max(np.abs(val)) > tol:
-        # dual descent: D(beta) = P(beta.(g,h)) - beta.alpha is smooth convex
-        def D(b):
-            return model.solve((b[0], b[1])).P - float(np.dot(b, alpha))
-
-        res = minimize(D, best_beta, method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        beta = np.asarray(res.x, dtype=float)
-        val = F(beta)
-        if np.max(np.abs(val)) > max(tol, 1e-8):
-            raise DomainError("2d tilt solve did not converge", name="no_convergence")
-
-    sol = model.solve((beta[0], beta[1]))
-    H = sol.P - float(np.dot(beta, alpha))
-    return SpectrumResult(alpha=tuple(alpha), entropy=H, beta=beta, witness=model.component(sol))
+        beta, sol, D = beta + t * step, cand, D_cand
+    raise DomainError("2d tilt solve did not converge", name="no_convergence")
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .graphs import max_mean_cycle, min_mean_cycle
 from .measures import InvariantMeasure, MarkovComponent, stationary
-from .sft import LocallyConstantFunction, Sft, _perron_right, block_recode, is_irreducible
+from .sft import LocallyConstantFunction, Sft, _perron_right, admissible_words, block_recode, is_irreducible
 
 __all__ = ["PressureResult", "pressure", "verify_equilibrium"]
 
@@ -84,6 +84,24 @@ def _equilibrium(W: np.ndarray, mask: np.ndarray, edges, offset: float = 0.0, to
     return _Solve(P=offset + float(np.log(lam)), Q=Q, pi=pi, means=means, entropy=entropy, right=right)
 
 
+def _covariance(sol: _Solve, edges) -> np.ndarray:
+    """Asymptotic covariance matrix of the edge tables under the chain of ``sol``.
+
+    This is the Hessian of P in the tilt coefficients (Parry & Pollicott
+    1990).  With C_k = E_k - means_k, flux F = pi_i Q_ij and the fundamental
+    matrix Z = (I - Q + 1 pi)^-1 (Kemeny & Snell 1960), entry (a, b) is
+    sum F C_a C_b plus the lag terms (F C_a summed into each state) . Z (Q C_b
+    summed over each row), and the same with a and b swapped.
+    """
+    Q, pi = sol.Q, sol.pi
+    flux = pi[:, None] * Q
+    C = [E - mean for E, mean in zip(edges, sol.means)]
+    into = np.array([(flux * c).sum(axis=0) for c in C])
+    ahead = np.linalg.solve(np.eye(len(pi)) - Q + pi[None, :], np.array([(Q * c).sum(axis=1) for c in C]).T)
+    lag = into @ ahead
+    return np.array([[float((flux * a * b).sum()) for b in C] for a in C]) + lag + lag.T
+
+
 class _EdgeModel:
     """Several locally constant functions realized as exact edge weights.
 
@@ -102,12 +120,10 @@ class _EdgeModel:
         self.rec = block_recode(sft, max(1, min_memory, memory - 1))
         A = self.rec.sft.A
         self.mask = A > 0
+        words = admissible_words(sft, self.rec.m + 1)  # the row-major edges of A, in order
         self.edges = [np.zeros_like(A, dtype=float) for _ in self.funcs]
-        for i in range(A.shape[0]):
-            for j in np.flatnonzero(A[i]):
-                w = self.rec.edge_word(i, int(j))
-                for E, f in zip(self.edges, self.funcs):
-                    E[i, j] = f(w)
+        for E, f in zip(self.edges, self.funcs):
+            E[self.mask] = f.values(words)
 
     def _combined(self, coeffs) -> np.ndarray:
         E = np.zeros_like(self.edges[0])
@@ -121,7 +137,7 @@ class _EdgeModel:
         exponentials never overflow and log lambda(e^E) = offset + log lambda(W)."""
         E = self._combined(coeffs)
         offset = float(E[self.mask].max())
-        return np.where(self.mask, np.exp(np.maximum(E - offset, -700.0)), 0.0), offset
+        return np.where(self.mask, np.exp(np.clip(E - offset, -700.0, 0.0)), 0.0), offset
 
     def solve(self, coeffs, tol: float = 1e-12) -> _Solve:
         """Equilibrium of the potential sum(coeffs[k] * funcs[k])."""

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq, nnls
 
 from .errors import DomainError, InputError
-from .measures import InvariantMeasure, MarkovComponent, d_star, stationary
+from .measures import InvariantMeasure, MarkovComponent, d_star
 from .sft import LocallyConstantFunction, Sft
 from .spectrum import _edge_tol, _expand_bracket, conditional_entropy_spectrum_2d
 from .thermo import _EdgeModel, _equilibrium
@@ -88,57 +88,36 @@ class _TwoCycleChain:
     The chain follows the minus cycle, hops to the plus cycle with
     probability p at the junction where the first connector leaves, and
     hops back with probability q at the second junction.  Shared connector
-    interior states split half/half.
+    interior states split half/half.  Q(p, q) = C + p*Dp + q*Dq is affine,
+    so the three matrices are built once.
     """
 
     def __init__(self, sft: Sft, m: int, wm: list, wp: list, conn1: list, conn2: list):
         self.sft = sft
         self.m = m
-        states: list = []
-        idx: dict = {}
-
-        def add(s):
-            if s not in idx:
-                idx[s] = len(states)
-                states.append(s)
-
-        for s in wm + wp + conn1[1:-1] + conn2[1:-1]:
-            add(s)
-        self.states = states
-        self.idx = idx
-        next_m = {wm[i]: wm[(i + 1) % len(wm)] for i in range(len(wm))}
-        next_p = {wp[i]: wp[(i + 1) % len(wp)] for i in range(len(wp))}
-        c1_next = {conn1[t]: conn1[t + 1] for t in range(1, len(conn1) - 1)}
-        c2_next = {conn2[t]: conn2[t + 1] for t in range(1, len(conn2) - 1)}
-        jm, jp = conn1[0], conn2[0]
-        rows = []
-        for s in states:
-            if s == jm:
-                rows.append([(idx[next_m[s]], "1-p"), (idx[conn1[1]], "p")])
-            elif s == jp:
-                rows.append([(idx[next_p[s]], "1-q"), (idx[conn2[1]], "q")])
-            elif s in next_m:
-                rows.append([(idx[next_m[s]], "one")])
-            elif s in next_p:
-                rows.append([(idx[next_p[s]], "one")])
-            else:
-                succ = []
-                if s in c1_next:
-                    succ.append(idx[c1_next[s]])
-                if s in c2_next and idx[c2_next[s]] not in succ:
-                    succ.append(idx[c2_next[s]])
-                share = 1.0 / len(succ)
-                rows.append([(j, ("const", share)) for j in succ])
-        self.rows = rows
+        self.states = list(dict.fromkeys(wm + wp + conn1[1:-1] + conn2[1:-1]))
+        idx = {s: i for i, s in enumerate(self.states)}
+        n = len(self.states)
+        self.C, self.Dp, self.Dq = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        for cycle in (wm, wp):
+            for i, s in enumerate(cycle):
+                self.C[idx[s], idx[cycle[(i + 1) % len(cycle)]]] = 1.0
+        # connector interiors: deterministic, or half/half where the two share a state
+        succ: dict = {}
+        for conn in (conn1, conn2):
+            for s, s2 in zip(conn[1:-1], conn[2:]):
+                succ.setdefault(s, set()).add(s2)
+        for s, nxt in succ.items():
+            for s2 in nxt:
+                self.C[idx[s], idx[s2]] = 1.0 / len(nxt)
+        # each junction leaves its cycle's deterministic step with probability p (resp. q)
+        for D, conn in ((self.Dp, conn1), (self.Dq, conn2)):
+            j = idx[conn[0]]
+            D[j] = -self.C[j]
+            D[j, idx[conn[1]]] = 1.0
 
     def component(self, p: float, q: float) -> MarkovComponent:
-        n = len(self.states)
-        Q = np.zeros((n, n))
-        val = {"one": 1.0, "p": p, "1-p": 1.0 - p, "q": q, "1-q": 1.0 - q}
-        for i, row in enumerate(self.rows):
-            for j, kind in row:
-                Q[i, j] += val[kind] if isinstance(kind, str) else kind[1]
-        return MarkovComponent(self.sft, self.m, self.states, Q, stationary(Q))
+        return MarkovComponent(self.sft, self.m, self.states, self.C + p * self.Dp + q * self.Dq)
 
 
 def low_entropy_mean_witness(

@@ -4,11 +4,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import bernoulli_measure, binary_entropy
+import symflow
 from symflow.cli import main
 from symflow.lorenz import LorenzModel
 from symflow.sft import LocallyConstantFunction, Sft
@@ -74,6 +79,22 @@ def test_no_command_is_usage_error(files):
     code, out, err = run_cli()
     assert code == 1
     assert err.startswith("error: usage:")
+
+
+def test_one_parser_serves_many_calls(files):
+    """A usage error and then valid calls in one process behave as fresh processes do."""
+    calls = [
+        ("spectrum", "--sft", files["full2"], "--bogus"),
+        ("entropy", "--sft", files["golden"]),
+        ("spectrum", "--sft", files["full2"], "--g", files["g"], "--alpha", "0.3"),
+        ("spectrum", "--sft", files["full2"], "--g", files["g"]),
+        ("entropy", "--sft", files["full2"]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    for argv in calls:
+        argv = [str(a) for a in argv]
+        fresh = subprocess.run([sys.executable, "-m", "symflow.cli", *argv], capture_output=True, text=True, env=env)
+        assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_bad_grid_and_missing_alpha(files):

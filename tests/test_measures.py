@@ -74,6 +74,22 @@ def test_component_validation(full2):
         MarkovComponent(golden, 1, states, [[0.5, 0.5], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "memory, states, Q, message",
+    [
+        (1, [(0,), (1, 0)], [[0.5, 0.5], [1.0, 0.0]], r"state \(1, 0\) is not an admissible 1-word"),
+        (1, [(0,), (2,)], [[0.5, 0.5], [1.0, 0.0]], r"state \(2,\) is not an admissible 1-word"),
+        (2, [(0, 1), (1, 1)], [[0.0, 1.0], [0.0, 1.0]], r"state \(1, 1\) is not an admissible 2-word"),
+        (2, [(0, 0), (0, 1), (1, 0)], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]],
+         r"Q charges a non-edge \(1, 0\) -> \(1, 0\)"),
+    ],
+    ids=["wrong_length", "symbol_out_of_range", "forbidden_word", "charged_non_edge"],
+)
+def test_component_validation_names_the_first_offender(golden, memory, states, Q, message):
+    with pytest.raises(InputError, match=message):
+        MarkovComponent(golden, memory, states, Q)
+
+
 def test_entropy_closed_forms(full2):
     assert abs(bernoulli_measure(full2, [0.5, 0.5]).entropy() - np.log(2)) < 1e-15
     b2 = bernoulli_measure(full2, [0.8, 0.2])
@@ -276,11 +292,16 @@ def test_cylinder_tables_equal_cylinder_prob(shift):
         orbits.append(periodic_orbit_measure(sft, closable[len(closable) // 2]))
     words = [w for w in admissible_words(sft, 9) if w[0] == 0 and sft.A[w[-1], 0]][:40]
     wp = WordProcessMeasure(sft, words, ("bernoulli", rng.dirichlet(np.ones(len(words)))))
+    gs = [LocallyConstantFunction(sft, m, dict(zip(admissible_words(sft, m), rng.normal(size=len(admissible_words(sft, m))))))
+          for m in (1, 3, 5)]
     for mu in comps + orbits + [mix, wp]:
         tables = mu.cylinder_tables(8)
         for ell in range(1, 9):
             want = [mu.cylinder_prob(w) for w in admissible_words(sft, ell)]
             assert tables[ell].tolist() == want, ell
+        for g in gs:  # integrate against the per-word sum
+            terms = [mu.cylinder_prob(w) * g(w) for w in admissible_words(sft, g.memory)]
+            assert abs(mu.integrate(g) - sum(terms)) <= 4 * np.finfo(float).eps * sum(map(abs, terms))
 
 
 def _d_star_per_word(mu, nu, N):

@@ -7,7 +7,7 @@ from scipy.optimize import bisect, minimize
 from conftest import bernoulli_measure, binary_entropy
 from symflow.errors import DomainError
 from symflow.measures import InvariantMeasure, periodic_orbit_measure, support_is_full
-from symflow.sft import LocallyConstantFunction, Sft
+from symflow.sft import LocallyConstantFunction, Sft, admissible_words
 from symflow.spectrum import (
     birkhoff_range,
     conditional_entropy_spectrum,
@@ -17,6 +17,7 @@ from symflow.spectrum import (
     rotation_set_2d,
 )
 from symflow.suspension import SuspensionSystem, abramov_entropy, flow_integral
+from symflow.thermo import pressure
 
 
 def ind1(sft: Sft) -> LocallyConstantFunction:
@@ -228,6 +229,30 @@ def test_2d_spectrum_matches_brute_force(full2):
     assert abs(mu.integrate(g) - 0.4) < 1e-8
     assert abs(mu.integrate(h) - 0.2) < 1e-8
     assert mu.ergodic and support_is_full(mu)
+
+
+@pytest.mark.parametrize(
+    "name, memory, seed, alpha",
+    [
+        ("full2", 2, 0, (0.11543076041188143, 0.20622786643066085)),
+        ("full3", 2, 4, (-1.6246239873447692, 0.8061148636473741)),
+        ("golden", 3, 5, (-0.1790544323729675, 0.2673313821115145)),
+    ],
+)
+def test_2d_spectrum_near_the_edge_of_the_rotation_set(name, memory, seed, alpha, request):
+    """Interior points where a finite-difference Newton with a Nelder-Mead
+    fallback stopped with no_convergence; Newton on the dual solves them."""
+    sft = Sft(np.ones((3, 3), dtype=int)) if name == "full3" else request.getfixturevalue(name)
+    words = admissible_words(sft, memory)
+    vals = np.random.default_rng(seed).normal(size=2 * len(words))
+    g = LocallyConstantFunction(sft, memory, dict(zip(words, vals[: len(words)])))
+    h = LocallyConstantFunction(sft, memory, dict(zip(words, vals[len(words) :])))
+    res = conditional_entropy_spectrum_2d(sft, g, h, alpha)
+    comp = res.witness
+    assert max(abs(comp.integrate(g) - alpha[0]), abs(comp.integrate(h) - alpha[1])) <= 1e-9
+    b0, b1 = res.beta
+    P = pressure(sft, g * b0 + h * b1).value
+    assert abs(P - (b0 * alpha[0] + b1 * alpha[1]) - res.entropy) <= 1e-9
 
 
 def test_2d_degenerate_pair(full2):

@@ -9,7 +9,7 @@ from conftest import bernoulli_measure, binary_entropy
 from symflow.errors import DomainError
 from symflow.measures import InvariantMeasure, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words, topological_entropy
-from symflow.thermo import pressure, verify_equilibrium
+from symflow.thermo import _covariance, _EdgeModel, pressure, verify_equilibrium
 
 
 def test_pressure_of_zero_is_entropy(full2, golden):
@@ -168,3 +168,45 @@ def test_binary_entropy_helper_consistency(full2):
     beta = np.log(alpha / (1 - alpha))
     res = pressure(full2, beta * g1)
     assert abs((res.value - beta * alpha) - binary_entropy(alpha)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["full2", "golden"])
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_covariance_is_the_jacobian_of_the_means(name, memory, request):
+    """The analytic Hessian of P against central differences of the means."""
+    sft = request.getfixturevalue(name)
+    words = admissible_words(sft, memory)
+    vals = np.random.default_rng(memory).normal(size=2 * len(words))
+    g = LocallyConstantFunction(sft, memory, dict(zip(words, vals[: len(words)])))
+    h = LocallyConstantFunction(sft, memory, dict(zip(words, vals[len(words) :])))
+    model = _EdgeModel(sft, [g, h])
+    beta = np.array([0.7, -0.4])
+    H = _covariance(model.solve(tuple(beta)), model.edges)
+    step = 1e-5
+    J = np.empty((2, 2))
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = step
+        J[:, k] = (np.array(model.solve(tuple(beta + e)).means) - np.array(model.solve(tuple(beta - e)).means)) / (2 * step)
+    assert np.abs(H - J).max() <= 1e-6 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("name", ["full2", "golden"])
+@pytest.mark.parametrize("memory, min_memory", [(1, 1), (2, 1), (3, 1), (2, 3)])
+def test_edge_tables_read_the_edge_words(name, memory, min_memory, request):
+    """Edge (i, j) of the recoding carries f of the word i followed by j's last symbol."""
+    sft = request.getfixturevalue(name)
+    words = admissible_words(sft, memory)
+    g = LocallyConstantFunction(sft, memory, dict(zip(words, np.random.default_rng(memory).normal(size=len(words)))))
+    model = _EdgeModel(sft, [g], min_memory=min_memory)
+    (E,) = model.edges
+    rec = model.rec
+    for i, j in zip(*np.nonzero(model.mask)):
+        assert E[i, j] == g(rec.words[i] + rec.words[j][-1:])
+    assert (E[~model.mask] == 0.0).all()
+
+
+def test_pressure_of_a_large_negative_constant(golden):
+    """The non-edges of the weight matrix are never exponentiated (no overflow warning)."""
+    res = pressure(golden, LocallyConstantFunction.constant(golden, -1000.0))
+    assert abs(res.value - (-1000.0 + np.log((1 + np.sqrt(5)) / 2))) < 1e-12
