@@ -41,6 +41,9 @@ def stationary(Q: np.ndarray) -> np.ndarray:
     GTH runs on that class, and transient states get mass 0.  A vector
     whose masses span more than the double range raises
     ``DomainError("stationary_range")`` without floating-point warnings.
+    ``thermo._equilibrium`` skips the closed-class search and calls the GTH
+    step directly whenever its chain charges every edge of an irreducible
+    recoding: that support is one closed class by construction.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -51,8 +54,19 @@ def stationary(Q: np.ndarray) -> np.ndarray:
             name="non_unique_stationary",
         )
     cls = classes[0]
-    m = len(cls)
-    T = Q.copy() if m == n else Q[np.ix_(cls, cls)]
+    if len(cls) == n:
+        return _gth(Q.copy())
+    out = np.zeros(n)
+    out[cls] = _gth(Q[np.ix_(cls, cls)])
+    return out
+
+
+def _gth(T: np.ndarray) -> np.ndarray:
+    """Stationary vector of the irreducible row-stochastic T by GTH
+    elimination; T is overwritten.  Raises ``DomainError("stationary_range")``,
+    without floating-point warnings, when the masses span more than the
+    double range."""
+    m = T.shape[0]
     pi = np.zeros(m)
     pi[0] = 1.0
     # Masses beyond the double range (or a row to fold that underflowed to
@@ -77,9 +91,7 @@ def stationary(Q: np.ndarray) -> np.ndarray:
             "stationary vector out of floating-point range on its closed class",
             name="stationary_range",
         )
-    out = np.zeros(n)
-    out[cls] = pi
-    return out
+    return pi
 
 
 def _integrate(mu, g: LocallyConstantFunction) -> float:

@@ -84,20 +84,28 @@ def _edge_tol(lo: float, hi: float) -> float:
     return 1e-9 * max(1.0, abs(lo), abs(hi))
 
 
-def _expand_bracket(f, lo=-1.0, hi=1.0):
-    """Grow [lo, hi] geometrically until f changes sign; f monotone up."""
+def _expand_bracket(f, centre=0.0, step=1.0):
+    """Sign-change bracket of f (monotone up) around centre.
+
+    Starts at centre -+ step and doubles the distance from centre on the
+    side f points to, keeping the last point passed as the other end.
+    """
+    width = step
+    lo, hi = centre - width, centre + width
     flo, fhi = f(lo), f(hi)
     while flo > 0.0:
-        if lo < -_BETA_CAP:
+        if width > _BETA_CAP:
             raise DomainError("tilt parameter diverged", name="iteration_cap")
         hi, fhi = lo, flo
-        lo *= 2.0
+        width *= 2.0
+        lo = centre - width
         flo = f(lo)
     while fhi < 0.0:
-        if hi > _BETA_CAP:
+        if width > _BETA_CAP:
             raise DomainError("tilt parameter diverged", name="iteration_cap")
         lo, flo = hi, fhi
-        hi *= 2.0
+        width *= 2.0
+        hi = centre + width
         fhi = f(hi)
     return lo, hi
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import max_mean_cycle, min_mean_cycle
-from .measures import InvariantMeasure, MarkovComponent, stationary
+from .measures import InvariantMeasure, MarkovComponent, _gth, stationary
 from .sft import LocallyConstantFunction, Sft, _perron_right, admissible_words, block_recode, is_irreducible
 
 __all__ = ["PressureResult", "pressure", "verify_equilibrium"]
@@ -75,7 +75,11 @@ def _equilibrium(W: np.ndarray, mask: np.ndarray, edges, offset: float = 0.0, to
     Q = W * right[None, :] / (lam * right[:, None])
     Q[~mask] = 0.0
     Q /= Q.sum(axis=1, keepdims=True)  # absorb the O(tol) Perron residue
-    pi = stationary(Q)
+    # The mask is the edge set of an irreducible recoding, so a Q that charges
+    # all of it needs no closed-class search.  Entries that underflowed to 0
+    # at an extreme tilt can leave transient states: ``stationary`` finds the
+    # closed class then.
+    pi = _gth(Q.copy()) if (Q[mask] > 0.0).all() else stationary(Q)
     flux = pi[:, None] * Q
     means = tuple(float((flux * E).sum()) for E in edges)
     with np.errstate(divide="ignore"):

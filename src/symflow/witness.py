@@ -7,8 +7,9 @@ Three constructions:
   driven as low as requested, by shrinking the switching probabilities.
 * ``intermediate_witness`` interpolates between that low-complexity chain
   and the fully supported equilibrium chain, re-tilting along the way so
-  the mean stays at alpha, and bisects the path until h + integral(u) hits
-  the requested level c.
+  the mean stays at alpha, and root-finds along the path (brentq in the
+  path parameter, each tilt warm-started from the last) until
+  h + integral(u) hits the requested level c.
 * ``orthant_combination`` produces nonnegative mixture weights matching a
   vector of target ratios from candidates that straddle every orthant.
 """
@@ -189,32 +190,40 @@ def low_entropy_mean_witness(
     )
 
 
-def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, u_index: int | None):
+def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, u_index: int | None, beta0: float | None = None):
     """Tilt the stochastic matrix Qt by beta*g so its mean lands on alpha.
 
-    Returns (Q, pi, mean_g, value) where value = entropy + mean of u (or
-    just the entropy when no u is supplied).  The tilted mean is
-    nondecreasing in beta, so a sign-change bracket plus brentq suffices.
-    Near the deterministic end of the path the spectral gap of the tilted
-    matrix vanishes; ``thermo._equilibrium`` certifies its Perron root by a
+    Returns (Q, pi, mean_g, value, beta) where value = entropy + mean of u
+    (or just the entropy when no u is supplied) and beta is the tilt found.
+    The tilted mean is nondecreasing in beta, so a sign-change bracket plus
+    brentq suffices.  The bracket grows from [-1, 1], or, given a guess
+    beta0 (such as the tilt of a nearby matrix on the same path), from
+    beta0 -+ 1e-3 max(1, |beta0|).  Each beta is solved once: brentq
+    re-reads the bracket ends and returns a point it evaluated.  Near the
+    deterministic end of the path the spectral gap of the tilted matrix
+    vanishes; ``thermo._equilibrium`` certifies its Perron root by a
     Collatz-Wielandt bracket and needs no gap.
     """
     Eg = model.edges[0]
     mask = Qt > 0.0
     off = float(Eg[mask].max())
     edges = [Eg] + ([model.edges[u_index]] if u_index is not None else [])
-
-    def solve(beta: float):
-        W = np.where(mask, Qt * np.exp(np.maximum(beta * (Eg - off), -700.0)), 0.0)
-        sol = _equilibrium(W, mask, edges)
-        return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:])
+    sols = {}
 
     def f(beta: float) -> float:
-        return solve(beta)[2] - alpha
+        if beta not in sols:
+            W = np.where(mask, Qt * np.exp(np.maximum(beta * (Eg - off), -700.0)), 0.0)
+            sols[beta] = _equilibrium(W, mask, edges)
+        return sols[beta].means[0] - alpha
 
-    blo, bhi = _expand_bracket(f)
+    if beta0 is None:
+        blo, bhi = _expand_bracket(f)
+    else:
+        blo, bhi = _expand_bracket(f, beta0, 1e-3 * max(1.0, abs(beta0)))
     beta = float(brentq(f, blo, bhi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    return solve(beta)
+    f(beta)
+    sol = sols[beta]
+    return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
 
 
 def intermediate_witness(
@@ -233,10 +242,11 @@ def intermediate_witness(
 
     The path runs from a near-deterministic chain with mean alpha to the
     constrained equilibrium, entrywise in the transition matrices; every
-    point of the path is re-tilted to keep the mean pinned, and the level
-    c is located by bisection in the path parameter.  With mu0 and zeta the
-    endpoints are first pulled toward mu0 as far as the requested level
-    allows, so the result also lands zeta-close to mu0.
+    point of the path is re-tilted to keep the mean pinned, starting from
+    the tilt last solved on the path, and the level c is located by brentq
+    in the path parameter; the evaluated chain closest to c is returned.
+    With mu0 and zeta the endpoints are first pulled toward mu0 as far as
+    the requested level allows, so the result also lands zeta-close to mu0.
     """
     funcs = [g] + ([u] if u is not None else [])
     model = _EdgeModel(sft, funcs)
@@ -290,11 +300,13 @@ def intermediate_witness(
             missing = (Qtop > 0.0) & (Qlow == 0.0)
             Qlow = np.where(missing, 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
-            _, _, _, v0 = _tilted_chain(work, Qlow, alpha, u_index)
+            # Qlow has mean alpha up to the 1e-9 fill, so its tilt is near 0.
+            low = _tilted_chain(work, Qlow, alpha, u_index, 0.0)
         except DomainError:
             if achieved_min is None:
                 raise
             break  # numerical floor of the glue-and-tilt construction
+        v0 = low[3]
         achieved_min = v0 if achieved_min is None else min(achieved_min, v0)
         if v0 <= c - band_tol:
             reached = True
@@ -305,50 +317,46 @@ def intermediate_witness(
             f"c outside admissible band: achieved minimum {achieved_min:.12g}", name="band"
         )
 
-    Q0, Q1 = Qlow, Qtop
-    if mu0 is not None:
+    # The path's ends, tilted: end0 lies below the level by construction.
+    if mu0 is None:
+        Q0, Q1 = Qlow, Qtop
+        end0 = low
+        end1 = _tilted_chain(work, Qtop, alpha, u_index, low[4])
+    else:
         Qm0 = _markovize(work, mu0)
-        chosen = None
+        beta0 = beta1 = None  # each end's tilt at the previous lam
         for j in range(14, -1, -1):
             lam = 1.0 - 2.0 ** (-j) if j > 0 else 0.0
             cand0 = (1.0 - lam) * Qlow + lam * Qm0
             cand1 = (1.0 - lam) * Qtop + lam * Qm0
-            _, _, _, v0 = _tilted_chain(work, cand0, alpha, u_index)
-            _, _, _, v1 = _tilted_chain(work, cand1, alpha, u_index)
-            if v0 <= c - band_tol and v1 >= c - band_tol:
-                chosen = (cand0, cand1)
+            end0 = _tilted_chain(work, cand0, alpha, u_index, beta0)
+            end1 = _tilted_chain(work, cand1, alpha, u_index, beta1)
+            beta0, beta1 = end0[4], end1[4]
+            if end0[3] <= c - band_tol and end1[3] >= c - band_tol:
                 break
-        if chosen is None:
+        else:
             raise DomainError("c outside admissible band for the requested mu0", name="band")
-        Q0, Q1 = chosen
+        Q0, Q1 = cand0, cand1
 
-    def value_at(t: float):
-        Qt = (1.0 - t) * Q0 + t * Q1
-        return _tilted_chain(work, Qt, alpha, u_index)
+    f1 = end1[3] - c
+    if f1 < -10.0 * band_tol:
+        raise DomainError("path does not bracket the requested level", name="band")
+    best = end1  # taken as is when it lies at most 10 band_tol below c
+    if f1 > 0.0:
+        # Root-find the level in the path parameter; each tilt starts from
+        # the last one solved on the path.
+        evals = {0.0: end0, 1.0: end1}
+        last = end1
 
-    f0 = value_at(0.0)[3] - c
-    f1 = value_at(1.0)[3] - c
-    if f1 < 0.0:
-        if abs(f1) <= 10.0 * band_tol:
-            f1 = 0.0
-        else:
-            raise DomainError("path does not bracket the requested level", name="band")
-    lo_t, hi_t = 0.0, 1.0
-    best = None
-    for _ in range(200):
-        mid = 0.5 * (lo_t + hi_t)
-        Q, pi, mean, value = value_at(mid)
-        if best is None or abs(value - c) < abs(best[3] - c):
-            best = (Q, pi, mean, value)
-        if abs(value - c) <= tol:
-            break
-        if value - c > 0.0:
-            hi_t = mid
-        else:
-            lo_t = mid
-        if hi_t - lo_t < 1e-15:
-            break
-    Q, pi, mean, value = best
+        def level(t: float) -> float:
+            nonlocal last
+            if t not in evals:
+                evals[t] = last = _tilted_chain(work, (1.0 - t) * Q0 + t * Q1, alpha, u_index, last[4])
+            return evals[t][3] - c
+
+        brentq(level, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=300, disp=False)
+        best = min(evals.values(), key=lambda e: abs(e[3] - c))
+    Q, pi, _, value, _ = best
     comp = MarkovComponent(sft, work.rec.m, work.rec.words, Q, pi)
     nu = InvariantMeasure.single(comp)
     if abs(nu.integrate(g) - alpha) > max(tol_mean, 1e-8):

@@ -7,6 +7,7 @@ from conftest import bernoulli_measure
 from symflow.errors import DomainError, InputError
 from symflow.measures import (
     InvariantMeasure,
+    _gth,
     MarkovComponent,
     d_star,
     periodic_orbit_measure,
@@ -55,6 +56,28 @@ def test_stationary_puts_no_mass_on_transient_states():
     pi = stationary(np.array([[0.2, 0.5, 0.3], [0.0, 0.1, 0.9], [0.0, 0.6, 0.4]]))
     assert pi[0] == 0.0
     assert np.abs(pi[1:] - [0.4, 0.6]).max() < 1e-15
+
+
+def test_gth_matches_stationary_on_irreducible_chains():
+    # On an irreducible chain the closed-class search finds the whole state
+    # space, so the GTH step alone must give the same bits.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        support = rng.random((n, n)) < rng.uniform(0.0, 0.6)
+        order = rng.permutation(n)
+        support[order, np.roll(order, -1)] = True  # a Hamiltonian cycle
+        weights = np.exp(rng.uniform(0.0, 12.0) * rng.normal(size=(n, n)))
+        Q = np.where(support, weights, 0.0)
+        Q /= Q.sum(axis=1, keepdims=True)
+        assert np.array_equal(_gth(Q.copy()), stationary(Q))
+    # Both name a vector beyond the double range the same way (pi_2 ~ 1e-400).
+    e = 1e-200
+    Q = np.array([[1.0 - e, e, 0.0], [1.0 - e, 0.0, e], [1.0, 0.0, 0.0]])
+    for solve in (stationary, lambda Q: _gth(Q.copy())):
+        with pytest.raises(DomainError) as err:
+            solve(Q)
+        assert err.value.name == "stationary_range"
 
 
 def test_stationary_refuses_multiple_closed_classes():

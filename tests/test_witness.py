@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import binary_entropy
+import symflow.thermo as thermo
+import symflow.witness as witness
 from symflow.errors import DomainError, InputError
-from symflow.measures import InvariantMeasure, d_star, support_is_full
+from symflow.measures import InvariantMeasure, MarkovComponent, d_star, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft
-from symflow.spectrum import conditional_entropy_spectrum
+from symflow.spectrum import _EdgeModel, _expand_bracket, conditional_entropy_spectrum
 from symflow.witness import (
     _connector,
     birkhoff_witness_2d,
@@ -108,7 +110,6 @@ def test_intermediate_witness_with_linear_term(full2):
     u = LocallyConstantFunction.indicator(full2, (0, 1))
     alpha = 0.35
     # Admissible top value of h + int(u) at the constrained equilibrium.
-    from symflow.spectrum import _EdgeModel, _expand_bracket
     from scipy.optimize import brentq
 
     model = _EdgeModel(full2, [g, u])
@@ -136,9 +137,134 @@ def test_intermediate_witness_near_mu0(full2):
         intermediate_witness(full2, g, alpha, 0.5 * H, mu0=mu0)  # zeta missing
 
 
+def _count_equilibrium(m, *modules):
+    """List that grows by one per ``_equilibrium`` call made through modules."""
+    solve = thermo._equilibrium
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    for module in modules:
+        m.setattr(module, "_equilibrium", counted)
+    return calls
+
+
+def test_intermediate_witness_solve_budget(full2, golden, monkeypatch):
+    # Root-finding in the path parameter with warm-started tilts: at most 200
+    # equilibrium solves per witness.
+    for sft, alpha in ((full2, 0.3), (full2, 0.4), (golden, 0.25)):
+        g = ind1(sft)
+        H = conditional_entropy_spectrum(sft, g, alpha).entropy
+        with monkeypatch.context() as m:
+            calls = _count_equilibrium(m, thermo, witness)
+            for frac in (0.25, 0.5, 0.75):
+                calls.clear()
+                nu = intermediate_witness(sft, g, alpha, frac * H)
+                assert abs(nu.entropy() - frac * H) < 1e-5
+                assert 0 < len(calls) <= 200, (sft.k, alpha, frac, len(calls))
+
+
+def test_intermediate_witness_snaps_to_the_top_end(full2, monkeypatch):
+    # When the top end of the path lies less than 10 band_tol below c it is
+    # the witness, and no root-finding runs on the same-sign bracket.
+    g = ind1(full2)
+    mu0 = InvariantMeasure.single(MarkovComponent(full2, 1, [(0,), (1,)], np.array([[0.7, 0.3], [0.6, 0.4]])))
+    tilt = witness._tilted_chain
+    log = []
+
+    def logged(model, Qt, alpha, u_index, beta0=None):
+        out = tilt(model, Qt, alpha, u_index, beta0)
+        log.append((beta0, out[3]))
+        return out
+
+    monkeypatch.setattr(witness, "_tilted_chain", logged)
+    intermediate_witness(full2, g, 0.3, 0.5, mu0=mu0, zeta=0.5)
+    # The first cold tilts are the two ends at the first lambda; the top end
+    # does not depend on c.
+    first = next(i for i, (beta0, _) in enumerate(log) if beta0 is None)
+    v0, v1 = log[first][1], log[first + 1][1]
+    c = (v1 + 0.5e-7) / (1.0 - 0.5e-7)  # v1 = c - band_tol / 2
+    assert v0 <= c - 1e-7 * (1.0 + c)
+    log.clear()
+    nu = intermediate_witness(full2, g, 0.3, c, mu0=mu0, zeta=0.5)
+    first = next(i for i, (beta0, _) in enumerate(log) if beta0 is None)
+    assert len(log) == first + 2
+    assert abs(nu.entropy() - v1) < 1e-12
+
+
+def test_tilted_chain_warm_start(full2, monkeypatch):
+    # A tilt started from the solved tilt of a nearby matrix lands on the same
+    # mean in fewer equilibrium solves than one started from [-1, 1].
+    g = ind1(full2)
+    model = _EdgeModel(full2, [g])
+    Q = model.solve((0.7,)).Q
+    near = 0.999 * Q + 0.001 * model.solve((-0.2,)).Q
+    calls = _count_equilibrium(monkeypatch, witness)
+    *_, beta = witness._tilted_chain(model, Q, 0.4, None)
+    cold = len(calls)
+    calls.clear()
+    _, _, mean, _, beta_near = witness._tilted_chain(model, near, 0.4, None, beta)
+    assert abs(mean - 0.4) < 1e-12
+    assert abs(beta_near - beta) < 1e-2
+    assert len(calls) < cold
+
+
+def _mean_minus(model, alpha, coeffs, calls):
+    def f(beta):
+        calls.append(beta)
+        return model.solve(coeffs(beta)).means[0] - alpha
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "with_u, alpha, bracket, calls",
+    [
+        (True, 0.001, (-8.0, -4.0), [-1.0, 1.0, -2.0, -4.0, -8.0]),
+        (True, 0.3, (-2.0, -1.0), [-1.0, 1.0, -2.0]),
+        (True, 0.35, (-1.0, 1.0), [-1.0, 1.0]),
+        (True, 0.7, (1.0, 2.0), [-1.0, 1.0, 2.0]),
+        (True, 0.999, (4.0, 8.0), [-1.0, 1.0, 2.0, 4.0, 8.0]),
+        (False, 0.05, (-4.0, -2.0), [-1.0, 1.0, -2.0, -4.0]),
+        (False, 0.5, (-1.0, 1.0), [-1.0, 1.0]),
+        (False, 0.95, (2.0, 4.0), [-1.0, 1.0, 2.0, 4.0]),
+    ],
+)
+def test_expand_bracket_default_sequence(full2, with_u, alpha, bracket, calls):
+    # The tilted means of the linear-term test.  With the default centre and
+    # step the bracket doubles from [-1, 1]; these brackets and evaluation
+    # sequences were recorded from that doubling.
+    g, u = ind1(full2), LocallyConstantFunction.indicator(full2, (0, 1))
+    model = _EdgeModel(full2, [g, u] if with_u else [g])
+    seen = []
+    f = _mean_minus(model, alpha, (lambda b: (b, 1.0)) if with_u else (lambda b: (b,)), seen)
+    assert _expand_bracket(f) == bracket
+    assert seen == calls
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.3, 0.5, 0.95])
+@pytest.mark.parametrize("offset", [-3.0, -1e-4, 1e-4, 3.0])
+def test_expand_bracket_warm_start_contains_the_root(full2, alpha, offset):
+    from scipy.optimize import brentq
+
+    model = _EdgeModel(full2, [ind1(full2)])
+    f = _mean_minus(model, alpha, lambda b: (b,), [])
+    root = brentq(f, *_expand_bracket(f), xtol=1e-13)
+    centre = root + offset  # above the root for offset > 0, below it otherwise
+    step = 1e-3 * max(1.0, abs(centre))
+    lo, hi = _expand_bracket(f, centre, step)
+    assert lo < root < hi
+    assert f(lo) <= 0.0 <= f(hi)
+    # The bracket grows around the centre, no further than twice the offset
+    # (up to the rounding of centre -+ width).
+    assert max(centre - lo, hi - centre) <= max(step, 2.0 * abs(offset)) * (1.0 + 1e-12)
+
+
 def test_level_functional_is_affine_on_mixtures(full2):
     # The targeted level h + int(u) is affine in the measure, which is what
-    # the bisection along the path relies on.
+    # the root-finding along the path relies on.
     g = ind1(full2)
     u = LocallyConstantFunction.indicator(full2, (0, 0))
     a = intermediate_witness(full2, g, 0.3, 0.2)
