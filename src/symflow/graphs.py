@@ -1,14 +1,15 @@
 """Directed-graph plumbing: connectivity, closed classes, mean cycles.
 
-Graphs are dense 0/1 numpy adjacency matrices throughout; vertex count is
-desk-scale (recoded block graphs), so dense is fine and keeps indexing dumb.
+Graphs are dense 0/1 numpy adjacency matrices throughout; the largest are
+recoded block graphs of 64 states (a memory-7 table on the full 2-shift) to
+256 (memory 9).
 
 Strong components come from the dense boolean transitive closure (Warshall's
-n vectorised passes), with no scipy.sparse graph round trip.  There is no
-size switch to a sparse or linear-time search: the closure's n passes over
-n^2 booleans cost no more than the n GTH elimination passes that
-``measures.stationary`` runs next on the same matrix, and the largest graphs
-that reach this code are recoded block graphs of a few dozen states.
+n vectorised passes), with no scipy.sparse graph round trip and no size
+switch: its n passes over n^2 booleans cost no more than the n GTH
+elimination passes that ``measures.stationary`` runs next.  Extreme cycle
+means are Karp's table over the edge list, n segmented minima over the E
+edges: O(n E) work in n array passes, no per-edge Python loop.
 """
 
 from __future__ import annotations
@@ -65,67 +66,55 @@ def closed_classes(adj: np.ndarray) -> list[np.ndarray]:
 
 
 def min_mean_cycle(adj: np.ndarray, weight: np.ndarray) -> tuple[float, list[int]]:
-    """Minimum mean-weight cycle of a strongly connected graph (Karp).
+    """Minimum mean-weight cycle of a strongly connected graph (Karp 1978).
 
     ``weight[i, j]`` is read wherever ``adj[i, j] == 1``.  Returns the mean
     and a witness cycle as a vertex list (no repeated endpoint).  The mean is
     recomputed from the witness edges, so value and witness agree exactly.
 
-    Any cycle on the optimal length-n walk of the Karp table is a
+    Karp's table D_k(v), the least weight of a k-edge walk ending at v, is
+    filled over the edge list sorted by (target, source), one
+    ``np.minimum.reduceat`` per step; a vertex's parent is the lowest source
+    attaining its minimum.  Any cycle on the optimal length-n walk is a
     minimum-mean cycle, so the witness is extracted by walking parents back
     from the arg-min vertex until a vertex repeats.
     """
     n = adj.shape[0]
     if n == 0:
         raise DomainError("empty graph has no cycles", name="degenerate")
-    succ = [np.flatnonzero(adj[u]) for u in range(n)]
-    if any(len(s) == 0 for s in succ):
+    A = np.asarray(adj) != 0
+    if not A.any(axis=1).all():
         raise DomainError("graph has a vertex with no successor", name="degenerate")
+    if not A.any(axis=0).all():  # reduceat cannot hold an empty group
+        raise DomainError("graph has a vertex with no predecessor", name="degenerate")
+    tgt, src = np.nonzero(A.T)
+    w = np.asarray(weight, dtype=float)[src, tgt]
+    starts = np.searchsorted(tgt, np.arange(n))
 
-    INF = np.inf
-    # D[k][v]: min weight of a k-edge walk from the super-source to v.
-    D = np.full((n + 1, n), INF)
-    D[0, :] = 0.0  # all vertices as sources (graph is strongly connected)
-    parent = np.full((n + 1, n), -1, dtype=int)
+    # D[k][v]: min weight of a k-edge walk from the super-source to v.  Every
+    # vertex has a predecessor, so every entry is finite.
+    D = np.empty((n + 1, n))
+    D[0] = 0.0  # all vertices as sources (graph is strongly connected)
+    parent = np.empty((n + 1, n), dtype=np.intp)
     for k in range(1, n + 1):
-        for u in range(n):
-            du = D[k - 1, u]
-            if du == INF:
-                continue
-            for v in succ[u]:
-                c = du + weight[u, v]
-                if c < D[k, v]:
-                    D[k, v] = c
-                    parent[k, v] = u
+        cand = D[k - 1, src] + w
+        D[k] = np.minimum.reduceat(cand, starts)
+        parent[k] = np.minimum.reduceat(np.where(cand == D[k, tgt], src, n), starts)
 
-    best_val = INF
-    best_v = -1
-    for v in range(n):
-        if D[n, v] == INF:
-            continue
-        worst = -INF
-        for k in range(n):
-            if D[k, v] == INF:
-                continue
-            worst = max(worst, (D[n, v] - D[k, v]) / (n - k))
-        if worst < best_val:
-            best_val = worst
-            best_v = v
+    # Karp: lambda* = min_v max_k (D_n(v) - D_k(v)) / (n - k).
+    worst = ((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0)
+    best_v = int(worst.argmin())
 
-    # Walk the length-n optimal path backwards until a vertex repeats.
-    path = [best_v]
-    k = n
-    seen = {best_v: 0}
-    while k > 0:
+    # Walk the length-n optimal path backwards until a vertex repeats; its
+    # n + 1 vertices cannot all differ.
+    path, seen = [best_v], {best_v: 0}
+    for k in range(n, 0, -1):
         u = int(parent[k, path[-1]])
-        path.append(u)
-        k -= 1
         if u in seen:
+            cycle = path[seen[u] :][::-1]
             break
-        seen[u] = len(path) - 1
-    cycle = path[seen[path[-1]] : -1][::-1] if path[-1] in seen else None
-    if not cycle:  # pragma: no cover - length-n walk always repeats a vertex
-        raise DomainError("cycle extraction failed", name="degenerate")
+        seen[u] = len(path)
+        path.append(u)
     total = sum(weight[cycle[i], cycle[(i + 1) % len(cycle)]] for i in range(len(cycle)))
     return total / len(cycle), cycle
 

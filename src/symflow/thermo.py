@@ -32,9 +32,10 @@ class PressureResult:
     ``left``/``right`` are the Perron vectors of the weighted matrix on the
     recoded graph whose words are listed in ``states`` (the equilibrium
     component's state list); ``root`` is the Perron root lambda with
-    P = log(lambda).  ``left`` is solved on first access (a second certified
-    Perron solve, on the transposed matrix, with the ``tol`` and ``rng``
-    given to :func:`pressure`) and kept.
+    P = log(lambda), read as ``inf``, without a warning, once P exceeds the
+    double range (about 709.78).  ``left`` is solved on first access (a
+    second certified Perron solve, on the transposed matrix, with the
+    ``tol`` and ``rng`` given to :func:`pressure`) and kept.
     """
 
     value: float
@@ -128,6 +129,7 @@ class _EdgeModel:
         self.edges = [np.zeros_like(A, dtype=float) for _ in self.funcs]
         for E, f in zip(self.edges, self.funcs):
             E[self.mask] = f.values(words)
+        self._solves: dict = {}
 
     def _combined(self, coeffs) -> np.ndarray:
         E = np.zeros_like(self.edges[0])
@@ -144,9 +146,13 @@ class _EdgeModel:
         return np.where(self.mask, np.exp(np.clip(E - offset, -700.0, 0.0)), 0.0), offset
 
     def solve(self, coeffs, tol: float = 1e-12) -> _Solve:
-        """Equilibrium of the potential sum(coeffs[k] * funcs[k])."""
-        W, offset = self.weights(coeffs)
-        return _equilibrium(W, self.mask, self.edges, offset, tol=tol)
+        """Equilibrium of the potential sum(coeffs[k] * funcs[k]), solved once
+        per (coeffs, tol) on this model: callers only read the shared arrays."""
+        key = (tuple(map(float, coeffs)), tol)
+        if key not in self._solves:
+            W, offset = self.weights(coeffs)
+            self._solves[key] = _equilibrium(W, self.mask, self.edges, offset, tol=tol)
+        return self._solves[key]
 
     def component(self, sol: _Solve) -> MarkovComponent:
         return MarkovComponent(self.sft, self.rec.m, self.rec.words, sol.Q, sol.pi)
@@ -178,10 +184,12 @@ def pressure(sft: Sft, g: LocallyConstantFunction, tol: float = 1e-12, rng=None)
     model = _EdgeModel(sft, [g])
     W, offset = model.weights((1.0,))
     sol = _equilibrium(W, model.mask, model.edges, offset, tol=tol, rng=rng)
+    with np.errstate(over="ignore"):  # a root beyond the double range reads inf
+        root = float(np.exp(sol.P))
     return PressureResult(
         value=sol.P,
         equilibrium=model.component(sol),
-        root=float(np.exp(sol.P)),
+        root=root,
         right=sol.right,
         _left_solve=partial(_perron_right, W.T, tol=tol, rng=rng),
     )

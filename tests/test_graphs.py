@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import networkx as nx
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -15,6 +17,8 @@ from symflow.graphs import (
     min_mean_cycle,
     strong_components,
 )
+from symflow.sft import LocallyConstantFunction, Sft, admissible_words
+from symflow.thermo import _EdgeModel
 
 
 def brute_force_mean_cycles(adj, weight):
@@ -107,3 +111,73 @@ def test_mean_cycle_rejects_dead_ends():
     adj = np.array([[0, 1], [0, 0]], dtype=np.int8)
     with pytest.raises(DomainError):
         min_mean_cycle(adj, np.zeros((2, 2)))
+
+
+def test_mean_cycle_rejects_a_vertex_without_predecessor():
+    # Vertex 1 has a successor but no predecessor: the same error as a dead end.
+    for adj in ([[0, 1], [0, 0]], [[1, 0], [1, 0]]):
+        with pytest.raises(DomainError) as err:
+            min_mean_cycle(np.array(adj, dtype=np.int8), np.zeros((2, 2)))
+        assert err.value.name == "degenerate"
+
+
+def test_mean_cycle_matches_simple_cycles_with_ties():
+    # Integer weights make many cycles tie; the witness must still be a cycle
+    # of adj whose mean is exactly the value returned.
+    rng = np.random.default_rng(8)
+    done = 0
+    while done < 150:
+        n = int(rng.integers(1, 10))
+        adj = (rng.random((n, n)) < rng.uniform(0.15, 0.7)).astype(np.int8)
+        if not is_strongly_connected(adj) or not adj.any(axis=1).all():
+            continue
+        weight = rng.integers(-2, 3, size=(n, n)).astype(float)
+        means = [
+            sum(weight[c[i], c[(i + 1) % len(c)]] for i in range(len(c))) / len(c)
+            for c in nx.simple_cycles(nx.DiGraph(adj))
+        ]
+        for (val, cyc), ref in ((min_mean_cycle(adj, weight), min(means)), (max_mean_cycle(adj, weight), max(means))):
+            assert abs(val - ref) < 1e-12
+            assert len(set(cyc)) == len(cyc)
+            assert all(adj[cyc[i], cyc[(i + 1) % len(cyc)]] for i in range(len(cyc)))
+            assert sum(weight[cyc[i], cyc[(i + 1) % len(cyc)]] for i in range(len(cyc))) / len(cyc) == val
+        done += 1
+
+
+def test_mean_cycle_ties_go_to_the_lowest_source():
+    # Every cycle of the complete graph has mean 0; the arg-min vertex and
+    # each parent are the lowest that attain the minimum, so the witness is
+    # the loop at vertex 0.
+    adj = np.ones((3, 3), dtype=np.int8)
+    assert min_mean_cycle(adj, np.zeros((3, 3))) == (0.0, [0])
+    assert max_mean_cycle(adj, np.zeros((3, 3))) == (0.0, [0])
+
+
+def _cycle_mean_lp(adj, weight, sign):
+    """sign * extreme cycle mean as the LP over unit-mass circulations."""
+    n = adj.shape[0]
+    src, tgt = np.nonzero(adj)
+    conservation = np.zeros((n + 1, len(src)))
+    conservation[src, np.arange(len(src))] += 1.0
+    conservation[tgt, np.arange(len(src))] -= 1.0
+    conservation[n] = 1.0
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    res = linprog(-sign * weight[src, tgt], A_eq=conservation, b_eq=rhs, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_mean_cycle_on_a_256_state_recoding():
+    full2 = Sft(np.ones((2, 2), dtype=int))
+    words = admissible_words(full2, 9)
+    g = LocallyConstantFunction(full2, 9, dict(zip(words, np.random.default_rng(9).normal(size=len(words)))))
+    model = _EdgeModel(full2, [g])
+    adj, (weight,) = model.rec.sft.A, model.edges
+    assert adj.shape == (256, 256)
+    hi, cyc_hi = model.max_cycle((1.0,))
+    lo, cyc_lo = model.min_cycle((1.0,))
+    assert abs(hi - _cycle_mean_lp(adj, weight, 1.0)) < 1e-9
+    assert abs(lo + _cycle_mean_lp(adj, weight, -1.0)) < 1e-9
+    for val, cyc in ((hi, cyc_hi), (lo, cyc_lo)):
+        assert model.cycle_sums(cyc, 0) / len(cyc) == val

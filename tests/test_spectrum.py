@@ -331,3 +331,40 @@ def test_flow_spectrum_concavity_and_errors(golden):
         flow_conditional_spectrum(system, g, 0.9)
     with pytest.raises(DomainError):
         flow_conditional_spectrum(system, LocallyConstantFunction.constant(golden, 2.0), 2.0)
+
+
+def _count_solves(monkeypatch):
+    """Record the coefficient tuple of every equilibrium solve of an ``_EdgeModel``."""
+    from symflow import thermo
+
+    solved, last = [], []
+    weights, equilibrium = thermo._EdgeModel.weights, thermo._equilibrium
+
+    def spy_weights(self, coeffs):
+        last.append(tuple(map(float, coeffs)))
+        return weights(self, coeffs)
+
+    def spy_equilibrium(*args, **kwargs):
+        solved.append(last[-1])
+        return equilibrium(*args, **kwargs)
+
+    monkeypatch.setattr(thermo._EdgeModel, "weights", spy_weights)
+    monkeypatch.setattr(thermo, "_equilibrium", spy_equilibrium)
+    return solved
+
+
+def test_each_tilt_is_solved_once(full2, golden, monkeypatch):
+    # brentq re-reads its bracket ends and the callers re-read the root; none
+    # of those may run the Perron solve again.
+    solved = _count_solves(monkeypatch)
+    g = LocallyConstantFunction(full2, 3, dict(zip(admissible_words(full2, 3), np.random.default_rng(3).normal(size=8))))
+    rng = birkhoff_range(full2, g)
+    res = conditional_entropy_spectrum(full2, g, rng.lo + 0.3 * (rng.hi - rng.lo))
+    assert len(solved) > 5 and len(set(solved)) == len(solved)
+    assert (res.beta,) in solved
+
+    solved.clear()
+    system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
+    res = flow_conditional_spectrum(system, ind1(golden), 0.2)
+    assert len(solved) > 5 and len(set(solved)) == len(solved)
+    assert (res.beta, -res.beta * 0.2 - res.s) in solved

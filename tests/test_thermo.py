@@ -210,3 +210,12 @@ def test_pressure_of_a_large_negative_constant(golden):
     """The non-edges of the weight matrix are never exponentiated (no overflow warning)."""
     res = pressure(golden, LocallyConstantFunction.constant(golden, -1000.0))
     assert abs(res.value - (-1000.0 + np.log((1 + np.sqrt(5)) / 2))) < 1e-12
+
+
+def test_pressure_root_beyond_the_double_range(full2):
+    """A Perron root above the largest double reads inf, with no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pressure(full2, LocallyConstantFunction.constant(full2, 800.0))
+    assert abs(res.value - (800.0 + np.log(2.0))) < 1e-9
+    assert res.root == np.inf
