@@ -13,6 +13,8 @@ in closed form.  Failures are report entries, never exceptions.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 _LINE_TOL = 1e-15
+_BOX = 1.0 + 1e-12  # containment slack of the section square
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,9 @@ class LorenzModel:
         lam = data["lambda"]
         if len(lam) != 3:
             raise InputError("lambda must have three entries")
+        for key, v in (*fpart.items(), *hpart.items(), *((f"lambda[{i}]", v) for i, v in enumerate(lam))):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise InputError(f"model parameter {key} must be a finite number, got {v!r}")
         return cls(
             c=float(fpart["c"]),
             gamma=float(fpart["gamma"]),
@@ -107,10 +113,12 @@ def validate_lorenz(model: LorenzModel, grid: int = 10**4) -> dict:
     one-sided limits of f are extrapolated from x = +-10^-k, k = 4..8.  The
     sign, fiber and section constraints on H are exact: max H on x > 0 is
     a + |b|, min H on x < 0 is -a - |b|, sup|dH/dy| = |b| and sup|dH/dx|
-    = 0.  Positive margin means the constraint holds.
+    = 0.  Positive margin means the constraint holds; a failed constraint
+    is a report entry, never an exception.  Errors: ``input`` (InputError)
+    when ``grid`` is not an integer of at least 3.
     """
-    if grid < 3:
-        raise InputError("grid density must be at least 3")
+    if not isinstance(grid, numbers.Integral) or isinstance(grid, bool) or grid < 3:
+        raise InputError(f"grid density must be an integer of at least 3, got {grid!r}")
     l1, l2, l3 = model.lambdas
     entries = []
 
@@ -174,31 +182,40 @@ class Trajectory:
 def simulate_return_map(model: LorenzModel, x0: float, y0: float, n: int) -> Trajectory:
     """Deterministic n-step orbit of P, halting early near the singular line.
 
-    The itinerary codes s_k = 1 where x_k > 0 and 0 otherwise; the orbit is
-    checked to stay inside the section square.
+    The orbit is a scalar recurrence over Python floats, the same IEEE
+    operations as ``model.f`` and ``model.H`` at one point (``**`` is libm
+    ``pow``, as numpy's scalar power is).  The itinerary codes s_k = 1 where
+    x_k > 0 and 0 otherwise.  Errors: ``on_line`` (DomainError) when x0 is
+    within 1e-15 of the singular line; ``input`` (InputError) when (x0, y0)
+    is outside the section square or n is not a non-negative integer;
+    ``containment`` (DomainError) at the first step that leaves the square
+    by more than 1e-12, overflows or is NaN.
     """
     if abs(x0) <= _LINE_TOL:
         raise DomainError("initial point lies on the singular line", name="on_line")
     if not (abs(x0) <= 1.0 and abs(y0) <= 1.0):
         raise InputError("initial point outside the section square")
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    xs = [float(x0)]
-    ys = [float(y0)]
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+        raise InputError(f"n must be a non-negative integer, got {n!r}")
+    c, gamma, a, b = float(model.c), float(model.gamma), float(model.a), float(model.b)
+    x, y = float(x0), float(y0)
+    xs, ys = [x], [y]
     halted = False
-    for _ in range(n):
-        x, y = xs[-1], ys[-1]
-        xn = float(model.f(x))
-        yn = float(model.H(x, y))
-        xs.append(xn)
-        ys.append(yn)
-        if abs(xn) <= _LINE_TOL:
+    for k in range(1, int(n) + 1):
+        s = 1.0 if x > 0.0 else -1.0
+        try:
+            x, y = s * (c * abs(x) ** gamma - 1.0), a * s + b * y
+        except OverflowError:  # |x|**gamma beyond the double range
+            x = math.inf
+        if not (abs(x) <= _BOX and abs(y) <= _BOX):
+            raise DomainError(f"trajectory left the section square at step {k}", name="containment")
+        xs.append(x)
+        ys.append(y)
+        if abs(x) <= _LINE_TOL:
             halted = True
             break
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    if np.abs(xs).max() > 1.0 + 1e-12 or np.abs(ys).max() > 1.0 + 1e-12:
-        raise DomainError("trajectory left the section square", name="containment")
     itinerary = (xs > 0).astype(int)
     return Trajectory(model=model, xs=xs, ys=ys, itinerary=itinerary, halted=halted)
 
@@ -217,7 +234,12 @@ class EmpiricalStatistics:
 
 
 def empirical_statistics(traj: Trajectory, G) -> EmpiricalStatistics:
-    """Mean and Cesaro curve of G over the orbit, plus the expansion proxy."""
+    """Mean and Cesaro curve of G over the orbit, plus the expansion proxy.
+
+    Errors: ``input`` (InputError) for an orbit of fewer than 2 points;
+    ``expansion`` (DomainError) when f' is not positive at some consumed
+    point, so that log f' is undefined (a model with gamma <= 0 or c <= 0).
+    """
     if len(traj) < 2:
         raise InputError("trajectory must have at least 2 points")
     try:
@@ -227,5 +249,8 @@ def empirical_statistics(traj: Trajectory, G) -> EmpiricalStatistics:
     except Exception:
         vals = np.array([float(G(x, y)) for x, y in zip(traj.xs, traj.ys)])
     running = np.cumsum(vals) / np.arange(1, len(vals) + 1)
-    exponent = float(np.log(traj.model.df(traj.xs[:-1])).mean())
+    dfx = traj.model.df(traj.xs[:-1])
+    if not (dfx > 0.0).all():
+        raise DomainError("log f' needs f' > 0 along the orbit", name="expansion")
+    exponent = float(np.log(dfx).mean())
     return EmpiricalStatistics(mean=float(vals.mean()), running=running, exponent=exponent)

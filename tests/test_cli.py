@@ -434,6 +434,16 @@ def test_lorenz_simulate_csv(files, tmp_path):
         assert row[3] in ("0", "1")
 
 
+def test_lorenz_model_with_nan_is_an_input_error(files, tmp_path):
+    model = tmp_path / "nan_model.json"
+    model.write_text(json.dumps({**json.loads(files["model"].read_text()), "f": {"c": math.nan, "gamma": 0.78}}))
+    assert '"c": NaN' in model.read_text()
+    for argv in (["lorenz-validate"], ["lorenz-simulate", "--x0", "0.3", "--y0", "0.1", "--n", "10"]):
+        code, out, err = run_cli(*argv, "--model", model)
+        assert code == 1 and out == ""
+        assert err.startswith("error: input: model parameter c "), err
+
+
 def test_seeded_commands_are_byte_identical(files, tmp_path):
     """Rerunning a seeded command over the same output path reproduces it."""
     torun = []

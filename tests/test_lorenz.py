@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,57 @@ def test_simulation_input_checks():
         simulate_return_map(EXAMPLE, 0.5, 0.0, -1)
 
 
+def test_n_must_be_a_non_negative_integer():
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(InputError):
+            simulate_return_map(EXAMPLE, 0.5, 0.0, bad)
+    assert len(simulate_return_map(EXAMPLE, 0.5, 0.0, np.int64(5))) == 6
+    assert len(simulate_return_map(EXAMPLE, 0.5, 0.0, 0)) == 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        LorenzModel(c=10.0, gamma=2.0, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0)),  # escapes
+        LorenzModel(c=math.nan, gamma=0.78, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0)),
+        LorenzModel(c=1.9, gamma=0.78, a=-0.5, b=math.nan, lambdas=(-3.0, -1.0, 2.0)),
+        LorenzModel(c=1.9, gamma=-2000.0, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0)),  # pow overflows
+    ],
+)
+def test_leaving_the_square_fails_at_the_first_step(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="at step 1$") as err:
+            simulate_return_map(model, 0.5, 0.0, 10**6)
+    assert err.value.name == "containment"
+
+
+@pytest.mark.parametrize("model", [EXAMPLE, LorenzModel(c=1.5, gamma=0.8, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0))])
+@pytest.mark.parametrize("x0, y0", [(0.3, 0.1), (-0.71, -0.6)])
+def test_orbit_is_the_model_map_bit_for_bit(model, x0, y0):
+    traj = simulate_return_map(model, x0, y0, 10**4)
+    assert len(traj) == 10**4 + 1 and not traj.halted
+    # model.f one point at a time: numpy's vectorised power may differ from
+    # its scalar (libm) power in the last bit on some hosts.
+    assert np.array_equal(traj.xs[1:], [model.f(x) for x in traj.xs[:-1]])
+    assert np.array_equal(traj.ys[1:], model.H(traj.xs[:-1], traj.ys[:-1]))
+    assert np.array_equal(traj.itinerary, traj.xs > 0)
+
+
+def test_empirical_statistics_needs_a_positive_derivative():
+    model = LorenzModel(c=1.0, gamma=-0.01, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0))
+    traj = simulate_return_map(model, 0.5, 0.1, 50)
+    with pytest.raises(DomainError) as err:
+        empirical_statistics(traj, lambda x, y: x)
+    assert err.value.name == "expansion"
+
+
+def test_validate_grid_must_be_an_integer():
+    for bad in (2, 100.5, True):
+        with pytest.raises(InputError):
+            validate_lorenz(EXAMPLE, grid=bad)
+
+
 def test_empirical_statistics():
     traj = simulate_return_map(EXAMPLE, 0.6, 0.3, 2000)
     stats = empirical_statistics(traj, lambda x, y: x)
@@ -121,6 +175,11 @@ def test_model_json_round_trip():
         LorenzModel.from_json({"f": {"c": 1.9}, "H": doc["H"], "lambda": doc["lambda"]})
     with pytest.raises(InputError):
         LorenzModel.from_json({"f": doc["f"], "H": doc["H"], "lambda": [-1.0, 2.0]})
+    for key, part, bad in (("c", "f", math.nan), ("b", "H", math.inf), ("gamma", "f", "0.78")):
+        with pytest.raises(InputError, match=f"parameter {key} "):
+            LorenzModel.from_json({**doc, part: {**doc[part], key: bad}})
+    with pytest.raises(InputError, match=r"lambda\[2\]"):
+        LorenzModel.from_json({**doc, "lambda": [-3.0, -1.0, -math.inf]})
 
 
 @pytest.mark.parametrize(
