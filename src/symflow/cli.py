@@ -306,15 +306,11 @@ def _cmd_certify(args) -> None:
     print(f"certificate: {verdict}")
 
 
+# kind -> (required keys, optional keys) of a witness request
 _WITNESS_KEYS = {
-    "intermediate": {"kind", "sft", "g", "alpha", "c", "u", "mu0", "zeta", "tol", "tol_mean"},
-    "birkhoff_2d": {"kind", "sft", "g", "h", "alpha", "tol"},
-    "low_entropy_mean": {"kind", "sft", "g", "alpha", "h_cap", "tol"},
-}
-_WITNESS_REQUIRED = {
-    "intermediate": {"kind", "sft", "g", "alpha", "c"},
-    "birkhoff_2d": {"kind", "sft", "g", "h", "alpha"},
-    "low_entropy_mean": {"kind", "sft", "g", "alpha", "h_cap"},
+    "intermediate": ({"kind", "sft", "g", "alpha", "c"}, {"u", "mu0", "zeta", "tol", "tol_mean"}),
+    "birkhoff_2d": ({"kind", "sft", "g", "h", "alpha"}, {"tol"}),
+    "low_entropy_mean": ({"kind", "sft", "g", "alpha", "h_cap"}, {"tol"}),
 }
 
 
@@ -372,10 +368,11 @@ def _parse_witness_request(req) -> tuple:
     kind = req["kind"]
     if kind not in _WITNESS_KEYS:
         raise InputError(f"unknown witness kind {kind!r}")
-    extra = set(req) - _WITNESS_KEYS[kind]
+    required, optional = _WITNESS_KEYS[kind]
+    extra = set(req) - required - optional
     if extra:
         raise InputError(f"unknown request keys {sorted(extra)}")
-    missing = _WITNESS_REQUIRED[kind] - set(req)
+    missing = required - set(req)
     if missing:
         raise InputError(f"missing request keys {sorted(missing)}")
     for tname in ("tol", "tol_mean", "zeta", "h_cap"):

@@ -84,6 +84,20 @@ def _edge_tol(lo: float, hi: float) -> float:
     return 1e-9 * max(1.0, abs(lo), abs(hi))
 
 
+def _check_interior(model: _EdgeModel, alpha: float) -> None:
+    """Raise unless alpha lies strictly inside L_g, g the model's first function."""
+    coeffs = (1.0,) + (0.0,) * (len(model.funcs) - 1)
+    lo, _ = model.min_cycle(coeffs)
+    hi, _ = model.max_cycle(coeffs)
+    if hi - lo <= 1e-12:
+        raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
+    edge = _edge_tol(lo, hi)
+    if alpha < lo - edge or alpha > hi + edge:
+        raise DomainError(f"alpha outside L_g = [{lo:.12g}, {hi:.12g}]", name="outside_range")
+    if alpha <= lo + edge or alpha >= hi - edge:
+        raise DomainError("boundary: spectrum not computed", name="boundary")
+
+
 def _expand_bracket(f, centre=0.0, step=1.0):
     """Sign-change bracket of f (monotone up) around centre.
 
@@ -110,6 +124,27 @@ def _expand_bracket(f, centre=0.0, step=1.0):
     return lo, hi
 
 
+def _tilt(solve, alpha: float, beta0: float | None = None):
+    """(beta, sol = solve(beta)) with sol.means[0] = alpha, for a mean
+    nondecreasing in beta: a sign-change bracket grown from [-1, 1], or from
+    beta0 -+ 1e-3 max(1, |beta0|) given a nearby tilt, then brentq.  Each
+    beta is solved once, as brentq re-reads the bracket ends."""
+    sols = {}
+
+    def f(beta: float) -> float:
+        if beta not in sols:
+            sols[beta] = solve(beta)
+        return sols[beta].means[0] - alpha
+
+    if beta0 is None:
+        blo, bhi = _expand_bracket(f)
+    else:
+        blo, bhi = _expand_bracket(f, beta0, 1e-3 * max(1.0, abs(beta0)))
+    beta = float(brentq(f, blo, bhi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
+    f(beta)
+    return beta, sols[beta]
+
+
 def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: float, tol: float = 1e-10) -> SpectrumResult:
     """H(alpha) = sup{h(mu) : integral g dmu = alpha}, with dual witness.
 
@@ -119,22 +154,8 @@ def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: fl
     attaining the supremum.
     """
     model = _EdgeModel(sft, [g])
-    lo, _ = model.min_cycle((1.0,))
-    hi, _ = model.max_cycle((1.0,))
-    if hi - lo <= 1e-12:
-        raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
-    edge = _edge_tol(lo, hi)
-    if alpha < lo - edge or alpha > hi + edge:
-        raise DomainError(f"alpha outside L_g = [{lo:.12g}, {hi:.12g}]", name="outside_range")
-    if alpha <= lo + edge or alpha >= hi - edge:
-        raise DomainError("boundary: spectrum not computed", name="boundary")
-
-    def f(beta: float) -> float:
-        return model.solve((beta,)).means[0] - alpha
-
-    blo, bhi = _expand_bracket(f)
-    beta = float(brentq(f, blo, bhi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    sol = model.solve((beta,))
+    _check_interior(model, alpha)
+    beta, sol = _tilt(lambda b: model.solve((b,)), alpha)
     if abs(sol.means[0] - alpha) > max(tol, 1e-9):
         raise DomainError("tilt solve missed the target mean", name="no_convergence")
     H = sol.P - beta * alpha

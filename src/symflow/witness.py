@@ -5,6 +5,8 @@ Three constructions:
 * ``low_entropy_mean_witness`` glues the extreme mean cycles of g into a
   single ergodic chain whose mean is pinned at alpha while its entropy is
   driven as low as requested, by shrinking the switching probabilities.
+  The switch-back probability comes in closed form, so entropies down to
+  about 1e-14 are reachable.
 * ``intermediate_witness`` interpolates between that low-complexity chain
   and the fully supported equilibrium chain, re-tilting along the way so
   the mean stays at alpha, and root-finds along the path (brentq in the
@@ -20,9 +22,9 @@ import numpy as np
 from scipy.optimize import brentq, nnls
 
 from .errors import DomainError, InputError
-from .measures import InvariantMeasure, MarkovComponent, d_star
+from .measures import InvariantMeasure, MarkovComponent, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
-from .spectrum import _edge_tol, _expand_bracket, conditional_entropy_spectrum_2d
+from .spectrum import _check_interior, _edge_tol, _tilt, conditional_entropy_spectrum_2d
 from .thermo import _EdgeModel, _equilibrium
 
 __all__ = [
@@ -132,10 +134,11 @@ def low_entropy_mean_witness(
 
     The extreme-mean cycles of g are glued by shortest connectors at a
     window length where their window sets are disjoint; the switch-out
-    probability p controls entropy, the switch-back probability q is solved
-    so the mean lands exactly on alpha, and p is halved until the entropy
-    cap is met.  Entropy tends to zero with p, so any positive cap is
-    reachable.
+    probability p controls entropy and shrinks until the cap is met, and
+    the switch-back probability q that puts the mean on alpha is a closed
+    form: the mean equation is linear in x = 1/q, and p is halved while x
+    lies outside (1, 1e16).  That floor of q puts the floor of the entropy
+    at about 1e-14.
     """
     model = _EdgeModel(sft, [g])
     lo, cyc_lo = model.min_cycle((1.0,))
@@ -163,66 +166,58 @@ def low_entropy_mean_witness(
     conn2 = _connector(sft, m, Wp, set(Wm))
     chain = _TwoCycleChain(sft, m, Wm, Wp, conn1, conn2)
 
-    q_floor = 1e-16
-    p = 0.5
-    last = None
-    while p >= 1e-300:
-        def mean_at(q: float, _p=p) -> float:
-            return chain.component(_p, q).integrate(g) - alpha
+    # Renewal-reward at j = conn1[0]: each visit to j starts a lap of the
+    # minus cycle (probability 1 - p) or an excursion, whose expected (g-sum,
+    # length) is affine in x = 1/q, as q only sets the laps of the plus cycle.
+    # The p = 1 chain's stationary vector, scaled to 1 at j, counts the
+    # expected visits of one excursion.
+    r = np.array([g(w) for w in chain.states])
+    j = chain.states.index(conn1[0])
 
-        f_hi = mean_at(1.0)
-        f_lo = mean_at(q_floor)
-        if f_hi >= 0.0 or f_lo <= 0.0:
+    def excursion(q: float) -> np.ndarray:
+        V = stationary(chain.C + chain.Dp + q * chain.Dq)
+        return np.array([V @ r, V.sum()]) / V[j]
+
+    e1 = excursion(1.0)
+    slope = excursion(0.5) - e1
+    lap = np.array([sum(g(w) for w in Wm), len(Wm)])
+    w = np.array([1.0, -alpha])
+    p = 0.5
+    achieved = float("nan")
+    while p >= 1e-300:
+        # x solves ((1 - p) lap + p (e1 + (x - 1) slope)) . w = 0, i.e. mean alpha
+        x = 1.0 - ((1.0 - p) * lap + p * e1) @ w / (p * (slope @ w))
+        if not 1.0 < x < 1e16:  # q = 1/x in (1e-16, 1)
             p *= 0.5
             continue
-        q = float(brentq(mean_at, q_floor, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=300))
-        comp = chain.component(p, q)
-        last = comp
-        if comp.entropy() <= h_cap:
+        comp = chain.component(p, 1.0 / x)
+        achieved = comp.entropy()
+        if achieved <= h_cap:
             mu = InvariantMeasure.single(comp)
             if abs(mu.integrate(g) - alpha) > max(tol, 1e-9):
                 raise DomainError("mean solve missed the target", name="no_convergence")
             return mu
         p *= 0.25
-    achieved = last.entropy() if last is not None else float("nan")
-    raise DomainError(
-        f"h_cap below achievable floor: reached entropy {achieved:.6g}", name="h_cap"
-    )
+    raise DomainError(f"h_cap below achievable floor: reached entropy {achieved:.6g}", name="h_cap")
 
 
-def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, u_index: int | None, beta0: float | None = None):
+def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float | None = None):
     """Tilt the stochastic matrix Qt by beta*g so its mean lands on alpha.
 
     Returns (Q, pi, mean_g, value, beta) where value = entropy + mean of u
-    (or just the entropy when no u is supplied) and beta is the tilt found.
-    The tilted mean is nondecreasing in beta, so a sign-change bracket plus
-    brentq suffices.  The bracket grows from [-1, 1], or, given a guess
-    beta0 (such as the tilt of a nearby matrix on the same path), from
-    beta0 -+ 1e-3 max(1, |beta0|).  Each beta is solved once: brentq
-    re-reads the bracket ends and returns a point it evaluated.  Near the
-    deterministic end of the path the spectral gap of the tilted matrix
-    vanishes; ``thermo._equilibrium`` certifies its Perron root by a
-    Collatz-Wielandt bracket and needs no gap.
+    (just the entropy when the model has no u) and beta is the tilt found
+    by ``spectrum._tilt``, from beta0 when given (such as the tilt of a
+    nearby matrix on the same path).  Near the deterministic end of the
+    path the spectral gap of the tilted matrix vanishes;
+    ``thermo._equilibrium`` certifies its Perron root by a Collatz-Wielandt
+    bracket and needs no gap.
     """
-    Eg = model.edges[0]
-    mask = Qt > 0.0
-    off = float(Eg[mask].max())
-    edges = [Eg] + ([model.edges[u_index]] if u_index is not None else [])
-    sols = {}
+    zeros = (0.0,) * (len(model.funcs) - 1)
 
-    def f(beta: float) -> float:
-        if beta not in sols:
-            W = np.where(mask, Qt * np.exp(np.maximum(beta * (Eg - off), -700.0)), 0.0)
-            sols[beta] = _equilibrium(W, mask, edges)
-        return sols[beta].means[0] - alpha
+    def solve(beta: float):
+        return _equilibrium(Qt * model.weights((beta,) + zeros)[0], model.mask, model.edges)
 
-    if beta0 is None:
-        blo, bhi = _expand_bracket(f)
-    else:
-        blo, bhi = _expand_bracket(f, beta0, 1e-3 * max(1.0, abs(beta0)))
-    beta = float(brentq(f, blo, bhi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    f(beta)
-    sol = sols[beta]
+    beta, sol = _tilt(solve, alpha, beta0)
     return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
 
 
@@ -250,24 +245,10 @@ def intermediate_witness(
     """
     funcs = [g] + ([u] if u is not None else [])
     model = _EdgeModel(sft, funcs)
-    lo, _ = model.min_cycle((1.0,) + (0.0,) * (len(funcs) - 1))
-    hi, _ = model.max_cycle((1.0,) + (0.0,) * (len(funcs) - 1))
-    if hi - lo <= 1e-12:
-        raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
-    edge = _edge_tol(lo, hi)
-    if alpha < lo - edge or alpha > hi + edge:
-        raise DomainError(f"alpha outside L_g = [{lo:.12g}, {hi:.12g}]", name="outside_range")
-    if alpha <= lo + edge or alpha >= hi - edge:
-        raise DomainError("boundary: spectrum not computed", name="boundary")
+    _check_interior(model, alpha)
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
-    def top_mean(beta: float) -> float:
-        coeffs = (beta, 1.0) if u is not None else (beta,)
-        return model.solve(coeffs).means[0] - alpha
-
-    blo, bhi = _expand_bracket(top_mean)
-    beta_top = float(brentq(top_mean, blo, bhi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    sol_top = model.solve((beta_top, 1.0) if u is not None else (beta_top,))
+    _, sol_top = _tilt(lambda b: model.solve((b, 1.0) if u is not None else (b,)), alpha)
     P_top = sol_top.entropy + (sol_top.means[1] if u is not None else 0.0)
     band_tol = max(tol, 1e-9) * (1.0 + abs(c))
     if c > P_top + band_tol:
@@ -283,7 +264,6 @@ def intermediate_witness(
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
 
     # low endpoint, with the cap shrunk until the tilted path starts below c
-    u_index = 1 if u is not None else None
     h_cap = min(0.05, max(c / 4.0, 1e-6)) if u is None else 0.05
     need_memory = max(model.rec.m, 2)
     work = None
@@ -301,7 +281,7 @@ def intermediate_witness(
             Qlow = np.where(missing, 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
             # Qlow has mean alpha up to the 1e-9 fill, so its tilt is near 0.
-            low = _tilted_chain(work, Qlow, alpha, u_index, 0.0)
+            low = _tilted_chain(work, Qlow, alpha, 0.0)
         except DomainError:
             if achieved_min is None:
                 raise
@@ -321,7 +301,7 @@ def intermediate_witness(
     if mu0 is None:
         Q0, Q1 = Qlow, Qtop
         end0 = low
-        end1 = _tilted_chain(work, Qtop, alpha, u_index, low[4])
+        end1 = _tilted_chain(work, Qtop, alpha, low[4])
     else:
         Qm0 = _markovize(work, mu0)
         beta0 = beta1 = None  # each end's tilt at the previous lam
@@ -329,8 +309,8 @@ def intermediate_witness(
             lam = 1.0 - 2.0 ** (-j) if j > 0 else 0.0
             cand0 = (1.0 - lam) * Qlow + lam * Qm0
             cand1 = (1.0 - lam) * Qtop + lam * Qm0
-            end0 = _tilted_chain(work, cand0, alpha, u_index, beta0)
-            end1 = _tilted_chain(work, cand1, alpha, u_index, beta1)
+            end0 = _tilted_chain(work, cand0, alpha, beta0)
+            end1 = _tilted_chain(work, cand1, alpha, beta1)
             beta0, beta1 = end0[4], end1[4]
             if end0[3] <= c - band_tol and end1[3] >= c - band_tol:
                 break
@@ -351,7 +331,7 @@ def intermediate_witness(
         def level(t: float) -> float:
             nonlocal last
             if t not in evals:
-                evals[t] = last = _tilted_chain(work, (1.0 - t) * Q0 + t * Q1, alpha, u_index, last[4])
+                evals[t] = last = _tilted_chain(work, (1.0 - t) * Q0 + t * Q1, alpha, last[4])
             return evals[t][3] - c
 
         brentq(level, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=300, disp=False)

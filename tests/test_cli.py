@@ -398,6 +398,25 @@ def test_witness_request_validation(files, tmp_path):
         assert err.startswith("error:")
 
 
+def test_witness_request_keys_are_named(files, tmp_path):
+    base = {
+        "kind": "low_entropy_mean",
+        "sft": json.loads(files["full2"].read_text()),
+        "g": json.loads(files["g"].read_text()),
+        "alpha": 0.3,
+    }
+    cases = [
+        (dict(base, h_cap=0.05, c=0.3), "error: input: unknown request keys ['c']"),
+        (base, "error: input: missing request keys ['h_cap']"),
+    ]
+    for i, (req, message) in enumerate(cases):
+        reqfile = tmp_path / f"req{i}.json"
+        reqfile.write_text(json.dumps(req))
+        code, _, err = run_cli("witness", "--request", reqfile, "--out", tmp_path / f"w{i}.json")
+        assert code == 1, req
+        assert err.strip() == message
+
+
 def test_lorenz_validate_command(files):
     code, out, _ = run_cli("lorenz-validate", "--model", files["model"])
     assert code == 0

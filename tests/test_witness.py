@@ -62,6 +62,53 @@ def test_low_entropy_witness_rejects_boundary(full2):
         low_entropy_mean_witness(full2, g, 0.5, 0.0)  # nonpositive cap
 
 
+@pytest.mark.parametrize("alpha, cap", [(0.9, 1e-8), (0.3, 1e-12), (0.5, 1e-12)])
+def test_low_entropy_witness_small_caps(full2, alpha, cap):
+    # The switch-back probability comes in closed form, so caps far below the
+    # old root-finder's reach still land on the mean.
+    g = ind1(full2)
+    mu = low_entropy_mean_witness(full2, g, alpha, cap)
+    assert mu.ergodic
+    assert abs(mu.integrate(g) - alpha) <= 1e-14
+    assert mu.entropy() <= cap
+
+
+def test_low_entropy_witness_entropy_floor(full2):
+    # Near the plus end the switch-back probability would have to drop
+    # below 1e-16 to reach entropy 1e-14.
+    with pytest.raises(DomainError) as e:
+        low_entropy_mean_witness(full2, ind1(full2), 0.9, 1e-14)
+    assert e.value.name == "h_cap"
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.8])
+def test_low_entropy_witness_shared_connector_state(alpha):
+    # Both connectors run through the corridor state (1, 3), which the chain
+    # leaves half and half: the excursion from the minus cycle is random
+    # even before the plus cycle is reached.
+    corridor = Sft([[1, 1, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]])
+    g = LocallyConstantFunction(corridor, 1, {(0,): 0.0, (1,): 0.5, (2,): 1.0, (3,): 0.5})
+    mu = low_entropy_mean_witness(corridor, g, alpha, 1e-9)
+    assert (1, 3) in mu.components[0].states
+    assert mu.ergodic
+    assert abs(mu.integrate(g) - alpha) <= 1e-14
+    assert mu.entropy() <= 1e-9
+
+
+def test_low_entropy_witness_builds_few_components(full2, monkeypatch):
+    # One chain per tried switch-out probability p, with no solve in q.
+    built = []
+    init = MarkovComponent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarkovComponent, "__init__", counted)
+    low_entropy_mean_witness(full2, ind1(full2), 0.3, 1e-8)
+    assert 0 < len(built) <= 20
+
+
 def test_intermediate_witness_named_point(full2):
     g = ind1(full2)
     alpha = 0.3
@@ -174,8 +221,8 @@ def test_intermediate_witness_snaps_to_the_top_end(full2, monkeypatch):
     tilt = witness._tilted_chain
     log = []
 
-    def logged(model, Qt, alpha, u_index, beta0=None):
-        out = tilt(model, Qt, alpha, u_index, beta0)
+    def logged(model, Qt, alpha, beta0=None):
+        out = tilt(model, Qt, alpha, beta0)
         log.append((beta0, out[3]))
         return out
 
@@ -202,13 +249,30 @@ def test_tilted_chain_warm_start(full2, monkeypatch):
     Q = model.solve((0.7,)).Q
     near = 0.999 * Q + 0.001 * model.solve((-0.2,)).Q
     calls = _count_equilibrium(monkeypatch, witness)
-    *_, beta = witness._tilted_chain(model, Q, 0.4, None)
+    *_, beta = witness._tilted_chain(model, Q, 0.4)
     cold = len(calls)
     calls.clear()
-    _, _, mean, _, beta_near = witness._tilted_chain(model, near, 0.4, None, beta)
+    _, _, mean, _, beta_near = witness._tilted_chain(model, near, 0.4, beta)
     assert abs(mean - 0.4) < 1e-12
     assert abs(beta_near - beta) < 1e-2
     assert len(calls) < cold
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("frac", [1e-4, 0.05, 0.3, 0.7, 0.95, 1.0 - 1e-4])
+def test_tilted_chain_matches_the_spectrum(k, frac):
+    # Tilting the uniform chain on a full shift is tilting the potential
+    # itself, so the two tilt paths must agree.
+    sft = Sft(np.ones((k, k), dtype=int))
+    g = ind1(sft)
+    model = _EdgeModel(sft, [g])
+    uniform = model.mask / model.mask.sum(axis=1, keepdims=True)
+    alpha = frac  # L_g = [0, 1]
+    spec = conditional_entropy_spectrum(sft, g, alpha)
+    _, _, mean, value, beta = witness._tilted_chain(model, uniform, alpha)
+    assert abs(beta - spec.beta) <= 1e-10 * max(1.0, abs(beta))
+    assert abs(value - spec.entropy) <= 1e-12
+    assert abs(mean - alpha) <= 1e-12
 
 
 def _mean_minus(model, alpha, coeffs, calls):
