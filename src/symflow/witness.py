@@ -249,7 +249,7 @@ def intermediate_witness(
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
     _, sol_top = _tilt(lambda b: model.solve((b, 1.0) if u is not None else (b,)), alpha)
-    P_top = sol_top.entropy + (sol_top.means[1] if u is not None else 0.0)
+    P_top = sol_top.entropy + sum(sol_top.means[1:])
     band_tol = max(tol, 1e-9) * (1.0 + abs(c))
     if c > P_top + band_tol:
         raise DomainError(f"c outside admissible band: maximum {P_top:.12g}", name="band")
