@@ -114,9 +114,7 @@ def _cmd_entropy(args) -> None:
 
 
 def _pressure_point(payload):
-    sft_doc, g_doc, beta, tol = payload
-    sft = Sft.from_json(sft_doc)
-    g = LocallyConstantFunction.from_json(sft, g_doc)
+    sft, g, beta, tol = payload
     res = pressure(sft, g * beta, tol=tol)
     return (beta, res.value, res.equilibrium.integrate(g), res.equilibrium.entropy())
 
@@ -127,7 +125,7 @@ def _cmd_pressure(args) -> None:
     g = _load_fn(sft, args.g)
     if args.beta_grid is not None:
         betas = _parse_grid(args.beta_grid)
-        payloads = [(sft.to_json(), g.to_json(), float(b), args.tol) for b in betas]
+        payloads = [(sft, g, float(b), args.tol) for b in betas]
         rows = _run_grid(_pressure_point, payloads, args.jobs)
         comments = [f"symflow {__version__} config={config_hash(_config_dict(args))}"]
         _emit_csv(args.out, ["beta", "P", "mean", "entropy"], rows, comments)
@@ -149,9 +147,7 @@ def _cmd_pressure(args) -> None:
 
 
 def _spectrum_point(payload):
-    sft_doc, g_doc, alpha, tol = payload
-    sft = Sft.from_json(sft_doc)
-    g = LocallyConstantFunction.from_json(sft, g_doc)
+    sft, g, alpha, tol = payload
     try:
         res = conditional_entropy_spectrum(sft, g, alpha, tol=tol)
     except DomainError as exc:
@@ -166,7 +162,7 @@ def _cmd_spectrum(args) -> None:
     g = _load_fn(sft, args.g)
     if args.alpha_grid is not None:
         alphas = _parse_grid(args.alpha_grid)
-        payloads = [(sft.to_json(), g.to_json(), float(a), args.tol) for a in alphas]
+        payloads = [(sft, g, float(a), args.tol) for a in alphas]
         rows = _run_grid(_spectrum_point, payloads, args.jobs)
         comments = [f"symflow {__version__} config={config_hash(_config_dict(args))}"]
         _emit_csv(

@@ -770,7 +770,7 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
             wts = np.exp(-s * (base - b0))
             Gm = np.bincount(combo, weights=wts, minlength=Kp * Ks).reshape(Kp, Ks)
             M = np.exp(-s * cross)
-            lam, _ = _perron_right(M @ Gm)
+            lam, _, _ = _perron_right(M @ Gm)
             return float(np.log(lam)) - s * b0
 
     if hi - lo < 1e-15:

@@ -116,12 +116,31 @@ def _cell(v) -> str:
     return str(v)
 
 
+# printf forms that render a cell of this exact type as ``_cell`` does, for
+# finite floats: "%.17g" and format(x, ".17g") are the same conversion.
+_PRINTF = {int: "%d", float: "%.17g", np.float64: "%.17g"}
+
+
 def csv_text(header, rows, comments=()) -> str:
-    """CSV with a header row; comment lines are prefixed with '# '."""
+    """CSV with a header row; comment lines are prefixed with '# '.
+
+    A row of plain ints and floats is formatted by one printf-style format
+    per type signature; a row with any other cell, or with a NaN or an
+    infinity (the only outputs holding an "n"), goes cell by cell."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(str(h) for h in header))
+    formats: dict = {}
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            specs = [_PRINTF.get(t) for t in kinds]
+            formats[kinds] = ",".join(specs) if specs and None not in specs else None
+        fmt = formats[kinds]
+        line = fmt % row if fmt else None
+        if line is None or "n" in line:
+            line = ",".join(_cell(v) for v in row)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

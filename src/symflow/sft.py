@@ -4,9 +4,10 @@ An SFT is the set of bi-infinite symbol sequences over {0, ..., k-1} whose
 consecutive pairs are allowed by a 0/1 transition matrix A.  Everything
 downstream (pressure, spectra, horseshoes) reduces to finite linear algebra
 on A or on a block recoding of it, so this module also carries the one
-Perron solver of the package (a dense ``eig`` start refined by shifted
-inverse iteration until a Collatz-Wielandt bracket certifies the root) and
-the word enumeration with its budget guard.
+Perron solver of the package (a dense ``eig`` start, or a warm start from a
+nearby vector, refined by shifted inverse iteration until a
+Collatz-Wielandt bracket certifies the root) and the word enumeration with
+its budget guard.
 """
 
 from __future__ import annotations
@@ -121,50 +122,83 @@ def _require_irreducible(sft: Sft):
         raise DomainError("transition matrix is reducible; trim or restrict first", name="reducible")
 
 
-def _perron_right(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
-    """Perron root and positive right vector (sum 1) of an irreducible
-    nonnegative matrix, certified by a Collatz-Wielandt bracket.
+def _perron_right(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None, r0=None):
+    """Perron root, positive right vector (sum 1) and start of an irreducible
+    nonnegative matrix, the root certified by a Collatz-Wielandt bracket.
+
+    Cold start (``start`` is ``"cold"``):
 
     1. Start from the dense ``eig`` vector (``rng`` scales it entrywise).
     2. Unless that vector already certifies, take n power steps on B + cI
        with c = eps * (eig's root): every entry becomes positive and takes
        its scale from its successors, not from the noise or exact zeros
        ``eig`` returns for entries far below the largest.
-    3. Run inverse iteration on the balanced matrix diag(r)^-1 B diag(r)
-       with shift sigma = hi + min(hi - lo, 1e-6 * hi) > lambda, folding
-       each solution (floored at eps times its maximum) into r.
+    3. Refine by ``_inverse_iteration`` until the bracket certifies.
 
-    lo and hi are the extreme row sums of the balanced matrix, i.e. the
-    Collatz-Wielandt ratios (Br)_i / r_i, so lo <= lambda <= hi; the sums
-    have no cancellation, so the bracket is exact to a few ulps however
-    small the entries of r.  The root comes back once hi - lo <= tol * lo.
-    Near the root the shift is hi + (hi - lo) and the bracket shrinks
-    quadratically; the 1e-6 cap lets entries that start orders of
-    magnitude too large fall by a factor up to 1e-6 per step.  If for
-    three steps neither the relative width halves nor an entry of r moves
-    by a factor 2, the bracket has stalled and ``iteration_cap`` is raised
-    with it.
+    Warm start (``start`` is ``"warm"``): given a positive ``r0``, such as
+    the right vector of a nearby matrix, skip ``eig`` and the power steps and
+    go straight to ``_inverse_iteration`` from r0, with one more step once
+    the bracket certifies, so that the vector is as accurate as ``eig``'s.
+    If that stalls, the cold start runs after all (``start`` is
+    ``"fallback"``, which ``thermo._Solve.start`` records, so fallbacks can be
+    counted).  Either way the root carries the same certificate.
+    ``thermo._EdgeModel.solve`` passes the vector of its previous solve on
+    recodings of at least ``thermo._WARM_START_MIN_STATES`` states; below
+    that the dense ``eig`` is the cheaper start.
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     if not (B > 0).any():
         raise DomainError("matrix has no positive entries", name="degenerate")
+    start = "cold"
+    if r0 is not None:
+        r0 = np.asarray(r0, dtype=float)
+        try:
+            return (*_inverse_iteration(B, np.maximum(r0 / r0.max(), _TINY), tol, maxiter, polish=True), "warm")
+        except DomainError as exc:
+            if exc.name != "iteration_cap":
+                raise
+        start = "fallback"
     vals, vecs = np.linalg.eig(B)
     i = int(np.argmax(vals.real))
     r = np.abs(np.real(vecs[:, i]))
     if rng is not None:
         r = r * rng.uniform(0.5, 1.5, size=n)
+    _, lo, hi = _balanced(B, r)
+    if hi - lo <= tol * lo:
+        return 0.5 * (lo + hi), r / r.sum(), start
+    c = _EPS * max(float(vals.real[i]), 0.0)
+    for _ in range(n):
+        r = B @ r + c * r
+        r /= r.max()
+    return (*_inverse_iteration(B, np.maximum(r, _TINY), tol, maxiter), start)
+
+
+def _inverse_iteration(B: np.ndarray, r: np.ndarray, tol: float, maxiter: int, polish: bool = False):
+    """(root, r / sum r): inverse iteration on the balanced matrix
+    diag(r)^-1 B diag(r) from a positive r until the Collatz-Wielandt
+    bracket certifies the root.
+
+    Each step solves (sigma I - balanced) x = 1 with shift
+    sigma = hi + min(hi - lo, 1e-6 * hi) > lambda and folds x (floored at
+    eps times its maximum) into r.  lo and hi are the extreme row sums of the
+    balanced matrix, i.e. the Collatz-Wielandt ratios (Br)_i / r_i, so
+    lo <= lambda <= hi; the sums have no cancellation, so the bracket is
+    exact to a few ulps however small the entries of r.  The root comes back
+    once hi - lo <= tol * lo; with ``polish``, after one more step from the
+    certified bracket unless hi == lo, where sigma I - balanced is singular.
+    Near the root the shift is hi + (hi - lo) and the bracket shrinks
+    quadratically; the 1e-6 cap lets entries that start orders of magnitude
+    too large fall by a factor up to 1e-6 per step.  If for three steps
+    neither the relative width halves nor an entry of r moves by a factor 2,
+    the bracket has stalled and ``iteration_cap`` is raised with it.
+    """
+    n = B.shape[0]
     balanced, lo, hi = _balanced(B, r)
-    if not hi - lo <= tol * lo:
-        c = _EPS * max(float(vals.real[i]), 0.0)
-        for _ in range(n):
-            r = B @ r + c * r
-            r /= r.max()
-        r = np.maximum(r, _TINY)
-        balanced, lo, hi = _balanced(B, r)
     best, stalled = np.inf, 0
     for _ in range(maxiter + 1):
-        if hi - lo <= tol * lo:
+        certified = hi - lo <= tol * lo
+        if certified and not (polish and hi > lo):
             return 0.5 * (lo + hi), r / r.sum()
         width = (hi - lo) / lo if lo > 0.0 else np.inf
         if stalled >= 3:
@@ -179,6 +213,7 @@ def _perron_right(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
         r = r * x
         r /= r.max()
         balanced, lo, hi = _balanced(B, r)
+        polish = polish and not certified
     raise DomainError(
         f"Perron bracket stalled at [{lo:.17g}, {hi:.17g}], wider than tol = {tol:.3g} relative",
         name="iteration_cap",
@@ -198,11 +233,12 @@ def perron_root(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
     """Perron root and positive right/left eigenvectors of an irreducible
     nonnegative matrix.
 
-    Each vector comes from ``_perron_right`` (on B and on its transpose): a
-    dense ``eig`` start, n power steps on B + cI, then shifted inverse
-    iteration on the balanced matrix until the Collatz-Wielandt bracket
-    certifies the root to relative error <= tol.  Vectors are normalised to
-    sum 1.
+    Each vector comes from ``_perron_right`` (on B and on its transpose),
+    always cold: a dense ``eig`` start, n power steps on B + cI, then shifted
+    inverse iteration on the balanced matrix until the Collatz-Wielandt
+    bracket certifies the root to relative error <= tol.  (The warm start
+    from a nearby vector, with its counted fallback to this cold start, is
+    for the tilt paths of ``spectrum``.)  Vectors are normalised to sum 1.
 
     Parameters
     ----------
@@ -212,15 +248,15 @@ def perron_root(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
     rng : optional numpy Generator; randomises the starting vector (used to
         check that results do not depend on initialisation)
     """
-    lam, right = _perron_right(B, tol=tol, maxiter=maxiter, rng=rng)
-    _, left = _perron_right(np.asarray(B, dtype=float).T, tol=tol, maxiter=maxiter, rng=rng)
+    lam, right, _ = _perron_right(B, tol=tol, maxiter=maxiter, rng=rng)
+    _, left, _ = _perron_right(np.asarray(B, dtype=float).T, tol=tol, maxiter=maxiter, rng=rng)
     return lam, right, left
 
 
 def topological_entropy(sft: Sft, tol: float = 1e-12) -> float:
     """log of the Perron root of A; requires an irreducible SFT."""
     _require_irreducible(sft)
-    lam, _ = _perron_right(sft.A, tol=tol)
+    lam, _, _ = _perron_right(sft.A, tol=tol)
     return float(np.log(lam))
 
 

@@ -155,15 +155,16 @@ def test_pressure_grid_csv(files, tmp_path):
 
 
 def test_pressure_grid_parallel_rows_match(files, tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    for path, jobs in ((serial, "1"), (parallel, "2")):
-        code, _, _ = run_cli(
-            "pressure", "--sft", files["full2"], "--g", files["g"],
-            "--beta-grid=-1:1:7", "--jobs", jobs, "--out", path,
-        )
-        assert code == 0
-    # Comments embed the config hash (which covers --jobs); the data must agree.
-    assert read_csv(serial)[1:] == read_csv(parallel)[1:]
+    for command, grid in (("pressure", "--beta-grid=-1:1:7"), ("spectrum", "--alpha-grid=0:1:7")):
+        serial, parallel = tmp_path / f"{command}-s.csv", tmp_path / f"{command}-p.csv"
+        for path, jobs in ((serial, "1"), (parallel, "2")):
+            code, _, _ = run_cli(
+                command, "--sft", files["full2"], "--g", files["g"],
+                grid, "--jobs", jobs, "--out", path,
+            )
+            assert code == 0
+        # Comments embed the config hash (which covers --jobs); the data must agree.
+        assert read_csv(serial)[1:] == read_csv(parallel)[1:]
 
 
 def test_spectrum_single(files, tmp_path):
@@ -503,3 +504,47 @@ def test_seeded_commands_are_byte_identical(files, tmp_path):
     first = cert.read_bytes()
     code, _, _ = run_cli(*argv)
     assert cert.read_bytes() == first
+
+
+def _reference_csv_text(header, rows, comments=()) -> str:
+    """The cell-by-cell CSV formatter that ``jsonio.csv_text`` must match byte for byte."""
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            x = float(v)
+            if x != x:
+                return "NaN"
+            if x in (float("inf"), float("-inf")):
+                return "Infinity" if x > 0 else "-Infinity"
+            return format(x, ".17g")
+        return str(v)
+
+    lines = [f"# {c}" for c in comments] + [",".join(str(h) for h in header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_matches_cell_by_cell_formatting():
+    from symflow.jsonio import csv_text
+
+    floats = np.random.default_rng(0).normal(size=40) * 10.0 ** np.arange(-300, 300, 15)
+    nasty = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 0.1, 2.0**53 + 1, 1.7976931348623157e308]
+    rows = [(k, float(x), np.float64(-x), k % 3) for k, x in enumerate(list(floats) + nasty)]
+    rows += [
+        (1, float("nan"), 2.5, 0),
+        (2, 1.5, float("inf"), 0),
+        (3, float("-inf"), np.float64("nan"), 1),
+        (None, True, np.bool_(False), "ok"),
+        (np.int64(-7), 10**30, np.float32(0.1), None),
+        [4, 0.25, -0.5, 1],
+        (),
+        (0.5,),
+    ]
+    header, comments = ["a", "b", "c", "d"], ["symflow test", "halted=false"]
+    assert csv_text(header, rows, comments) == _reference_csv_text(header, rows, comments)

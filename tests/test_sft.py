@@ -10,6 +10,7 @@ from symflow.errors import DomainError, InputError
 from symflow.sft import (
     LocallyConstantFunction,
     Sft,
+    _perron_right,
     admissible_words,
     block_recode,
     is_irreducible,
@@ -76,6 +77,39 @@ def test_perron_root_against_dense_eigensolver():
         lam, _, _ = perron_root(B)
         ref = np.abs(np.linalg.eigvals(B)).max()
         assert abs(lam - ref) < 1e-9 * max(1.0, ref)
+
+
+def test_warm_start_certifies_the_cold_root(full2):
+    # From the vector of a nearby tilt, the warm start skips eig and lands on
+    # the cold root and vector; without its extra step after the bracket
+    # certifies, the vector is only about 1e-12 accurate.
+    from symflow.thermo import _EdgeModel
+
+    words = admissible_words(full2, 7)
+    g = LocallyConstantFunction(full2, 7, dict(zip(words, np.random.default_rng(7).normal(size=len(words)))))
+    model = _EdgeModel(full2, [g])
+    _, near, _ = _perron_right(model.weights((0.3,))[0])
+    B = model.weights((0.31,))[0]
+    lam, right, start = _perron_right(B, r0=near)
+    cold, cold_right, cold_start = _perron_right(B)
+    assert (start, cold_start) == ("warm", "cold")
+    assert abs(lam - cold) <= 1e-12 * cold
+    assert np.abs(right / cold_right - 1.0).max() <= 1e-13
+    # An exact start gives hi == lo, where the extra step's matrix is singular.
+    lam, right, start = _perron_right(np.ones((2, 2)), r0=np.ones(2))
+    assert (lam, start) == (2.0, "warm") and np.array_equal(right, [0.5, 0.5])
+
+
+def test_stalled_warm_start_falls_back_to_the_cold_solve():
+    # Two nearly decoupled blocks with roots 1 and 1 - 1e-6.  Started from the
+    # second block's vector, inverse iteration only halves the first block's
+    # deficit per step: the bracket stalls and the solve starts again from eig.
+    A = np.full((2, 2), 0.5)
+    B = np.block([[A, 1e-6 * np.ones((2, 2))], [1e-6 * np.ones((2, 2)), (1 - 1e-6) * A]])
+    lam, right, start = _perron_right(B, r0=np.array([1e-3, 1e-3, 1.0, 1.0]))
+    cold, cold_right, _ = _perron_right(B)
+    assert start == "fallback"
+    assert lam == cold and np.array_equal(right, cold_right)
 
 
 def test_entropy_values_and_runtime(full2, golden):

@@ -368,3 +368,55 @@ def test_each_tilt_is_solved_once(full2, golden, monkeypatch):
     res = flow_conditional_spectrum(system, ind1(golden), 0.2)
     assert len(solved) > 5 and len(set(solved)) == len(solved)
     assert (res.beta, -res.beta * 0.2 - res.s) in solved
+
+
+def _memory7_table(full2, seed: int) -> LocallyConstantFunction:
+    words = admissible_words(full2, 7)
+    return LocallyConstantFunction(full2, 7, dict(zip(words, np.random.default_rng(seed).normal(size=len(words)))))
+
+
+def test_a_64_state_spectrum_point_makes_one_eig_call(full2, golden, monkeypatch):
+    # The first solve of a path starts from eig; every later one is warm-started
+    # from the vector before it.  Below the size crossover every solve is cold.
+    from symflow import sft as sft_module
+    from symflow import thermo
+
+    eig, equilibrium = sft_module.np.linalg.eig, thermo._equilibrium
+    calls, starts = [], []
+
+    def spy_eig(B):
+        calls.append(B.shape)
+        return eig(B)
+
+    def spy_equilibrium(*args, **kwargs):
+        sol = equilibrium(*args, **kwargs)
+        starts.append(sol.start)
+        return sol
+
+    monkeypatch.setattr(sft_module.np.linalg, "eig", spy_eig)
+    monkeypatch.setattr(thermo, "_equilibrium", spy_equilibrium)
+    g = _memory7_table(full2, 7)
+    rng = birkhoff_range(full2, g)
+    conditional_entropy_spectrum(full2, g, rng.lo + 0.4 * (rng.hi - rng.lo))
+    assert calls == [(64, 64)]
+    assert starts[0] == "cold" and len(starts) > 5 and set(starts[1:]) == {"warm"}
+
+    calls.clear()
+    starts.clear()
+    g = ind1(golden) + (-0.3) * LocallyConstantFunction.indicator(golden, (1, 0, 1))
+    conditional_entropy_spectrum(golden, g, 0.3)
+    assert len(calls) == len(starts) > 5 and set(starts) == {"cold"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_spectrum_agrees_with_cold_pressure(full2, seed):
+    # pressure() always starts cold; at the tilt the warm path returns, its P
+    # and equilibrium mean must agree with the spectrum point.
+    g = _memory7_table(full2, seed)
+    rng = birkhoff_range(full2, g)
+    for s in (0.2, 0.5, 0.8):
+        alpha = rng.lo + s * (rng.hi - rng.lo)
+        res = conditional_entropy_spectrum(full2, g, alpha)
+        cold = pressure(full2, g * res.beta)
+        assert abs(cold.value - (res.entropy + res.beta * alpha)) <= 1e-12 * max(1.0, abs(cold.value))
+        assert abs(cold.equilibrium.integrate(g) - alpha) <= 1e-9
