@@ -3,6 +3,9 @@
 The conditional entropy spectrum H(alpha) = sup{h(mu) : integral g = alpha}
 is computed by tilting: solve mean(beta) = alpha where mean(beta) is the
 g-average of the equilibrium state of beta*g, then H = P(beta*g) - beta*alpha.
+The slope d mean/d beta is the asymptotic variance of g, known in closed form,
+so every mean tilt (``_tilt``, also used by ``witness``) is a bracketed
+Newton iteration.
 The same machinery, with two observables or with a roof function in the
 linear combination, gives the two-dimensional spectrum and the suspension
 flow spectrum.
@@ -15,6 +18,7 @@ equilibrium comes from the certified Perron solve in ``thermo``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,38 +128,74 @@ def _expand_bracket(f, centre=0.0, step=1.0):
     return lo, hi
 
 
-def _tilt(solve, alpha: float, beta0: float | None = None):
+def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
     """(beta, sol = solve(beta)) with sol.means[0] = alpha, for a mean
-    nondecreasing in beta: a sign-change bracket grown from [-1, 1], or from
-    beta0 -+ 1e-3 max(1, |beta0|) given a nearby tilt, then brentq.  Each
-    beta is solved once, as brentq re-reads the bracket ends."""
-    sols = {}
+    nondecreasing in beta.
 
-    def f(beta: float) -> float:
-        if beta not in sols:
-            sols[beta] = solve(beta)
-        return sols[beta].means[0] - alpha
+    Safeguarded Newton on f(beta) = mean(beta) - alpha from beta0, or from 0
+    when no beta0 is given.  The slope f' is the asymptotic variance of the
+    edge table ``edge`` under the chain of ``sol`` (``thermo._covariance``,
+    Parry & Pollicott 1990).  Each step narrows the sign-change bracket
+    [lo, hi] (both ends start infinite) and returns once f = 0, the Newton
+    step is within 1e-13 + 8.9e-16 |beta|, or the bracket is narrower than
+    that (brentq's xtol and rtol).  That test comes before the safeguard,
+    so a sign flip at roundoff level ends the solve instead of starting a
+    bisection.  A Newton step that leaves (lo, hi), or a variance that is
+    not positive and finite, is replaced by the midpoint when both ends are
+    finite, and otherwise by a move of max(1, |beta|) toward the root.
+    Each beta is solved once.  |beta| beyond 2^40 raises ``iteration_cap``
+    and 200 steps raise ``no_convergence``; both messages give the steps,
+    the bracket, the last beta and |mean - alpha|.
+    """
+    beta = 0.0 if beta0 is None else float(beta0)
+    lo, hi, f = -np.inf, np.inf, np.nan
 
-    if beta0 is None:
-        blo, bhi = _expand_bracket(f)
-    else:
-        blo, bhi = _expand_bracket(f, beta0, 1e-3 * max(1.0, abs(beta0)))
-    beta = float(brentq(f, blo, bhi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    f(beta)
-    return beta, sols[beta]
+    def failed(what: str, steps: int, name: str) -> DomainError:
+        return DomainError(
+            f"{what} after {steps} steps: bracket [{lo:.17g}, {hi:.17g}], beta {beta:.17g}, "
+            f"|mean - alpha| {abs(f):.3g}",
+            name=name,
+        )
+
+    for steps in range(200):
+        if abs(beta) > _BETA_CAP:
+            raise failed("tilt parameter diverged", steps, "iteration_cap")
+        sol = solve(beta)
+        f = sol.means[0] - alpha
+        if f > 0.0:
+            hi = beta
+        elif f < 0.0:
+            lo = beta
+        try:
+            var = float(_covariance(sol, [edge])[0, 0])
+        except np.linalg.LinAlgError:  # the chain has gone deterministic
+            var = np.nan
+        step = -f / var if 0.0 < var < np.inf else np.nan
+        tol = 1e-13 + 8.9e-16 * abs(beta)
+        if f == 0.0 or abs(step) <= tol or hi - lo < tol:
+            return beta, sol
+        nxt = beta + step
+        if not lo < nxt < hi:  # also when step is nan
+            if np.isfinite(lo) and np.isfinite(hi):
+                nxt = 0.5 * (lo + hi)
+            else:
+                nxt = beta - math.copysign(max(1.0, abs(beta)), f)
+        beta = nxt
+    raise failed("tilt solve did not converge", 200, "no_convergence")
 
 
 def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: float, tol: float = 1e-10) -> SpectrumResult:
     """H(alpha) = sup{h(mu) : integral g dmu = alpha}, with dual witness.
 
-    Solves mean(beta) = alpha (the mean of the beta*g equilibrium is
-    nondecreasing in beta) and evaluates H = P(beta*g) - beta*alpha.  The
+    Solves mean(beta) = alpha by the Newton tilt ``_tilt`` (the mean of the
+    beta*g equilibrium is nondecreasing in beta, with the asymptotic variance
+    of g as slope) and evaluates H = P(beta*g) - beta*alpha.  The
     witness is the equilibrium chain itself: ergodic, fully supported, and
     attaining the supremum.
     """
     model = _EdgeModel(sft, [g])
     _check_interior(model, alpha)
-    beta, sol = _tilt(lambda b: model.solve((b,)), alpha)
+    beta, sol = _tilt(lambda b: model.solve((b,)), model.edges[0], alpha)
     if abs(sol.means[0] - alpha) > max(tol, 1e-9):
         raise DomainError("tilt solve missed the target mean", name="no_convergence")
     H = sol.P - beta * alpha

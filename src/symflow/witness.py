@@ -10,8 +10,8 @@ Three constructions:
 * ``intermediate_witness`` interpolates between that low-complexity chain
   and the fully supported equilibrium chain, re-tilting along the way so
   the mean stays at alpha, and root-finds along the path (brentq in the
-  path parameter, each tilt warm-started from the last) until
-  h + integral(u) hits the requested level c.
+  path parameter; each tilt a Newton iteration on the mean, warm-started
+  from the last) until h + integral(u) hits the requested level c.
 * ``orthant_combination`` produces nonnegative mixture weights matching a
   vector of target ratios from candidates that straddle every orthant.
 """
@@ -206,9 +206,10 @@ def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float 
 
     Returns (Q, pi, mean_g, value, beta) where value = entropy + mean of u
     (just the entropy when the model has no u) and beta is the tilt found
-    by ``spectrum._tilt``, from beta0 when given (such as the tilt of a
-    nearby matrix on the same path).  Near the deterministic end of the
-    path the spectral gap of the tilted matrix vanishes;
+    by the Newton iteration of ``spectrum._tilt`` (slope: the asymptotic
+    variance of g under the tilted chain), from beta0 when given (such as
+    the tilt of a nearby matrix on the same path).  Near the deterministic
+    end of the path the spectral gap of the tilted matrix vanishes;
     ``thermo._equilibrium`` certifies its Perron root by a Collatz-Wielandt
     bracket and needs no gap.
     """
@@ -217,7 +218,7 @@ def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float 
     def solve(beta: float):
         return _equilibrium(Qt * model.weights((beta,) + zeros)[0], model.mask, model.edges)
 
-    beta, sol = _tilt(solve, alpha, beta0)
+    beta, sol = _tilt(solve, model.edges[0], alpha, beta0)
     return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
 
 
@@ -235,11 +236,14 @@ def intermediate_witness(
     """Ergodic, fully supported measure with integral g = alpha and
     h + integral u = c (entropy alone when u is omitted).
 
-    The path runs from a near-deterministic chain with mean alpha to the
-    constrained equilibrium, entrywise in the transition matrices; every
-    point of the path is re-tilted to keep the mean pinned, starting from
-    the tilt last solved on the path, and the level c is located by brentq
-    in the path parameter; the evaluated chain closest to c is returned.
+    The top end is the equilibrium of u + beta*g with mean alpha, found by
+    the Newton tilt ``spectrum._tilt``.  The path runs from a
+    near-deterministic chain with mean alpha to the constrained
+    equilibrium, entrywise in the transition matrices; every point of the
+    path is re-tilted by the same Newton iteration to keep the mean pinned,
+    starting from the tilt last solved on the path, and the level c is
+    located by brentq in the path parameter; the evaluated chain closest to
+    c is returned.
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0.
     """
@@ -248,7 +252,7 @@ def intermediate_witness(
     _check_interior(model, alpha)
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
-    _, sol_top = _tilt(lambda b: model.solve((b, 1.0) if u is not None else (b,)), alpha)
+    _, sol_top = _tilt(lambda b: model.solve((b, 1.0) if u is not None else (b,)), model.edges[0], alpha)
     P_top = sol_top.entropy + sum(sol_top.means[1:])
     band_tol = max(tol, 1e-9) * (1.0 + abs(c))
     if c > P_top + band_tol:

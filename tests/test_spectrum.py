@@ -360,7 +360,7 @@ def test_each_tilt_is_solved_once(full2, golden, monkeypatch):
     g = LocallyConstantFunction(full2, 3, dict(zip(admissible_words(full2, 3), np.random.default_rng(3).normal(size=8))))
     rng = birkhoff_range(full2, g)
     res = conditional_entropy_spectrum(full2, g, rng.lo + 0.3 * (rng.hi - rng.lo))
-    assert len(solved) > 5 and len(set(solved)) == len(solved)
+    assert 3 <= len(solved) <= 5 and len(set(solved)) == len(solved)
     assert (res.beta,) in solved
 
     solved.clear()
@@ -399,7 +399,7 @@ def test_a_64_state_spectrum_point_makes_one_eig_call(full2, golden, monkeypatch
     rng = birkhoff_range(full2, g)
     conditional_entropy_spectrum(full2, g, rng.lo + 0.4 * (rng.hi - rng.lo))
     assert calls == [(64, 64)]
-    assert starts[0] == "cold" and len(starts) > 5 and set(starts[1:]) == {"warm"}
+    assert starts[0] == "cold" and 3 <= len(starts) <= 5 and set(starts[1:]) == {"warm"}
 
     calls.clear()
     starts.clear()
@@ -420,3 +420,83 @@ def test_warm_spectrum_agrees_with_cold_pressure(full2, seed):
         cold = pressure(full2, g * res.beta)
         assert abs(cold.value - (res.entropy + res.beta * alpha)) <= 1e-12 * max(1.0, abs(cold.value))
         assert abs(cold.equilibrium.integrate(g) - alpha) <= 1e-9
+
+
+def test_interior_grid_solve_budget(full2, monkeypatch):
+    # The Newton tilt's slope is the asymptotic variance, so the 39 interior
+    # points of a 41-point grid on a 64-state recoding take at most 300
+    # equilibrium solves together.
+    solved = _count_solves(monkeypatch)
+    g = _memory7_table(full2, 7)
+    rng = birkhoff_range(full2, g)
+    for s in np.linspace(0.0, 1.0, 41)[1:-1]:
+        conditional_entropy_spectrum(full2, g, rng.lo + s * (rng.hi - rng.lo))
+    assert len(solved) <= 300
+
+
+_SHIFTS = {
+    "full2": np.ones((2, 2), dtype=int),
+    "golden": [[1, 1], [1, 0]],
+    "full3": np.ones((3, 3), dtype=int),
+}
+# Points where the Perron solve itself stalls at large tilt (ROADMAP item 1):
+# the oracle fails there too.
+_PERRON_STALLS = {("full3", 3, 0, "top", 1e-5), ("full3", 3, 0, "top", 1e-6)}
+
+
+@pytest.mark.parametrize(
+    "where",
+    [(side, frac) for side in ("bottom", "top") for frac in (1e-2, 1e-4, 1e-5, 1e-6)]
+    + [("bottom", 0.25), ("bottom", 0.5), ("bottom", 0.75)],
+    ids=lambda where: f"{where[0]}-{where[1]:g}",
+)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("memory", [1, 2, 3])
+@pytest.mark.parametrize("shift", sorted(_SHIFTS))
+def test_newton_tilt_matches_a_brentq_oracle(shift, memory, seed, where):
+    # Near each end of L_g and inside it, the Newton tilt must land where
+    # brentq over a doubled bracket lands on the same mean equation.
+    from scipy.optimize import brentq
+
+    from symflow.spectrum import _EdgeModel, _expand_bracket
+
+    sft = Sft(_SHIFTS[shift])
+    words = admissible_words(sft, memory)
+    g = LocallyConstantFunction(sft, memory, dict(zip(words, np.random.default_rng(seed).normal(size=len(words)))))
+    rng = birkhoff_range(sft, g)
+    side, frac = where
+    alpha = rng.lo + frac * (rng.hi - rng.lo) if side == "bottom" else rng.hi - frac * (rng.hi - rng.lo)
+    if (shift, memory, seed, side, frac) in _PERRON_STALLS:
+        with pytest.raises(DomainError) as e:
+            conditional_entropy_spectrum(sft, g, alpha)
+        assert e.value.name == "iteration_cap"
+        return
+    res = conditional_entropy_spectrum(sft, g, alpha)
+    model = _EdgeModel(sft, [g])
+
+    def f(b: float) -> float:
+        return model.solve((b,)).means[0] - alpha
+
+    beta = brentq(f, *_expand_bracket(f), xtol=1e-13, rtol=8.9e-16, maxiter=300)
+    H = model.solve((beta,)).P - beta * alpha
+    assert abs(res.entropy - H) <= 1e-12
+    assert abs(res.beta - beta) <= 1e-10 * max(1.0, abs(beta))
+
+
+def test_unreachable_tilt_names_its_bracket(full2):
+    # 1_[1] has means in [0, 1], so the mean 1.5 is never reached: the tilt
+    # runs up to the cap, and the error says where it stopped.
+    import re
+
+    from symflow.spectrum import _EdgeModel, _tilt
+
+    model = _EdgeModel(full2, [ind1(full2)])
+    with pytest.raises(DomainError) as e:
+        _tilt(lambda b: model.solve((b,)), model.edges[0], 1.5)
+    assert e.value.name == "iteration_cap"
+    found = re.search(r"after (\d+) steps: bracket \[(\S+), (\S+)\], beta (\S+), \|mean - alpha\| (\S+)", str(e.value))
+    assert found is not None, str(e.value)
+    lo, hi, beta, miss = (float(x) for x in found.groups()[1:])
+    assert int(found.group(1)) >= 1
+    assert 0.0 < lo < beta and hi == np.inf and abs(beta) > 2.0**40
+    assert miss == pytest.approx(0.5, abs=1e-3)

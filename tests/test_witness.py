@@ -395,3 +395,18 @@ def test_orthant_combination_with_roof_weights():
     w = orthant_combination(alpha, cands)
     resid = sum(wi * (p - alpha * q) for wi, (p, q) in zip(w, cands))
     assert np.abs(resid).max() < 1e-12
+
+
+@pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("shift, alpha", [("full2", 0.3), ("full2", 0.4), ("golden", 0.25)])
+def test_intermediate_witness_newton_solve_budget(full2, golden, monkeypatch, shift, alpha, frac):
+    # Each tilt on the path is a Newton iteration whose slope is the
+    # asymptotic variance, so a witness without mu0 takes at most 40
+    # equilibrium solves.
+    sft = {"full2": full2, "golden": golden}[shift]
+    g = ind1(sft)
+    H = conditional_entropy_spectrum(sft, g, alpha).entropy
+    calls = _count_equilibrium(monkeypatch, thermo, witness)
+    nu = intermediate_witness(sft, g, alpha, frac * H)
+    assert abs(nu.entropy() - frac * H) < 1e-5
+    assert 0 < len(calls) <= 40
