@@ -5,10 +5,11 @@ is computed by tilting: solve mean(beta) = alpha where mean(beta) is the
 g-average of the equilibrium state of beta*g, then H = P(beta*g) - beta*alpha.
 The slope d mean/d beta is the asymptotic variance of g, known in closed form,
 so every mean tilt (``_tilt``, also used by ``witness``) is a bracketed
-Newton iteration.
-The same machinery, with two observables or with a roof function in the
-linear combination, gives the two-dimensional spectrum and the suspension
-flow spectrum.
+Newton iteration.  Two observables give the two-dimensional spectrum.  The
+flow spectrum s(alpha) is the root of the convex, decreasing
+F(s) = max{h - s*int(rho) : int(phi - alpha*rho) = 0}, F'(s) = -int(rho), and
+Newton on F is Dinkelbach's update s <- h/int(rho): monotone from s = 0, one
+warm-started mean tilt a step (``_flow_level``).
 
 All solvers share ``thermo._EdgeModel``: one block recoding on which every
 potential in play is an exact edge function, so tilted pressures, means and
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .measures import MarkovComponent
@@ -102,32 +102,6 @@ def _check_interior(model: _EdgeModel, alpha: float) -> None:
         raise DomainError("boundary: spectrum not computed", name="boundary")
 
 
-def _expand_bracket(f, centre=0.0, step=1.0):
-    """Sign-change bracket of f (monotone up) around centre.
-
-    Starts at centre -+ step and doubles the distance from centre on the
-    side f points to, keeping the last point passed as the other end.
-    """
-    width = step
-    lo, hi = centre - width, centre + width
-    flo, fhi = f(lo), f(hi)
-    while flo > 0.0:
-        if width > _BETA_CAP:
-            raise DomainError("tilt parameter diverged", name="iteration_cap")
-        hi, fhi = lo, flo
-        width *= 2.0
-        lo = centre - width
-        flo = f(lo)
-    while fhi < 0.0:
-        if width > _BETA_CAP:
-            raise DomainError("tilt parameter diverged", name="iteration_cap")
-        lo, flo = hi, fhi
-        width *= 2.0
-        hi = centre + width
-        fhi = f(hi)
-    return lo, hi
-
-
 def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
     """(beta, sol = solve(beta)) with sol.means[0] = alpha, for a mean
     nondecreasing in beta.
@@ -138,7 +112,7 @@ def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
     Parry & Pollicott 1990).  Each step narrows the sign-change bracket
     [lo, hi] (both ends start infinite) and returns once f = 0, the Newton
     step is within 1e-13 + 8.9e-16 |beta|, or the bracket is narrower than
-    that (brentq's xtol and rtol).  That test comes before the safeguard,
+    that (scipy's root-finder tolerances).  That test comes before the safeguard,
     so a sign flip at roundoff level ends the solve instead of starting a
     bisection.  A Newton step that leaves (lo, hi), or a variance that is
     not positive and finite, is replaced by the midpoint when both ends are
@@ -388,17 +362,37 @@ def flow_ratio_range(system, phi: LocallyConstantFunction) -> FlowRatioRange:
     return FlowRatioRange(lo=lo, hi=hi, argmin=model.project(cyc_lo), argmax=model.project(cyc_hi))
 
 
-def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float, tol: float = 1e-9) -> SpectrumResult:
-    """Flow spectrum: sup{h(nu)/int(rho) : flow average of phi = alpha}.
+def _flow_level(level, roof: int) -> tuple:
+    """(s, sol = level(s)) at the root of F(s) = max{h - s*int(roof)}.
 
-    Nested Legendre solve with q = phi - alpha*rho: the inner bracket-free
-    root s(beta) of P(beta*q - s*rho) = 0 exists because pressure is
-    strictly decreasing in s; the outer equation G(beta) = int q = 0 has a
-    single sign change because s(beta) is convex with derivative
-    int(q)/int(rho).  At the solution the level s* equals the witness's
-    Abramov entropy and dominates every other constrained measure.
+    ``level(s)`` solves the maximiser, whose roof mean is ``sol.means[roof]``.
+    F is convex and decreasing with F'(s) = -int(roof), so Newton on F from
+    s = 0 is Dinkelbach's update s <- h/int(roof) (1967), rising monotonically.
+    Returns the last level solved once the next is within 1e-15*max(1, s);
+    100 steps raise ``no_convergence`` with the last level and increment.
     """
-    rho = system.roof
+    s = inc = 0.0
+    for _ in range(100):
+        sol = level(s)
+        nxt = sol.entropy / sol.means[roof]
+        if nxt - s <= 1e-15 * max(1.0, s):
+            return s, sol
+        s, inc = nxt, nxt - s
+    raise DomainError(
+        f"flow entropy level did not converge after 100 steps: s {s:.17g}, last increment {inc:.3g}",
+        name="no_convergence",
+    )
+
+
+def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float, tol: float = 1e-9) -> SpectrumResult:
+    """Flow spectrum: s(alpha) = sup{h(nu)/int(rho) : flow average of phi = alpha}.
+
+    With q = phi - alpha*rho, s(alpha) is the root of F(s) = max{h - s*int(rho)
+    : int q = 0} = min over beta of P(beta*q - s*rho).  ``_flow_level`` steps
+    s by Dinkelbach's update; each level is one Newton tilt to int q = 0,
+    warm-started from the last beta.  The witness is the equilibrium of
+    beta*q - s*rho at the returned s: its Abramov entropy is s.
+    """
     rng = flow_ratio_range(system, phi)
     if rng.hi - rng.lo <= 1e-10:
         raise DomainError("degenerate direction: flow ratios are constant", name="degenerate")
@@ -408,32 +402,16 @@ def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float
     if alpha <= rng.lo + edge or alpha >= rng.hi - edge:
         raise DomainError("boundary: spectrum not computed", name="boundary")
 
-    model = _EdgeModel(system.base, [phi, rho])
-    rmin, rmax = rho.bounds()
+    model = _EdgeModel(system.base, [phi - alpha * system.roof, system.roof])
+    beta = None
 
-    def s_of(beta: float) -> float:
-        # potential beta*q - s*rho = beta*phi + (-beta*alpha - s)*rho
-        def P(s: float) -> float:
-            return model.solve((beta, -beta * alpha - s)).P
+    def level(s: float):
+        nonlocal beta
+        beta, sol = _tilt(lambda b: model.solve((b, -s)), model.edges[0], 0.0, beta)
+        return sol
 
-        p0 = P(0.0)
-        if p0 == 0.0:
-            return 0.0
-        ends = sorted((p0 / rmax, p0 / rmin))
-        lo = ends[0] - 1e-9 * max(1.0, abs(ends[0]))
-        hi = ends[1] + 1e-9 * max(1.0, abs(ends[1]))
-        return float(brentq(P, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300))
-
-    def G(beta: float) -> float:
-        s = s_of(beta)
-        sol = model.solve((beta, -beta * alpha - s))
-        return sol.means[0] - alpha * sol.means[1]
-
-    blo, bhi = _expand_bracket(G)
-    beta = float(brentq(G, blo, bhi, xtol=1e-12, rtol=8.9e-16, maxiter=300))
-    s_star = s_of(beta)
-    sol = model.solve((beta, -beta * alpha - s_star))
-    ratio = sol.means[0] / sol.means[1]
+    s, sol = _flow_level(level, 1)
+    ratio = sol.means[0] / sol.means[1] + alpha
     if abs(ratio - alpha) > max(tol, 1e-8):
         raise DomainError("flow tilt solve missed the target ratio", name="no_convergence")
-    return SpectrumResult(alpha=alpha, entropy=s_star, beta=beta, witness=model.component(sol), s=s_star)
+    return SpectrumResult(alpha=alpha, entropy=s, beta=beta, witness=model.component(sol), s=s)

@@ -3,7 +3,8 @@
 A suspension system is a base SFT together with a strictly positive roof
 function.  Invariant measures of the flow correspond to invariant measures
 of the base, with time rescaled by the roof integral: entropy transforms by
-Abramov's formula and observables by the ratio of base integrals.
+Abramov's formula, observables by the ratio of base integrals, and the
+flow's topological entropy is the Dinkelbach root of P(-s * roof) = 0.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .measures import InvariantMeasure
-from .sft import LocallyConstantFunction, Sft, _word_levels, admissible_words, topological_entropy
-from .thermo import pressure
+from .sft import LocallyConstantFunction, Sft, _word_levels, admissible_words
+from .spectrum import _flow_level
+from .thermo import _EdgeModel
 
 __all__ = [
     "SuspensionSystem",
@@ -64,25 +65,12 @@ def flow_integral(system: SuspensionSystem, mu: InvariantMeasure, phi: LocallyCo
 def flow_top_entropy(system: SuspensionSystem, tol: float = 1e-12) -> float:
     """Topological entropy of the flow: the root s* of P(-s * roof) = 0.
 
-    P(-s*roof) is strictly decreasing with slope at most -min(roof), and the
-    root lies in [h_top/max(roof), h_top/min(roof)], so bisection-grade
-    bracketing is exact.
+    P(-s*roof) = max{h - s*int(roof)} is convex and decreasing, so Newton
+    from s = 0 is Dinkelbach's update s <- h/int(roof) (``spectrum._flow_level``):
+    one equilibrium solve a step, certified to ``tol``, on one recoding.
     """
-    h = topological_entropy(system.base, tol=tol)
-    rmin, rmax = system.roof.bounds()
-    lo, hi = h / rmax, h / rmin
-    if hi - lo < 1e-15:
-        return lo
-
-    def f(s: float) -> float:
-        return pressure(system.base, -s * system.roof, tol=tol).value
-
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0.0:  # root sits on the bracket edge up to roundoff
-        return lo
-    if fhi >= 0.0:
-        return hi
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    model = _EdgeModel(system.base, [system.roof])
+    return _flow_level(lambda s: model.solve((-s,), tol=tol), 0)[0]
 
 
 def d_star_flow(system: SuspensionSystem, mu: InvariantMeasure, nu: InvariantMeasure, N: int = 10) -> float:

@@ -29,3 +29,38 @@ def binary_entropy(a: float) -> float:
     if a <= 0.0 or a >= 1.0:
         return 0.0
     return float(-a * np.log(a) - (1 - a) * np.log(1 - a))
+
+
+def sign_change_bracket(f) -> tuple[float, float]:
+    """[lo, hi] with f(lo) <= 0 <= f(hi), for f nondecreasing: doubles out
+    from [-1, 1] on the side f points to, up to a half-width of 2^40."""
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0.0:
+        if max(-lo, hi) > 2.0**40:
+            raise ValueError("no sign change within 2^40 of 0")
+        lo, hi = 2.0 * lo, lo
+    while f(hi) < 0.0:
+        if max(-lo, hi) > 2.0**40:
+            raise ValueError("no sign change within 2^40 of 0")
+        lo, hi = hi, 2.0 * hi
+    return lo, hi
+
+
+def count_solves(monkeypatch):
+    """Record the coefficient tuple of every equilibrium solve of an ``_EdgeModel``."""
+    from symflow import thermo
+
+    solved, last = [], []
+    weights, equilibrium = thermo._EdgeModel.weights, thermo._equilibrium
+
+    def spy_weights(self, coeffs):
+        last.append(tuple(map(float, coeffs)))
+        return weights(self, coeffs)
+
+    def spy_equilibrium(*args, **kwargs):
+        solved.append(last[-1])
+        return equilibrium(*args, **kwargs)
+
+    monkeypatch.setattr(thermo._EdgeModel, "weights", spy_weights)
+    monkeypatch.setattr(thermo, "_equilibrium", spy_equilibrium)
+    return solved

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
 
-from conftest import bernoulli_measure, binary_entropy
+from conftest import bernoulli_measure, binary_entropy, count_solves, sign_change_bracket
 from symflow.errors import DomainError
 from symflow.measures import InvariantMeasure, periodic_orbit_measure, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
@@ -333,30 +333,10 @@ def test_flow_spectrum_concavity_and_errors(golden):
         flow_conditional_spectrum(system, LocallyConstantFunction.constant(golden, 2.0), 2.0)
 
 
-def _count_solves(monkeypatch):
-    """Record the coefficient tuple of every equilibrium solve of an ``_EdgeModel``."""
-    from symflow import thermo
-
-    solved, last = [], []
-    weights, equilibrium = thermo._EdgeModel.weights, thermo._equilibrium
-
-    def spy_weights(self, coeffs):
-        last.append(tuple(map(float, coeffs)))
-        return weights(self, coeffs)
-
-    def spy_equilibrium(*args, **kwargs):
-        solved.append(last[-1])
-        return equilibrium(*args, **kwargs)
-
-    monkeypatch.setattr(thermo._EdgeModel, "weights", spy_weights)
-    monkeypatch.setattr(thermo, "_equilibrium", spy_equilibrium)
-    return solved
-
-
 def test_each_tilt_is_solved_once(full2, golden, monkeypatch):
-    # brentq re-reads its bracket ends and the callers re-read the root; none
-    # of those may run the Perron solve again.
-    solved = _count_solves(monkeypatch)
+    # The callers re-read the solve at the root, and the flow spectrum its
+    # last level; none of those may run the Perron solve again.
+    solved = count_solves(monkeypatch)
     g = LocallyConstantFunction(full2, 3, dict(zip(admissible_words(full2, 3), np.random.default_rng(3).normal(size=8))))
     rng = birkhoff_range(full2, g)
     res = conditional_entropy_spectrum(full2, g, rng.lo + 0.3 * (rng.hi - rng.lo))
@@ -366,8 +346,8 @@ def test_each_tilt_is_solved_once(full2, golden, monkeypatch):
     solved.clear()
     system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
     res = flow_conditional_spectrum(system, ind1(golden), 0.2)
-    assert len(solved) > 5 and len(set(solved)) == len(solved)
-    assert (res.beta, -res.beta * 0.2 - res.s) in solved
+    assert 5 < len(solved) <= 12 and len(set(solved)) == len(solved)
+    assert (res.beta, -res.s) in solved
 
 
 def _memory7_table(full2, seed: int) -> LocallyConstantFunction:
@@ -426,7 +406,7 @@ def test_interior_grid_solve_budget(full2, monkeypatch):
     # The Newton tilt's slope is the asymptotic variance, so the 39 interior
     # points of a 41-point grid on a 64-state recoding take at most 300
     # equilibrium solves together.
-    solved = _count_solves(monkeypatch)
+    solved = count_solves(monkeypatch)
     g = _memory7_table(full2, 7)
     rng = birkhoff_range(full2, g)
     for s in np.linspace(0.0, 1.0, 41)[1:-1]:
@@ -458,7 +438,7 @@ def test_newton_tilt_matches_a_brentq_oracle(shift, memory, seed, where):
     # brentq over a doubled bracket lands on the same mean equation.
     from scipy.optimize import brentq
 
-    from symflow.spectrum import _EdgeModel, _expand_bracket
+    from symflow.spectrum import _EdgeModel
 
     sft = Sft(_SHIFTS[shift])
     words = admissible_words(sft, memory)
@@ -477,7 +457,7 @@ def test_newton_tilt_matches_a_brentq_oracle(shift, memory, seed, where):
     def f(b: float) -> float:
         return model.solve((b,)).means[0] - alpha
 
-    beta = brentq(f, *_expand_bracket(f), xtol=1e-13, rtol=8.9e-16, maxiter=300)
+    beta = brentq(f, *sign_change_bracket(f), xtol=1e-13, rtol=8.9e-16, maxiter=300)
     H = model.solve((beta,)).P - beta * alpha
     assert abs(res.entropy - H) <= 1e-12
     assert abs(res.beta - beta) <= 1e-10 * max(1.0, abs(beta))
@@ -500,3 +480,38 @@ def test_unreachable_tilt_names_its_bracket(full2):
     assert int(found.group(1)) >= 1
     assert 0.0 < lo < beta and hi == np.inf and abs(beta) > 2.0**40
     assert miss == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("memory", [1, 2, 3])
+@pytest.mark.parametrize("shift", sorted(_SHIFTS))
+def test_flow_spectrum_matches_a_dual_oracle(shift, memory, frac, monkeypatch):
+    # s(alpha) is the root of F(s) = min over beta of P(beta*q - s*rho), with
+    # q = phi - alpha*rho.  The oracle takes that minimum with Brent's
+    # minimiser and the root with brentq, sharing nothing with the Newton
+    # tilt or the Dinkelbach loop, and the solver stays within 40 solves.
+    from scipy.optimize import brentq, minimize_scalar
+
+    from symflow.sft import topological_entropy
+    from symflow.spectrum import _EdgeModel
+
+    sft = Sft(_SHIFTS[shift])
+    rng = np.random.default_rng(memory)
+    words = admissible_words(sft, memory)
+    phi = LocallyConstantFunction(sft, memory, dict(zip(words, rng.normal(size=len(words)))))
+    roof = LocallyConstantFunction(sft, 1, dict(zip(admissible_words(sft, 1), rng.uniform(0.5, 2.0, size=sft.k))))
+    system = SuspensionSystem(sft, roof)
+    r = flow_ratio_range(system, phi)
+    alpha = r.lo + frac * (r.hi - r.lo)
+    solved = count_solves(monkeypatch)
+    res = flow_conditional_spectrum(system, phi, alpha)
+    assert len(solved) <= 40
+
+    model = _EdgeModel(sft, [phi - alpha * roof, roof])
+
+    def F(s: float) -> float:
+        return minimize_scalar(lambda b: model.solve((b, -s)).P, method="brent").fun
+
+    s_ref = brentq(F, 0.0, topological_entropy(sft) / roof.bounds()[0], xtol=1e-15, rtol=8.9e-16)
+    assert abs(res.s - s_ref) <= 1e-12
+    assert res.entropy == res.s

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure
+from conftest import bernoulli_measure, count_solves
 from symflow.errors import DomainError
 from symflow.measures import InvariantMeasure, random_markov_component
-from symflow.sft import LocallyConstantFunction, Sft, topological_entropy
+from symflow.sft import LocallyConstantFunction, Sft, admissible_words, topological_entropy
 from symflow.suspension import (
     SuspensionSystem,
     abramov_entropy,
@@ -173,3 +175,30 @@ def test_flow_entropy_reduces_to_map_when_roof_is_one(full2, golden):
     for sft in (full2, golden):
         one = SuspensionSystem(sft, LocallyConstantFunction.constant(sft, 1.0))
         assert abs(flow_top_entropy(one) - topological_entropy(sft)) < 1e-12
+
+
+@pytest.mark.parametrize("A", [np.ones((2, 2), dtype=int), [[1, 1], [1, 0]], np.ones((3, 3), dtype=int)])
+def test_flow_top_entropy_is_the_pressure_root(A, monkeypatch):
+    from symflow.thermo import pressure
+
+    sft = Sft(A)
+    h = topological_entropy(sft)
+    solved = count_solves(monkeypatch)
+    for memory in (1, 2, 3):
+        for seed in range(3):
+            words = admissible_words(sft, memory)
+            values = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(words))
+            roof = LocallyConstantFunction(sft, memory, dict(zip(words, values)))
+            solved.clear()
+            s = flow_top_entropy(SuspensionSystem(sft, roof))
+            assert len(solved) <= 8
+            assert abs(pressure(sft, -s * roof).value) <= 1e-12
+            assert h / values.max() <= s <= h / values.min()
+
+
+def test_flow_top_entropy_of_a_zero_entropy_base_is_plus_zero():
+    # The one periodic orbit has entropy 0 (read as -0.0 off its
+    # deterministic chain); the level returned is the s = 0 that was solved.
+    cycle = Sft([[0, 1], [1, 0]])
+    s = flow_top_entropy(SuspensionSystem(cycle, LocallyConstantFunction(cycle, 1, {(0,): 1.0, (1,): 3.0})))
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0

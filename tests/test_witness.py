@@ -3,13 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import binary_entropy
+from conftest import binary_entropy, sign_change_bracket
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
 from symflow.measures import InvariantMeasure, MarkovComponent, d_star, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft
-from symflow.spectrum import _EdgeModel, _expand_bracket, conditional_entropy_spectrum
+from symflow.spectrum import _EdgeModel, conditional_entropy_spectrum
 from symflow.witness import (
     _connector,
     birkhoff_witness_2d,
@@ -161,7 +161,7 @@ def test_intermediate_witness_with_linear_term(full2):
 
     model = _EdgeModel(full2, [g, u])
     f = lambda b: model.solve((b, 1.0)).means[0] - alpha
-    blo, bhi = _expand_bracket(f)
+    blo, bhi = sign_change_bracket(f)
     beta = brentq(f, blo, bhi, xtol=1e-13)
     top = model.solve((beta, 1.0))
     P_top = top.entropy + top.means[1]
@@ -273,57 +273,6 @@ def test_tilted_chain_matches_the_spectrum(k, frac):
     assert abs(beta - spec.beta) <= 1e-10 * max(1.0, abs(beta))
     assert abs(value - spec.entropy) <= 1e-12
     assert abs(mean - alpha) <= 1e-12
-
-
-def _mean_minus(model, alpha, coeffs, calls):
-    def f(beta):
-        calls.append(beta)
-        return model.solve(coeffs(beta)).means[0] - alpha
-
-    return f
-
-
-@pytest.mark.parametrize(
-    "with_u, alpha, bracket, calls",
-    [
-        (True, 0.001, (-8.0, -4.0), [-1.0, 1.0, -2.0, -4.0, -8.0]),
-        (True, 0.3, (-2.0, -1.0), [-1.0, 1.0, -2.0]),
-        (True, 0.35, (-1.0, 1.0), [-1.0, 1.0]),
-        (True, 0.7, (1.0, 2.0), [-1.0, 1.0, 2.0]),
-        (True, 0.999, (4.0, 8.0), [-1.0, 1.0, 2.0, 4.0, 8.0]),
-        (False, 0.05, (-4.0, -2.0), [-1.0, 1.0, -2.0, -4.0]),
-        (False, 0.5, (-1.0, 1.0), [-1.0, 1.0]),
-        (False, 0.95, (2.0, 4.0), [-1.0, 1.0, 2.0, 4.0]),
-    ],
-)
-def test_expand_bracket_default_sequence(full2, with_u, alpha, bracket, calls):
-    # The tilted means of the linear-term test.  With the default centre and
-    # step the bracket doubles from [-1, 1]; these brackets and evaluation
-    # sequences were recorded from that doubling.
-    g, u = ind1(full2), LocallyConstantFunction.indicator(full2, (0, 1))
-    model = _EdgeModel(full2, [g, u] if with_u else [g])
-    seen = []
-    f = _mean_minus(model, alpha, (lambda b: (b, 1.0)) if with_u else (lambda b: (b,)), seen)
-    assert _expand_bracket(f) == bracket
-    assert seen == calls
-
-
-@pytest.mark.parametrize("alpha", [0.001, 0.3, 0.5, 0.95])
-@pytest.mark.parametrize("offset", [-3.0, -1e-4, 1e-4, 3.0])
-def test_expand_bracket_warm_start_contains_the_root(full2, alpha, offset):
-    from scipy.optimize import brentq
-
-    model = _EdgeModel(full2, [ind1(full2)])
-    f = _mean_minus(model, alpha, lambda b: (b,), [])
-    root = brentq(f, *_expand_bracket(f), xtol=1e-13)
-    centre = root + offset  # above the root for offset > 0, below it otherwise
-    step = 1e-3 * max(1.0, abs(centre))
-    lo, hi = _expand_bracket(f, centre, step)
-    assert lo < root < hi
-    assert f(lo) <= 0.0 <= f(hi)
-    # The bracket grows around the centre, no further than twice the offset
-    # (up to the rounding of centre -+ width).
-    assert max(centre - lo, hi - centre) <= max(step, 2.0 * abs(offset)) * (1.0 + 1e-12)
 
 
 def test_level_functional_is_affine_on_mixtures(full2):
