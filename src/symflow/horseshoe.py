@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
-from scipy.optimize import brentq
 
 from .errors import DomainError, InputError
 from .measures import InvariantMeasure, _integrate, d_star
@@ -46,6 +44,7 @@ from .sft import (
     _word_levels,
     admissible_words,
 )
+from .spectrum import _brentq
 from .suspension import SuspensionSystem, abramov_entropy, d_star_flow, flow_integral, flow_mixture_weights
 
 __all__ = [
@@ -129,6 +128,7 @@ class _TableEngine:
         codes.append(self.pre + self._h + k**m)
         rows = np.stack(codes, axis=1)
         indptr = np.arange(self.num + 1, dtype=np.int64) * rows.shape[1]
+        from scipy import sparse  # loaded by the horseshoe engine only
         op = sparse.csc_matrix(
             (np.ones(rows.size), rows.ravel(), indptr), shape=(self._h + 2 * k**m, self.num)
         ).tocsr()
@@ -220,7 +220,8 @@ class _TableEngine:
         return [None] + [(inw[ell] + cross[ell]) / self.n for ell in range(1, N + 1)]
 
 
-def _onehot(codes: np.ndarray, size: int) -> sparse.csr_matrix:
+def _onehot(codes: np.ndarray, size: int):
+    from scipy import sparse
     num = codes.shape[0]
     return sparse.csr_matrix((np.ones(num), codes, np.arange(num + 1)), shape=(num, size))
 
@@ -780,7 +781,11 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
         return lo
     if fhi >= 0.0:
         return hi
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    root, converged = _brentq(f, lo, hi, 1e-14, 8.9e-16, 200)
+    if not converged:
+        msg = f"Bowen root did not converge in [{lo:.17g}, {hi:.17g}]: last s {root:.17g}"
+        raise DomainError(msg, name="no_convergence")
+    return root
 
 
 def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: int = 50, seed: int = 0) -> dict:

@@ -65,9 +65,12 @@ class LorenzModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "LorenzModel":
-        extra = set(data) - {"f", "H", "lambda"}
-        if extra:
-            raise InputError(f"unknown model keys {sorted(extra)}")
+        if not isinstance(data, dict):
+            raise InputError("model document must be an object with 'f', 'H' and 'lambda'")
+        keys = {"f", "H", "lambda"}
+        for what, bad in (("unknown", set(data) - keys), ("missing", keys - set(data))):
+            if bad:
+                raise InputError(f"{what} model keys {sorted(bad)}")
         fpart, hpart = data["f"], data["H"]
         if set(fpart) != {"c", "gamma"} or set(hpart) != {"a", "b"}:
             raise InputError("model f needs keys c,gamma and H needs keys a,b")

@@ -112,7 +112,7 @@ def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
     Parry & Pollicott 1990).  Each step narrows the sign-change bracket
     [lo, hi] (both ends start infinite) and returns once f = 0, the Newton
     step is within 1e-13 + 8.9e-16 |beta|, or the bracket is narrower than
-    that (scipy's root-finder tolerances).  That test comes before the safeguard,
+    that (the tolerances of ``_brentq``).  That test comes before the safeguard,
     so a sign flip at roundoff level ends the solve instead of starting a
     bisection.  A Newton step that leaves (lo, hi), or a variance that is
     not positive and finite, is replaced by the midpoint when both ends are
@@ -158,6 +158,42 @@ def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
     raise failed("tilt solve did not converge", 200, "no_convergence")
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> tuple:
+    """(root, converged) of f on the sign-change bracket [a, b] by Brent's method
+    (1973), ported step for step from scipy's C ``brentq``: f is evaluated at the
+    same points in the same order.  ValueError when f(a) and f(b) share a sign;
+    after ``maxiter`` steps the last iterate comes back unconverged."""
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre if fpre == 0.0 else xcur), True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # both nonzero here
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2.0, (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        stry = math.inf  # bisect unless interpolation gives a short enough step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            stry = num / den if den else math.inf  # C's inf or nan also bisects
+        good = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = float(f(xcur))
+    return xcur, False
+
+
 def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: float, tol: float = 1e-10) -> SpectrumResult:
     """H(alpha) = sup{h(mu) : integral g dmu = alpha}, with dual witness.
 
@@ -182,7 +218,8 @@ class RotationSet:
 
     ``points`` are exact mean pairs of the maximizing cycles (inner
     approximation); ``support`` the support values in each direction (outer
-    approximation).  ``rank`` is the affine rank of the point cloud.
+    approximation).  ``rank`` is the affine rank of the point cloud; at rank 2
+    ``hull`` runs counterclockwise from the lexicographically smallest vertex.
     """
 
     directions: np.ndarray
@@ -199,18 +236,11 @@ class RotationSet:
             return "exterior"
         if self.rank < 2:
             return "boundary"
-        verts = self.hull
-        n = len(verts)
-        for i in range(n):
-            v1, v2 = verts[i], verts[(i + 1) % n]
-            e = v2 - v1
-            ell = float(np.hypot(*e))
-            if ell == 0.0:
-                continue
-            d = p - v1
-            if float(e[0] * d[1] - e[1] * d[0]) < margin * ell:
-                return "boundary"
-        return "interior"
+        # the hull runs counterclockwise, so the inside is left of every edge
+        e = np.roll(self.hull, -1, axis=0) - self.hull
+        d = p - self.hull
+        left = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0] >= margin * np.hypot(e[:, 0], e[:, 1])
+        return "interior" if left.all() else "boundary"
 
 
 def rotation_set_2d(sft: Sft, g: LocallyConstantFunction, h: LocallyConstantFunction, directions: int = 64) -> RotationSet:
@@ -224,6 +254,27 @@ def rotation_set_2d(sft: Sft, g: LocallyConstantFunction, h: LocallyConstantFunc
     return _rotation_set(_EdgeModel(sft, [g, h]), directions)
 
 
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Hull vertices, counterclockwise from the lexicographically smallest, by
+    Andrew's monotone chain (1979), after dropping each point within 1e-12*max(1, max|p|)
+    of an earlier one, as qhull merges the 1-ulp twins of a cycle read at two phases."""
+    tol = 1e-12 * max(1.0, float(np.abs(points).max()))
+    twin = np.tril(np.abs(points[:, None] - points[None]).max(axis=2) <= tol, -1).any(axis=1)
+    pts = sorted(map(tuple, points[~twin].tolist()))
+    chain: list = []
+    for seq in (pts, pts[::-1]):  # lower half, then upper half
+        start = len(chain)
+        for x, y in seq:
+            while len(chain) >= start + 2:  # pop until the turn is strictly counterclockwise
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
+                chain.pop()
+            chain.append((x, y))
+        chain.pop()  # each half ends where the other begins
+    return np.array(chain)
+
+
 def _rotation_set(model: _EdgeModel, directions: int) -> RotationSet:
     thetas = 2.0 * np.pi * np.arange(directions) / directions
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -231,19 +282,14 @@ def _rotation_set(model: _EdgeModel, directions: int) -> RotationSet:
     points = np.empty((directions, 2))
     words = []
     for j, u in enumerate(dirs):
-        val, cyc = model.max_cycle((u[0], u[1]))
-        L = len(cyc)
-        pt = np.array([model.cycle_sums(cyc, 0) / L, model.cycle_sums(cyc, 1) / L])
-        support[j] = val
-        points[j] = pt
+        support[j], cyc = model.max_cycle((u[0], u[1]))
+        points[j] = model.cycle_sums(cyc, 0) / len(cyc), model.cycle_sums(cyc, 1) / len(cyc)
         words.append(model.project(cyc))
     centered = points - points.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * max(1.0, svals[0] if len(svals) else 1.0)))
     if rank >= 2:
-        from scipy.spatial import ConvexHull
-
-        hull = points[ConvexHull(points).vertices]
+        hull = _hull(points)
     elif rank == 1:
         d = centered[np.argmax(np.abs(centered).sum(axis=1))]
         t = centered @ d

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .measures import InvariantMeasure
 from .sft import LocallyConstantFunction, Sft, _word_levels, admissible_words
 from .spectrum import _flow_level
@@ -47,6 +47,10 @@ class SuspensionSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuspensionSystem":
+        if not isinstance(data, dict):
+            raise InputError("system document must be an object with 'base' and 'roof'")
+        if missing := sorted({"base", "roof"} - set(data)):
+            raise InputError(f"missing system keys {missing}")
         base = Sft.from_json(data["base"])
         roof = LocallyConstantFunction.from_json(base, data["roof"])
         return cls(base, roof)

@@ -9,8 +9,8 @@ Three constructions:
   about 1e-14 are reachable.
 * ``intermediate_witness`` interpolates between that low-complexity chain
   and the fully supported equilibrium chain, re-tilting along the way so
-  the mean stays at alpha, and root-finds along the path (brentq in the
-  path parameter; each tilt a Newton iteration on the mean, warm-started
+  the mean stays at alpha, and root-finds along the path (Brent's method in
+  the path parameter; each tilt a Newton iteration on the mean, warm-started
   from the last) until h + integral(u) hits the requested level c.
 * ``orthant_combination`` produces nonnegative mixture weights matching a
   vector of target ratios from candidates that straddle every orthant.
@@ -19,12 +19,11 @@ Three constructions:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, nnls
 
 from .errors import DomainError, InputError
 from .measures import InvariantMeasure, MarkovComponent, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
-from .spectrum import _check_interior, _edge_tol, _tilt, conditional_entropy_spectrum_2d
+from .spectrum import _brentq, _check_interior, _edge_tol, _tilt, conditional_entropy_spectrum_2d
 from .thermo import _EdgeModel, _equilibrium
 
 __all__ = [
@@ -242,8 +241,8 @@ def intermediate_witness(
     equilibrium, entrywise in the transition matrices; every point of the
     path is re-tilted by the same Newton iteration to keep the mean pinned,
     starting from the tilt last solved on the path, and the level c is
-    located by brentq in the path parameter; the evaluated chain closest to
-    c is returned.
+    located by Brent's method (``spectrum._brentq``) in the path parameter;
+    the evaluated chain closest to c is returned and must pass the level check.
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0.
     """
@@ -338,7 +337,7 @@ def intermediate_witness(
                 evals[t] = last = _tilted_chain(work, (1.0 - t) * Q0 + t * Q1, alpha, last[4])
             return evals[t][3] - c
 
-        brentq(level, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=300, disp=False)
+        _brentq(level, 0.0, 1.0, 1e-15, 8.9e-16, 300)  # a miss is caught by the level check
         best = min(evals.values(), key=lambda e: abs(e[3] - c))
     Q, pi, _, value, _ = best
     comp = MarkovComponent(sft, work.rec.m, work.rec.words, Q, pi)
@@ -422,6 +421,8 @@ def orthant_combination(alpha, candidates) -> np.ndarray:
     M = np.vstack([(R / scale).T, np.ones(2**d)])
     b = np.zeros(d + 1)
     b[-1] = 1.0
+    from scipy.optimize import nnls
+
     theta, _ = nnls(M, b)
     resid = float(np.abs(M @ theta - b).max())
     if resid > 1e-10:

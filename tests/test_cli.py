@@ -464,6 +464,109 @@ def test_lorenz_model_with_nan_is_an_input_error(files, tmp_path):
         assert err.startswith("error: input: model parameter c "), err
 
 
+@pytest.mark.parametrize(
+    "command, flag, doc, key",
+    [
+        ("lorenz-validate", "--model", {"f": {"c": 1.9, "gamma": 0.78}, "H": {"a": -0.5, "b": -0.25}}, "'lambda'"),
+        ("lorenz-simulate", "--model", [1, 2, 3], "'lambda'"),
+        ("flow-entropy", "--system", {"base": {"A": [[1, 1], [1, 1]]}}, "'roof'"),
+        ("flow-entropy", "--system", [{"A": [[1, 1], [1, 1]]}], "'roof'"),
+    ],
+)
+def test_documents_missing_a_key_are_input_errors(files, tmp_path, command, flag, doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, flag, str(path)]
+    if command == "lorenz-simulate":
+        argv += ["--x0", "0.3", "--y0", "0.1", "--n", "10"]
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "symflow.cli", *argv], capture_output=True, text=True, env=env)
+    assert fresh.returncode == 1 and fresh.stdout == ""
+    assert fresh.stderr.startswith("error: input: ") and key in fresh.stderr, fresh.stderr
+    assert "Traceback" not in fresh.stderr
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import symflow, symflow.cli
+loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+for argv in json.loads(sys.argv[1]):
+    code = symflow.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+sys.stdout.write("\\nSCIPY " + json.dumps(loaded) + "\\n")
+"""
+
+
+def test_commands_load_no_scipy(files, tmp_path):
+    """A fresh interpreter imports symflow and runs every non-horseshoe command
+    without loading any scipy module."""
+    requests = {
+        "intermediate": {"g": "g", "alpha": 0.3, "c": 0.3},
+        "low_entropy_mean": {"g": "g", "alpha": 0.4, "h_cap": 0.05},
+        "birkhoff_2d": {"g": "g", "h": "h", "alpha": [0.5, 0.3]},
+    }
+    calls = []
+    for kind, req in requests.items():
+        doc = {"kind": kind, "sft": json.loads(files["full2"].read_text())}
+        doc.update({k: json.loads(files[v].read_text()) if k in ("g", "h") else v for k, v in req.items()})
+        (tmp_path / f"{kind}.json").write_text(json.dumps(doc))
+        calls.append(["witness", "--request", tmp_path / f"{kind}.json", "--out", tmp_path / f"w-{kind}.json"])
+    sft, g, h = files["full2"], files["g"], files["h"]
+    calls += [
+        ["verify", "--measure", tmp_path / "w-intermediate.json"],
+        ["spectrum", "--sft", sft, "--g", g, "--alpha", "0.3"],
+        ["pressure", "--sft", sft, "--g", g, "--beta", "0.5"],
+        ["spectrum2d", "--sft", sft, "--g", g, "--h", h, "--alpha", "0.5,0.25"],
+        ["rotation-set", "--sft", sft, "--g", g, "--h", h, "--directions", "32", "--out", tmp_path / "rot.json"],
+        ["flow-entropy", "--system", files["system"]],
+        ["flow-spectrum", "--system", files["system"], "--phi", g, "--alpha", "0.25"],
+        ["lorenz-validate", "--model", files["model"]],
+        ["lorenz-simulate", "--model", files["model"], "--x0", "0.3", "--y0", "0.1", "--n", "50"],
+    ]
+    calls = [[str(a) for a in argv] for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(calls)], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.rsplit("SCIPY ", 1)[1])
+    assert len(loaded) == len(calls) + 1
+    for argv, mods in zip([["import symflow, symflow.cli"]] + calls, loaded):
+        assert mods == [], (argv, mods[:5])
+
+
+_HORSESHOE_SCRIPT = """
+import json, sys
+from symflow.horseshoe import build_multi_horseshoe, certify_pack
+from symflow.measures import InvariantMeasure
+from symflow.sft import Sft
+def loaded():
+    return sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
+sft = Sft.from_json(json.load(open(sys.argv[1])))
+targets = [InvariantMeasure.from_json(sft, d) for d in json.load(open(sys.argv[2]))]
+pack = build_multi_horseshoe(sft, targets, eta=0.5, zeta=0.4, n_max=16, seed=0)
+after_build = loaded()
+certify_pack(pack, samples=10, seed=1)
+print(json.dumps([after_build, loaded()]))
+"""
+
+
+def test_horseshoe_tables_load_only_scipy_sparse(files):
+    """Building a pack loads no scipy module; certifying it, whose table
+    engine is sparse, loads scipy.sparse and still neither optimize nor spatial."""
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _HORSESHOE_SCRIPT, str(files["full2"]), str(files["targets"])],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    after_build, after_certify = json.loads(run.stdout)
+    assert after_build == []
+    assert "sparse" in after_certify
+    assert not {"optimize", "spatial"} & set(after_certify), after_certify
+
+
 def test_seeded_commands_are_byte_identical(files, tmp_path):
     """Rerunning a seeded command over the same output path reproduces it."""
     torun = []

@@ -224,6 +224,24 @@ def test_word_roof_root_matches_dense_oracle():
         assert abs(got - want) < 1e-11
 
 
+def test_word_roof_root_names_a_missed_root(monkeypatch):
+    from symflow import horseshoe, spectrum
+
+    full2 = Sft([[1, 1], [1, 1]])
+    words = [(0,) + w for w in admissible_words(full2, 3)]
+    roof = LocallyConstantFunction(full2, 2, {(0, 0): 1.0, (0, 1): 1.4, (1, 0): 2.2, (1, 1): 0.7})
+    system = SuspensionSystem(full2, roof)
+
+    def two_steps(f, a, b, xtol, rtol, maxiter):
+        return spectrum._brentq(f, a, b, xtol, rtol, 2)
+
+    monkeypatch.setattr(horseshoe, "_brentq", two_steps)
+    with pytest.raises(DomainError) as e:
+        _word_roof_root(system, words)
+    assert e.value.name == "no_convergence"
+    assert "Bowen root did not converge in [" in str(e.value) and "last s " in str(e.value)
+
+
 def test_word_roof_root_constant_roof_scaling(small_pack):
     pack = small_pack
     words = pack.word_sets[1]
