@@ -776,12 +776,18 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
 
     if hi - lo < 1e-15:
         return lo
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0.0:
+    known: dict = {}  # the bracket test's f(lo) and f(hi) serve Brent's first step
+
+    def f_known(s: float) -> float:
+        if s not in known:
+            known[s] = f(s)
+        return known[s]
+
+    if f_known(lo) <= 0.0:
         return lo
-    if fhi >= 0.0:
+    if f_known(hi) >= 0.0:
         return hi
-    root, converged = _brentq(f, lo, hi, 1e-14, 8.9e-16, 200)
+    root, converged = _brentq(f_known, lo, hi, 1e-14, 8.9e-16, 200)
     if not converged:
         msg = f"Bowen root did not converge in [{lo:.17g}, {hi:.17g}]: last s {root:.17g}"
         raise DomainError(msg, name="no_convergence")

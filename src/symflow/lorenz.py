@@ -72,11 +72,13 @@ class LorenzModel:
             if bad:
                 raise InputError(f"{what} model keys {sorted(bad)}")
         fpart, hpart = data["f"], data["H"]
+        if not (isinstance(fpart, dict) and isinstance(hpart, dict)):
+            raise InputError("model keys 'f' and 'H' must be objects")
         if set(fpart) != {"c", "gamma"} or set(hpart) != {"a", "b"}:
             raise InputError("model f needs keys c,gamma and H needs keys a,b")
         lam = data["lambda"]
-        if len(lam) != 3:
-            raise InputError("lambda must have three entries")
+        if not isinstance(lam, (list, tuple)) or len(lam) != 3:
+            raise InputError("model key 'lambda' must be a list of three entries")
         for key, v in (*fpart.items(), *hpart.items(), *((f"lambda[{i}]", v) for i, v in enumerate(lam))):
             if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise InputError(f"model parameter {key} must be a finite number, got {v!r}")

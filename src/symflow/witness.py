@@ -244,7 +244,9 @@ def intermediate_witness(
     located by Brent's method (``spectrum._brentq``) in the path parameter;
     the evaluated chain closest to c is returned and must pass the level check.
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
-    the requested level allows, so the result also lands zeta-close to mu0.
+    the requested level allows, so the result also lands zeta-close to mu0:
+    to the largest lam = 1 - 2^-j with j <= 14 whose tilted ends straddle c,
+    probed at j = 14 and then bisected from lam = 0 (``_mu0_pull``).
     """
     funcs = [g] + ([u] if u is not None else [])
     model = _EdgeModel(sft, funcs)
@@ -306,20 +308,7 @@ def intermediate_witness(
         end0 = low
         end1 = _tilted_chain(work, Qtop, alpha, low[4])
     else:
-        Qm0 = _markovize(work, mu0)
-        beta0 = beta1 = None  # each end's tilt at the previous lam
-        for j in range(14, -1, -1):
-            lam = 1.0 - 2.0 ** (-j) if j > 0 else 0.0
-            cand0 = (1.0 - lam) * Qlow + lam * Qm0
-            cand1 = (1.0 - lam) * Qtop + lam * Qm0
-            end0 = _tilted_chain(work, cand0, alpha, beta0)
-            end1 = _tilted_chain(work, cand1, alpha, beta1)
-            beta0, beta1 = end0[4], end1[4]
-            if end0[3] <= c - band_tol and end1[3] >= c - band_tol:
-                break
-        else:
-            raise DomainError("c outside admissible band for the requested mu0", name="band")
-        Q0, Q1 = cand0, cand1
+        _, (Q0, end0), (Q1, end1) = _mu0_pull(work, Qlow, Qtop, low, mu0, alpha, c - band_tol)
 
     f1 = end1[3] - c
     if f1 < -10.0 * band_tol:
@@ -351,6 +340,43 @@ def intermediate_witness(
         if dist >= zeta:
             raise DomainError(f"zeta unachievable along the path: d* = {dist:.6g}", name="zeta")
     return nu
+
+
+def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, mu0: InvariantMeasure, alpha: float, level: float):
+    """Pull both path ends toward mu0: the largest lam = 1 - 2^-j, j <= 14,
+    whose tilted ends straddle level (end0 at most level, end1 at least).
+
+    The ends at lam are Qlow and Qtop mixed with the Markov approximation of
+    mu0, each tilted to mean alpha.  j = 14 is probed first, both ends cold;
+    then the lam = 0 ends (``low`` itself and Qtop tilted from it) must
+    straddle, or the level is out of band; then j is bisected over (0, 14),
+    each tilt starting from its end's tilt at the last j that straddled, and
+    end1 tilted only when end0 passes.  Returns (j, (Q0, end0), (Q1, end1)).
+    """
+    Qm0 = _markovize(work, mu0)
+
+    def end(j: int, Q: np.ndarray, beta0: float | None) -> tuple:
+        lam = 1.0 - 2.0 ** (-j)
+        Qj = (1.0 - lam) * Q + lam * Qm0
+        return Qj, _tilted_chain(work, Qj, alpha, beta0)
+
+    lo_end, hi_end = end(14, Qlow, None), end(14, Qtop, None)
+    if lo_end[1][3] <= level <= hi_end[1][3]:
+        return 14, lo_end, hi_end
+    lo_end, hi_end = (Qlow, low), (Qtop, _tilted_chain(work, Qtop, alpha, low[4]))
+    if hi_end[1][3] < level:
+        raise DomainError("c outside admissible band for the requested mu0", name="band")
+    j, fail = 0, 14
+    while fail - j > 1:
+        mid = (j + fail) // 2
+        e0 = end(mid, Qlow, lo_end[1][4])
+        if e0[1][3] <= level:
+            e1 = end(mid, Qtop, hi_end[1][4])
+            if e1[1][3] >= level:
+                j, lo_end, hi_end = mid, e0, e1
+                continue
+        fail = mid
+    return j, lo_end, hi_end
 
 
 def _markovize(model: _EdgeModel, mu: InvariantMeasure) -> np.ndarray:

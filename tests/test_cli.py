@@ -486,6 +486,26 @@ def test_documents_missing_a_key_are_input_errors(files, tmp_path, command, flag
     assert "Traceback" not in fresh.stderr
 
 
+@pytest.mark.parametrize(
+    "part, key",
+    [
+        ({"f": ["c", "gamma"]}, "'f'"),
+        ({"H": 0.5}, "'H'"),
+        ({"lambda": 3}, "'lambda'"),
+        ({"lambda": {"l1": -3.0, "l2": -1.0, "l3": 2.0}}, "'lambda'"),
+    ],
+)
+def test_model_parts_of_the_wrong_type_are_input_errors(files, tmp_path, part, key):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**json.loads(files["model"].read_text()), **part}))
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "symflow.cli", "lorenz-validate", "--model", str(path)]
+    fresh = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert fresh.returncode == 1 and fresh.stdout == ""
+    assert fresh.stderr.startswith("error: input: ") and key in fresh.stderr, fresh.stderr
+    assert "Traceback" not in fresh.stderr
+
+
 _NO_SCIPY_SCRIPT = """
 import json, sys
 import symflow, symflow.cli

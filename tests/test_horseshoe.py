@@ -242,6 +242,26 @@ def test_word_roof_root_names_a_missed_root(monkeypatch):
     assert "Bowen root did not converge in [" in str(e.value) and "last s " in str(e.value)
 
 
+def test_word_roof_root_solves_each_bracket_end_once(monkeypatch):
+    # The bracket test's f(lo) and f(hi) are Brent's first two evaluations:
+    # 7 Perron solves instead of 9, and the root to the last bit.
+    from symflow import horseshoe
+
+    full2 = Sft([[1, 1], [1, 1]])
+    words = [(0,) + w for w in admissible_words(full2, 3)]
+    roof = LocallyConstantFunction(full2, 2, {(0, 0): 1.0, (0, 1): 1.4, (1, 0): 2.2, (1, 1): 0.7})
+    perron, calls = horseshoe._perron_right, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return perron(*args, **kwargs)
+
+    monkeypatch.setattr(horseshoe, "_perron_right", counted)
+    root = _word_roof_root(SuspensionSystem(full2, roof), words)
+    assert len(calls) == 7
+    assert root == float.fromhex("0x1.901321e8309abp-2")  # recorded without the memo
+
+
 def test_word_roof_root_constant_roof_scaling(small_pack):
     pack = small_pack
     words = pack.word_sets[1]

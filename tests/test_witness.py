@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, sign_change_bracket
+from conftest import bernoulli_measure, binary_entropy, sign_change_bracket
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
@@ -359,3 +359,87 @@ def test_intermediate_witness_newton_solve_budget(full2, golden, monkeypatch, sh
     nu = intermediate_witness(sft, g, alpha, frac * H)
     assert abs(nu.entropy() - frac * H) < 1e-5
     assert 0 < len(calls) <= 40
+
+
+def _scan_mu0_pull(work, Qlow, Qtop, mu0, alpha, level):
+    """The 15-step scan the bisection replaced: j from 14 down to 0, both
+    ends tilted at every step from their tilts at the step before."""
+    Qm0 = witness._markovize(work, mu0)
+    beta0 = beta1 = None
+    for j in range(14, -1, -1):
+        lam = 1.0 - 2.0 ** (-j) if j > 0 else 0.0
+        end0 = witness._tilted_chain(work, (1.0 - lam) * Qlow + lam * Qm0, alpha, beta0)
+        end1 = witness._tilted_chain(work, (1.0 - lam) * Qtop + lam * Qm0, alpha, beta1)
+        beta0, beta1 = end0[4], end1[4]
+        if end0[3] <= level and end1[3] >= level:
+            return j
+    return None
+
+
+def test_mu0_pull_finds_the_scanned_lambda(full2, monkeypatch):
+    # The bisection lands on the largest j the scan from j = 14 down finds,
+    # and refuses the level where the scan does, wherever the scan itself
+    # runs through.
+    g = ind1(full2)
+    pull = witness._mu0_pull
+    seen = []
+
+    def spy(work, Qlow, Qtop, low, mu0, alpha, level):
+        seen.append([(work, Qlow, Qtop, mu0, alpha, level), None])  # None: refused as out of band
+        out = pull(work, Qlow, Qtop, low, mu0, alpha, level)
+        seen[-1][1] = out[0]
+        return out
+
+    monkeypatch.setattr(witness, "_mu0_pull", spy)
+    rng = np.random.default_rng(15)
+    for _ in range(24):
+        a, b = rng.uniform(0.005, 0.3, size=2)
+        mu0 = InvariantMeasure.single(MarkovComponent(full2, 1, [(0,), (1,)], np.array([[1 - a, a], [b, 1 - b]])))
+        alpha = rng.uniform(0.2, 0.4)
+        c = rng.uniform(0.3, 0.95) * binary_entropy(alpha)
+        try:
+            intermediate_witness(full2, g, alpha, c, mu0=mu0, zeta=0.3)
+        except DomainError:
+            pass
+    compared, js = 0, set()
+    for args, j in seen:
+        try:
+            want = _scan_mu0_pull(*args)
+        except DomainError:
+            continue
+        assert j == want, (args[4:], j, want)
+        compared += 1
+        js.add(j)
+    assert compared >= 10 and len(js) >= 4, (compared, js)
+
+
+@pytest.mark.parametrize("p, alpha, c", [(0.5, 0.2, 0.2), (0.8, 0.3, 0.4)])
+def test_mu0_pull_refuses_zeta_where_the_scan_hit_the_cap(full2, p, alpha, c):
+    # The scan ran down to lam = 0 and re-tilted the low end there from its
+    # tilt at lam = 1/2, which ran into a NaN Perron bracket (iteration_cap).
+    # The bisection takes the low end as already tilted and returns the
+    # honest refusal.
+    with pytest.raises(DomainError) as e:
+        intermediate_witness(full2, ind1(full2), alpha, c, mu0=bernoulli_measure(full2, [1.0 - p, p]), zeta=0.1)
+    assert e.value.name == "zeta"
+
+
+def test_mu0_witness_solve_budget(full2, monkeypatch):
+    # The nine mu0 requests of the witness benchmark: at most 600 equilibrium
+    # solves together (1,082 for the 15-step scan), with the same outcomes.
+    g = ind1(full2)
+    mu0 = bernoulli_measure(full2, [0.7, 0.3])
+    calls = _count_equilibrium(monkeypatch, thermo, witness)
+    ok = []
+    for alpha in (0.26, 0.30, 0.34):
+        for c in (0.3, 0.4, 0.5):
+            try:
+                nu = intermediate_witness(full2, g, alpha, c, mu0=mu0, zeta=0.1)
+            except DomainError as e:
+                assert e.name == "zeta", (alpha, c, e.name)
+                continue
+            assert abs(nu.integrate(g) - alpha) < 1e-8 and abs(nu.entropy() - c) < 1e-5
+            assert d_star(nu, mu0) < 0.1
+            ok.append((alpha, c))
+    assert ok == [(0.30, 0.4), (0.30, 0.5), (0.34, 0.5)]
+    assert len(calls) <= 600, len(calls)
