@@ -7,7 +7,9 @@ recoded block graphs of 64 states (a memory-7 table on the full 2-shift) to
 Strong components come from the dense boolean transitive closure (Warshall's
 n vectorised passes), with no scipy.sparse graph round trip and no size
 switch: its n passes over n^2 booleans cost no more than the n GTH
-elimination passes that ``measures.stationary`` runs next.  Extreme cycle
+elimination passes that ``measures.stationary`` runs next on the closed
+class.  Equilibrium chains that charge every edge of an irreducible recoding
+skip the search (see ``thermo._equilibrium``).  Extreme cycle
 means are Karp's table over the edge list, n segmented minima over the E
 edges: O(n E) work in n array passes, no per-edge Python loop.
 """

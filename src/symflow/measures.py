@@ -41,9 +41,10 @@ def stationary(Q: np.ndarray) -> np.ndarray:
     GTH runs on that class, and transient states get mass 0.  A vector
     whose masses span more than the double range raises
     ``DomainError("stationary_range")`` without floating-point warnings.
-    ``thermo._equilibrium`` skips the closed-class search and calls the GTH
-    step directly whenever its chain charges every edge of an irreducible
-    recoding: that support is one closed class by construction.
+    ``thermo._equilibrium`` skips the closed-class search whenever its chain
+    charges every edge of an irreducible recoding, since that support is one
+    closed class by construction: it tries ``_stationary_inverse`` first and
+    runs the GTH step only when that step's checks fail.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -92,6 +93,66 @@ def _gth(T: np.ndarray) -> np.ndarray:
             name="stationary_range",
         )
     return pi
+
+
+def _stationary_inverse(Q: np.ndarray) -> np.ndarray | None:
+    """Stationary vector of the irreducible row-stochastic Q by shifted
+    inverse iteration, or None when the steps fail their checks (callers
+    then run ``_gth``).
+
+    Three steps x <- (sigma I - Q^T)^-1 x, sigma = 1 + 1e-10, from the
+    uniform vector, each one LAPACK solve.  For sigma > 1 the inverse is a
+    nonnegative Neumann series, and a step scales the part of x along an
+    eigenvalue lambda != 1 of Q by (sigma - 1) / (sigma - lambda).  The
+    diagonal sigma - Q_jj is summed as (sigma - 1) + sum_{k != j} Q_jk, the
+    off-diagonal row sum that GTH also uses, so a state that rarely leaves
+    (Q_jj near 1) loses no digits to cancellation.  The third iterate x is
+    returned when all of these hold:
+
+    - x is positive: masses beyond the double range underflow to 0 and fail;
+    - the Collatz-Wielandt ratios r_j = (Q^T x)_j / x_j lie within 1e-13 of
+      each other.  They average to 1 under x, so every |r_j - 1| is at most
+      that spread: an entrywise-relative residual;
+    - the third step moved no entry by more than 1e-12 relative, and the
+      second by no more than 1e-6.  The first step leaves about
+      (sigma - 1) / (1 - lambda_2) of the start's error, so the second bound
+      puts 1 - lambda_2 above about 1e-4, and rounding in the solve,
+      amplified by about 1 / (1 - lambda_2), stays near 1e-12.  A nearly
+      decomposable chain (1 - lambda_2 near or below sigma - 1) moves by
+      (1 - lambda_2) / (sigma - lambda_2) of its error a step, or by the
+      solve's rounding divided by sigma - 1, and fails here.
+
+    These are residual and convergence checks; they do not certify pi
+    entrywise, and ``_gth`` keeps that claim.  GTH has no subtractions, so
+    O'Cinneide's entrywise perturbation bounds (1993) apply to it.  A
+    residual reaches pi only through the mean first-passage times m_ij:
+    with e = x - pi and res = xQ - x, e_j / pi_j = sum_{i != j} res_i m_ij
+    (Cho & Meyer 2000), so a ratio spread delta bounds e_j / pi_j by delta
+    times the mean time to reach j from x, which no step here computes.
+    """
+    n = Q.shape[0]
+    M = -Q.T
+    M.flat[:: n + 1] = 0.0
+    M.flat[:: n + 1] = 1e-10 - M.sum(axis=0)
+    steps = [np.full(n, 1.0 / n)]
+    # An iterate with zero, negative or NaN entries fails the checks below.
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(3):
+                x = np.linalg.solve(M, steps[-1])
+                steps.append(x / x.sum())
+        except np.linalg.LinAlgError:
+            return None
+        _, x1, x2, x = steps
+        ratios = Q.T @ x / x
+        if (
+            (x > 0.0).all()
+            and ratios.max() - ratios.min() <= 1e-13
+            and (np.abs(x - x2) <= 1e-12 * x).all()
+            and (np.abs(x2 - x1) <= 1e-6 * x2).all()
+        ):
+            return x
+    return None
 
 
 def _integrate(mu, g: LocallyConstantFunction) -> float:

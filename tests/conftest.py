@@ -48,9 +48,16 @@ def sign_change_bracket(f) -> tuple[float, float]:
 
 def count_solves(monkeypatch):
     """Record the coefficient tuple of every equilibrium solve of an ``_EdgeModel``."""
+    return spy_solves(monkeypatch)[0]
+
+
+def spy_solves(monkeypatch):
+    """(coeffs, sols): the coefficient tuple of every equilibrium solve of an
+    ``_EdgeModel``, recorded as the solve starts, and the ``_Solve`` of every
+    solve that returns."""
     from symflow import thermo
 
-    solved, last = [], []
+    solved, sols, last = [], [], []
     weights, equilibrium = thermo._EdgeModel.weights, thermo._equilibrium
 
     def spy_weights(self, coeffs):
@@ -59,8 +66,10 @@ def count_solves(monkeypatch):
 
     def spy_equilibrium(*args, **kwargs):
         solved.append(last[-1])
-        return equilibrium(*args, **kwargs)
+        sol = equilibrium(*args, **kwargs)
+        sols.append(sol)
+        return sol
 
     monkeypatch.setattr(thermo._EdgeModel, "weights", spy_weights)
     monkeypatch.setattr(thermo, "_equilibrium", spy_equilibrium)
-    return solved
+    return solved, sols

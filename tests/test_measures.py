@@ -8,6 +8,7 @@ from symflow.errors import DomainError, InputError
 from symflow.measures import (
     InvariantMeasure,
     _gth,
+    _stationary_inverse,
     MarkovComponent,
     d_star,
     periodic_orbit_measure,
@@ -78,6 +79,55 @@ def test_gth_matches_stationary_on_irreducible_chains():
         with pytest.raises(DomainError) as err:
             solve(Q)
         assert err.value.name == "stationary_range"
+
+
+def _skewed_chain(rng, n: int) -> np.ndarray:
+    """Random irreducible chain on n states with weights e^(c z), c uniform
+    on [0, 12] and z standard normal, as in the test above."""
+    support = rng.random((n, n)) < rng.uniform(0.0, 0.6)
+    order = rng.permutation(n)
+    support[order, np.roll(order, -1)] = True  # a Hamiltonian cycle
+    weights = np.exp(rng.uniform(0.0, 12.0) * rng.normal(size=(n, n)))
+    Q = np.where(support, weights, 0.0)
+    return Q / Q.sum(axis=1, keepdims=True)
+
+
+def test_stationary_inverse_agrees_with_gth_or_declines():
+    # The inverse-iteration step returns pi within 1e-12 entrywise-relative of
+    # GTH, or None (GTH then runs); a vector beyond the double range is None.
+    rng = np.random.default_rng(12)
+    taken = 0
+    for _ in range(300):
+        Q = _skewed_chain(rng, int(rng.integers(2, 129)))
+        x = _stationary_inverse(Q)
+        try:
+            ref = _gth(Q.copy())
+        except DomainError:
+            assert x is None
+            continue
+        if x is not None:
+            taken += 1
+            assert (np.abs(x - ref) <= 1e-12 * ref).all()
+    assert taken >= 100
+    e = 1e-200
+    assert _stationary_inverse(np.array([[1.0 - e, e, 0.0], [1.0 - e, 0.0, e], [1.0, 0.0, 0.0]])) is None
+
+
+@pytest.mark.parametrize("coupling", [1e-10, 1e-14, 1e-20])
+def test_stationary_inverse_on_a_nearly_decomposable_chain(coupling):
+    # Two blocks, 5 and 9 states, joined by one edge each way.  Inverse
+    # iteration moves their mass balance by about coupling / 1e-10 a step,
+    # and their Collatz-Wielandt ratios stay within about the coupling of 1
+    # at any balance, so the ratio check alone would pass a wrong balance.
+    rng = np.random.default_rng(1)
+    Q = np.zeros((14, 14))
+    Q[:5, :5] = rng.random((5, 5)) + 0.1
+    Q[5:, 5:] = rng.random((9, 9)) + 0.1
+    Q[0, 5], Q[5, 0] = coupling, 3.0 * coupling
+    Q /= Q.sum(axis=1, keepdims=True)
+    x = _stationary_inverse(Q)
+    ref = _gth(Q.copy())
+    assert x is None or (np.abs(x - ref) <= 1e-12 * ref).all()
 
 
 def test_stationary_refuses_multiple_closed_classes():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
 
-from conftest import bernoulli_measure, binary_entropy, count_solves, sign_change_bracket
+from conftest import bernoulli_measure, binary_entropy, count_solves, sign_change_bracket, spy_solves
 from symflow.errors import DomainError
 from symflow.measures import InvariantMeasure, periodic_orbit_measure, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
@@ -386,6 +386,16 @@ def test_a_64_state_spectrum_point_makes_one_eig_call(full2, golden, monkeypatch
     g = ind1(golden) + (-0.3) * LocallyConstantFunction.indicator(golden, (1, 0, 1))
     conditional_entropy_spectrum(golden, g, 0.3)
     assert len(calls) == len(starts) > 5 and set(starts) == {"cold"}
+
+
+def test_a_64_state_interior_point_finds_every_pi_by_inverse_iteration(full2, monkeypatch):
+    # The interior of L_g is well mixed: no solve needs the GTH fall-back.
+    _, sols = spy_solves(monkeypatch)
+    g = _memory7_table(full2, 7)
+    rng = birkhoff_range(full2, g)
+    conditional_entropy_spectrum(full2, g, rng.lo + 0.4 * (rng.hi - rng.lo))
+    assert sols and {len(sol.pi) for sol in sols} == {64}
+    assert {sol.pi_from for sol in sols} == {"inverse"}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

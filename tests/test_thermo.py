@@ -7,7 +7,8 @@ import pytest
 
 from conftest import bernoulli_measure, binary_entropy
 from symflow.errors import DomainError
-from symflow.measures import InvariantMeasure, periodic_orbit_measure, random_markov_component
+from symflow import thermo
+from symflow.measures import InvariantMeasure, _gth, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words, topological_entropy
 from symflow.thermo import _covariance, _EdgeModel, pressure, verify_equilibrium
 
@@ -219,3 +220,53 @@ def test_pressure_root_beyond_the_double_range(full2):
         res = pressure(full2, LocallyConstantFunction.constant(full2, 800.0))
     assert abs(res.value - (800.0 + np.log(2.0))) < 1e-9
     assert res.root == np.inf
+
+
+def _memory3_table(full2, seed: int) -> LocallyConstantFunction:
+    values = np.random.default_rng(seed).normal(size=8)
+    return LocallyConstantFunction(full2, 3, dict(zip(admissible_words(full2, 3), values)))
+
+
+def test_equilibrium_falls_back_to_gth(full2, monkeypatch):
+    # Below _INVERSE_MIN_STATES states, and whenever the inverse-iteration step
+    # declines, pi carries GTH's exact bits.
+    small = _EdgeModel(full2, [_memory3_table(full2, 0)]).solve((1.0,))
+    assert len(small.pi) < thermo._INVERSE_MIN_STATES and small.pi_from == "gth"
+    words = admissible_words(full2, 5)
+    g = LocallyConstantFunction(full2, 5, dict(zip(words, np.random.default_rng(0).normal(size=len(words)))))
+    sol = _EdgeModel(full2, [g]).solve((1.0,))
+    assert len(sol.pi) == 16 and sol.pi_from == "inverse"
+    monkeypatch.setattr(thermo, "_stationary_inverse", lambda Q: None)
+    gth = _EdgeModel(full2, [g]).solve((1.0,))
+    assert gth.pi_from == "gth" and np.array_equal(gth.pi, _gth(gth.Q.copy()))
+    assert (np.abs(sol.pi - gth.pi) <= 1e-13 * gth.pi).all()
+
+
+# Tables g = default_rng(s).normal(size=8) of memory 3 on full2 for which the
+# -700 clamp made pressure(full2, beta * g) return P above lambda* + log 2
+# without an error, before the bracket check.
+_CLAMP_WRONG = {400.0: (70, 87, 131, 172, 184, 194), 1000.0: (43, 55, 91, 96, 137, 168, 192, 195), 1e4: (71, 197)}
+
+
+@pytest.mark.parametrize("beta, seeds", [(400.0, _CLAMP_WRONG[400.0]), (1000.0, range(200)), (1e4, range(200))])
+def test_clamped_pressure_lands_in_its_bracket_or_is_named(full2, beta, seeds):
+    # lambda* <= P <= lambda* + h_top for every potential (lambda* the maximum
+    # cycle mean); a clamped solve outside that bracket raises "tilt_range",
+    # from pressure and from the spectrum paths' _EdgeModel.solve alike.
+    for s in seeds:
+        g = beta * _memory3_table(full2, s)
+        model = _EdgeModel(full2, [g])
+        lam = model.max_cycle((1.0,))[0]
+        if s in _CLAMP_WRONG[beta]:
+            for solve in (lambda: pressure(full2, g), lambda: model.solve((1.0,))):
+                with pytest.raises(DomainError) as e:
+                    solve()
+                assert e.value.name == "tilt_range"
+            continue
+        try:
+            P = pressure(full2, g).value
+        except DomainError as e:
+            assert e.name in {"iteration_cap", "stationary_range"}
+            continue
+        slack = 1e-9 * max(1.0, abs(P))
+        assert lam - slack <= P <= lam + np.log(2.0) + slack
