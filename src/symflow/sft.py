@@ -317,11 +317,15 @@ class BlockRecoding:
     ``sft`` is the recoded system, ``words[i]`` the m-word behind symbol i,
     and ``index`` the inverse map.  Edges i -> j exist exactly when the two
     words overlap in m-1 symbols and the joined (m+1)-word is admissible,
-    so entropy is preserved.
+    so entropy is preserved.  The recoded matrix is dense, so its n^2
+    entries are held to ``budget`` before it is allocated.
     """
 
     def __init__(self, base: Sft, m: int, budget: int = ENUMERATION_BUDGET):
         words = admissible_words(base, m, budget=budget)
+        if len(words) ** 2 > budget:
+            msg = f"enumeration too large: a dense matrix on {len(words)} recoded states exceeds the budget of {budget}"
+            raise DomainError(msg, name="enumeration_too_large")
         index = {w: i for i, w in enumerate(words)}
         # Each admissible (m+1)-word is the edge from its m-prefix to its m-suffix.
         parent, _, suffix = _word_levels(base, m + 1, budget=budget)[m + 1]

@@ -13,16 +13,18 @@ smaller chains run GTH, and each ``_Solve`` records which of "inverse" and
 "gth" found its vector.  Pressure is the log of the certified Perron root,
 so the variational identity P = h + integral is available as an exact check.
 
-Edge weights are e^(E - max E), with every exponent clamped at -700.  When
-the clamp fires, ``pressure`` and ``_EdgeModel.solve`` check P against
-lambda* <= P <= lambda* + h_top, lambda* the maximum cycle mean of E, and
-raise ``DomainError("tilt_range")`` outside it: the clamp can lift a light
-edge enough to invent a heavy cycle.
+Edge weights are e^(E - max E), with every exponent clamped at -700, times
+the chain being tilted, if any.  ``_EdgeModel.solve`` is the one caller of
+``_equilibrium``, for ``pressure``, the spectra and the witness tilts; when
+the clamp fires it checks P against lambda* <= P <= lambda* + h_top,
+lambda* the maximum cycle mean of the edge potential, and raises
+``DomainError("tilt_range")`` outside it: the clamp can lift a light edge
+enough to invent a heavy cycle.
 
 Root-finders walk the tilt in small steps, so on a recoding of at least
 ``_WARM_START_MIN_STATES`` states ``_EdgeModel.solve`` warm-starts each
 Perron solve from the right vector of the model's previous solve instead of
-a dense ``eig``; smaller recodings, ``pressure`` and witness chains start
+a dense ``eig``; smaller recodings, and the first solve of every model, start
 cold.  A warm start that stalls falls back to the cold start, and each
 ``_Solve`` records which of "cold", "warm" and "fallback" found its root.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -190,7 +192,6 @@ class _EdgeModel:
         self.edges = [np.zeros_like(A, dtype=float) for _ in self.funcs]
         for E, f in zip(self.edges, self.funcs):
             E[self.mask] = f.values(words)
-        self._solves: dict = {}
         self._last: _Solve | None = None
 
     def _combined(self, coeffs) -> np.ndarray:
@@ -211,13 +212,13 @@ class _EdgeModel:
         clamped = bool((shifted[self.mask] < -700.0).any())
         return np.where(self.mask, np.exp(np.clip(shifted, -700.0, 0.0)), 0.0), offset, clamped
 
-    def check_bracket(self, coeffs, P: float) -> None:
+    def check_bracket(self, E: np.ndarray, P: float) -> None:
         """Raise ``DomainError("tilt_range")`` unless lambda* <= P <= lambda* +
         h_top within 1e-9 max(1, |P|), where lambda* is the maximum cycle mean
-        of the combined potential.  Every invariant measure has entropy in
+        of the edge potential E.  Every invariant measure has entropy in
         [0, h_top] and mean at most lambda*, and the cycle's periodic measure
-        attains lambda*.  Callers check a P solved from clamped weights."""
-        lam, h = self.max_cycle(coeffs)[0], topological_entropy(self.sft)
+        attains lambda*.  ``solve`` checks a P solved from clamped weights."""
+        lam, h = max_mean_cycle(self.rec.sft.A, E)[0], topological_entropy(self.sft)
         slack = 1e-9 * max(1.0, abs(P))
         if not lam - slack <= P <= lam + h + slack:
             raise DomainError(
@@ -226,22 +227,22 @@ class _EdgeModel:
                 name="tilt_range",
             )
 
-    def solve(self, coeffs, tol: float = 1e-12) -> _Solve:
-        """Equilibrium of the potential sum(coeffs[k] * funcs[k]), solved once
-        per (coeffs, tol) on this model: callers only read the shared arrays.
+    def solve(self, coeffs, tol: float = 1e-12, rng=None, chain: np.ndarray | None = None) -> _Solve:
+        """Equilibrium of the potential sum(coeffs[k] * funcs[k]), or of
+        ``chain`` (positive on every edge) tilted by it: weights chain * e^potential.
 
         On a recoding of at least ``_WARM_START_MIN_STATES`` states the
         Perron solve is warm-started from the right vector of the model's
         last solve, since root-finders move the coefficients in small steps."""
-        key = (tuple(map(float, coeffs)), tol)
-        if key not in self._solves:
-            W, offset, clamped = self.weights(coeffs)
-            r0 = self._last.right if self._last is not None and len(W) >= _WARM_START_MIN_STATES else None
-            sol = _equilibrium(W, self.mask, self.edges, offset, tol=tol, r0=r0)
-            if clamped:
-                self.check_bracket(coeffs, sol.P)
-            self._last = self._solves[key] = sol
-        return self._solves[key]
+        W, offset, clamped = self.weights(coeffs)
+        W = W if chain is None else chain * W
+        r0 = self._last.right if self._last is not None and len(W) >= _WARM_START_MIN_STATES else None
+        sol = _equilibrium(W, self.mask, self.edges, offset, tol=tol, rng=rng, r0=r0)
+        if clamped:  # the edge potential of chain * e^E is E + log chain
+            log_chain = 0.0 if chain is None else np.log(np.where(self.mask, chain, 1.0))
+            self.check_bracket(self._combined(coeffs) + log_chain, sol.P)
+        self._last = sol
+        return sol
 
     def component(self, sol: _Solve) -> MarkovComponent:
         return MarkovComponent(self.sft, self.rec.m, self.rec.words, sol.Q, sol.pi)
@@ -271,10 +272,7 @@ def pressure(sft: Sft, g: LocallyConstantFunction, tol: float = 1e-12, rng=None)
     the variational identity h + integral g = P.
     """
     model = _EdgeModel(sft, [g])
-    W, offset, clamped = model.weights((1.0,))
-    sol = _equilibrium(W, model.mask, model.edges, offset, tol=tol, rng=rng)
-    if clamped:
-        model.check_bracket((1.0,), sol.P)
+    sol = model.solve((1.0,), tol=tol, rng=rng)
     with np.errstate(over="ignore"):  # a root beyond the double range reads inf
         root = float(np.exp(sol.P))
     return PressureResult(
@@ -282,7 +280,7 @@ def pressure(sft: Sft, g: LocallyConstantFunction, tol: float = 1e-12, rng=None)
         equilibrium=model.component(sol),
         root=root,
         right=sol.right,
-        _left_solve=partial(_perron_right, W.T, tol=tol, rng=rng),
+        _left_solve=lambda: _perron_right(model.weights((1.0,))[0].T, tol=tol, rng=rng),
     )
 
 

@@ -24,7 +24,7 @@ from .errors import DomainError, InputError
 from .measures import InvariantMeasure, MarkovComponent, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
 from .spectrum import _brentq, _check_interior, _edge_tol, _tilt, conditional_entropy_spectrum_2d
-from .thermo import _EdgeModel, _equilibrium
+from .thermo import _EdgeModel
 
 __all__ = [
     "low_entropy_mean_witness",
@@ -207,17 +207,14 @@ def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float 
     (just the entropy when the model has no u) and beta is the tilt found
     by the Newton iteration of ``spectrum._tilt`` (slope: the asymptotic
     variance of g under the tilted chain), from beta0 when given (such as
-    the tilt of a nearby matrix on the same path).  Near the deterministic
-    end of the path the spectral gap of the tilted matrix vanishes;
-    ``thermo._equilibrium`` certifies its Perron root by a Collatz-Wielandt
-    bracket and needs no gap.
+    the tilt of a nearby matrix on the same path), each step a
+    ``model.solve(..., chain=Qt)`` with the model's warm start and clamp
+    guard.  Near the deterministic end of the path the spectral gap of the
+    tilted matrix vanishes; ``thermo._equilibrium`` certifies its Perron
+    root by a Collatz-Wielandt bracket and needs no gap.
     """
     zeros = (0.0,) * (len(model.funcs) - 1)
-
-    def solve(beta: float):
-        return _equilibrium(Qt * model.weights((beta,) + zeros)[0], model.mask, model.edges)
-
-    beta, sol = _tilt(solve, model.edges[0], alpha, beta0)
+    beta, sol = _tilt(lambda b: model.solve((b,) + zeros, chain=Qt), model.edges[0], alpha, beta0)
     return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
 
 

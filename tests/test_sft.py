@@ -160,6 +160,15 @@ def test_enumeration_budget(full2):
         admissible_words(full2, 40, budget=10_000)
 
 
+def test_block_recode_holds_its_dense_matrix_to_the_budget(full2):
+    # 128 recoded states fit a word budget of 2^10, but their 2^14-entry
+    # transition matrix does not: refused before it is allocated.
+    with pytest.raises(DomainError) as e:
+        block_recode(full2, 7, budget=2**10)
+    assert e.value.name == "enumeration_too_large"
+    assert block_recode(full2, 5, budget=2**10).sft.k == 32
+
+
 def test_block_recode_identity_and_entropy(full2, golden):
     rec1 = block_recode(golden, 1)
     assert rec1.sft == golden

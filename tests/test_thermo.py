@@ -270,3 +270,28 @@ def test_clamped_pressure_lands_in_its_bracket_or_is_named(full2, beta, seeds):
             continue
         slack = 1e-9 * max(1.0, abs(P))
         assert lam - slack <= P <= lam + np.log(2.0) + slack
+
+
+# Tables for which the chain formula of the witness tilts, which had no clamp
+# guard, returned P outside its bracket without an error.
+_CHAIN_CLAMP_WRONG = {400.0: (70, 87, 117, 131, 172, 184, 194), 1000.0: (43, 55, 84, 91, 96, 137, 147, 168, 192, 195), 1e4: (71,)}
+
+
+@pytest.mark.parametrize("beta", sorted(_CHAIN_CLAMP_WRONG))
+def test_clamped_chain_tilt_lands_in_its_bracket_or_is_named(full2, beta):
+    # Tilting the uniform chain U adds log U = -log 2 to every edge, so the
+    # bracket is [lambda* - log 2, lambda*]; a clamped chain tilt outside it
+    # raises "tilt_range" like any other tilt of the model.
+    for s in range(200):
+        model = _EdgeModel(full2, [beta * _memory3_table(full2, s)])
+        U = model.mask / model.mask.sum(axis=1, keepdims=True)
+        lam = model.max_cycle((1.0,))[0]
+        try:
+            P = model.solve((1.0,), chain=U).P
+        except DomainError as e:
+            want = {"tilt_range"} if s in _CHAIN_CLAMP_WRONG[beta] else {"iteration_cap", "stationary_range"}
+            assert e.name in want, (s, e.name)
+            continue
+        assert s not in _CHAIN_CLAMP_WRONG[beta], s
+        slack = 1e-9 * max(1.0, abs(P))
+        assert lam - np.log(2.0) - slack <= P <= lam + slack, s

@@ -3,13 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure, binary_entropy, sign_change_bracket
+from conftest import bernoulli_measure, binary_entropy, count_solves, sign_change_bracket
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
 from symflow.measures import InvariantMeasure, MarkovComponent, d_star, support_is_full
-from symflow.sft import LocallyConstantFunction, Sft
-from symflow.spectrum import _EdgeModel, conditional_entropy_spectrum
+from symflow.sft import LocallyConstantFunction, Sft, admissible_words
+from symflow.spectrum import _EdgeModel, birkhoff_range, conditional_entropy_spectrum
 from symflow.witness import (
     _connector,
     birkhoff_witness_2d,
@@ -184,20 +184,6 @@ def test_intermediate_witness_near_mu0(full2):
         intermediate_witness(full2, g, alpha, 0.5 * H, mu0=mu0)  # zeta missing
 
 
-def _count_equilibrium(m, *modules):
-    """List that grows by one per ``_equilibrium`` call made through modules."""
-    solve = thermo._equilibrium
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
-
-    for module in modules:
-        m.setattr(module, "_equilibrium", counted)
-    return calls
-
-
 def test_intermediate_witness_solve_budget(full2, golden, monkeypatch):
     # Root-finding in the path parameter with warm-started tilts: at most 200
     # equilibrium solves per witness.
@@ -205,7 +191,7 @@ def test_intermediate_witness_solve_budget(full2, golden, monkeypatch):
         g = ind1(sft)
         H = conditional_entropy_spectrum(sft, g, alpha).entropy
         with monkeypatch.context() as m:
-            calls = _count_equilibrium(m, thermo, witness)
+            calls = count_solves(m)
             for frac in (0.25, 0.5, 0.75):
                 calls.clear()
                 nu = intermediate_witness(sft, g, alpha, frac * H)
@@ -241,6 +227,48 @@ def test_intermediate_witness_snaps_to_the_top_end(full2, monkeypatch):
     assert abs(nu.entropy() - v1) < 1e-12
 
 
+def _memory6_table(full2, seed: int) -> LocallyConstantFunction:
+    words = admissible_words(full2, 6)
+    return LocallyConstantFunction(full2, 6, dict(zip(words, np.random.default_rng(seed).normal(size=len(words)))))
+
+
+def test_witness_paths_warm_start_on_large_recodings(full2, monkeypatch):
+    # The top tilt (32 states) and every chain tilt of the work recoding (64
+    # states) go through _EdgeModel.solve: one cold Perron start per model,
+    # every later solve warm-started from the one before.
+    g = _memory6_table(full2, 0)
+    rng = birkhoff_range(full2, g)
+    alpha = rng.lo + 0.4 * (rng.hi - rng.lo)
+    c = 0.5 * conditional_entropy_spectrum(full2, g, alpha).entropy
+    solve, starts = thermo._EdgeModel.solve, {}
+
+    def spy(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        starts.setdefault(id(self), []).append(sol.start)
+        return sol
+
+    monkeypatch.setattr(thermo._EdgeModel, "solve", spy)
+    nu = intermediate_witness(full2, g, alpha, c)
+    assert len(starts) == 2
+    for path in starts.values():
+        assert path[0] == "cold" and len(path) > 1 and set(path[1:]) == {"warm"}, path
+    assert abs(nu.integrate(g) - alpha) < 1e-8
+    assert abs(nu.entropy() - c) < 1e-5
+
+
+def test_a_recoding_too_large_to_store_is_named(full2):
+    # The maximum cycle of this table has period 15, so the work recoding
+    # would have 2^15 states and a 2^30-entry matrix: refused before it is
+    # allocated.
+    g = _memory6_table(full2, 5)
+    rng = birkhoff_range(full2, g)
+    alpha = rng.lo + 0.4 * (rng.hi - rng.lo)
+    c = 0.5 * conditional_entropy_spectrum(full2, g, alpha).entropy
+    with pytest.raises(DomainError) as e:
+        intermediate_witness(full2, g, alpha, c)
+    assert e.value.name == "enumeration_too_large"
+
+
 def test_tilted_chain_warm_start(full2, monkeypatch):
     # A tilt started from the solved tilt of a nearby matrix lands on the same
     # mean in fewer equilibrium solves than one started from [-1, 1].
@@ -248,7 +276,7 @@ def test_tilted_chain_warm_start(full2, monkeypatch):
     model = _EdgeModel(full2, [g])
     Q = model.solve((0.7,)).Q
     near = 0.999 * Q + 0.001 * model.solve((-0.2,)).Q
-    calls = _count_equilibrium(monkeypatch, witness)
+    calls = count_solves(monkeypatch)
     *_, beta = witness._tilted_chain(model, Q, 0.4)
     cold = len(calls)
     calls.clear()
@@ -355,7 +383,7 @@ def test_intermediate_witness_newton_solve_budget(full2, golden, monkeypatch, sh
     sft = {"full2": full2, "golden": golden}[shift]
     g = ind1(sft)
     H = conditional_entropy_spectrum(sft, g, alpha).entropy
-    calls = _count_equilibrium(monkeypatch, thermo, witness)
+    calls = count_solves(monkeypatch)
     nu = intermediate_witness(sft, g, alpha, frac * H)
     assert abs(nu.entropy() - frac * H) < 1e-5
     assert 0 < len(calls) <= 40
@@ -429,7 +457,7 @@ def test_mu0_witness_solve_budget(full2, monkeypatch):
     # solves together (1,082 for the 15-step scan), with the same outcomes.
     g = ind1(full2)
     mu0 = bernoulli_measure(full2, [0.7, 0.3])
-    calls = _count_equilibrium(monkeypatch, thermo, witness)
+    calls = count_solves(monkeypatch)
     ok = []
     for alpha in (0.26, 0.30, 0.34):
         for c in (0.3, 0.4, 0.5):
