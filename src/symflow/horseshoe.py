@@ -19,7 +19,8 @@ quadratic in the alphabet:
   and, for word chains, of N-1 joint (suffix, prefix) histograms with k^N
   bins each; the certificate draws each random chain once and reads all
   its depths from one set of statistics;
-* the factory classifies each candidate chunk against all targets at once,
+* the factory classifies one necklace per rotation class against all
+  targets at once (the periodic measure is the same for every rotation),
   extending window codes level by level for the rows still undecided;
 * spectral quantities are taken on the word graph collapsed to its
   (suffix, prefix) classes.
@@ -466,47 +467,62 @@ def _classify(sft: Sft, W: np.ndarray, tables: list, zeta: float, N: int = _DSTA
     return accepted
 
 
-def _anchored_word_chunks(sft: Sft, n: int, anchor: int, chunk: int = _CHUNK_ROWS, budget: int = _BUILD_ROW_BUDGET):
-    """Yield closable admissible n-words starting at ``anchor`` in chunks.
+def _necklace_chunks(sft: Sft, n: int, anchor: int):
+    """Yield (words, periods): the closable admissible n-words that start at
+    ``anchor`` and are least among their rotations, one per rotation class.
 
-    Depth-first over prefix blocks, splitting any block that would outgrow
-    the chunk size, so lexicographic order is preserved while memory stays
-    bounded; the budget counts candidate rows ever materialised.
+    Prefixes grow by the prenecklace rule of Fredricksen, Kessler and
+    Maiorana: a row w with Lyndon-prefix length p takes the symbol s at
+    position i only if s >= w[i-p], keeping p when equal and setting p = i+1
+    when larger; at length n the necklaces are the rows with p | n.  Prefix
+    blocks are walked depth first and split at the chunk size, so rows come
+    out in lexicographic order; the budget counts rows ever materialised.
     """
-    k = sft.k
-    syms = np.arange(k, dtype=np.int8)
+    A = sft.A > 0
+    syms = np.arange(sft.k, dtype=np.int8)
     spent = 0
-    stack = [np.full((1, 1), anchor, dtype=np.int8)]
+    stack = [(np.full((1, 1), anchor, dtype=np.int8), np.ones(1, dtype=np.intp))]
     while stack:
-        arr = stack.pop()
+        arr, p = stack.pop()
         while arr.shape[0] and arr.shape[1] < n:
-            if arr.shape[0] > 1 and arr.shape[0] * k > chunk:
+            if arr.shape[0] > 1 and arr.shape[0] * sft.k > _CHUNK_ROWS:
                 mid = arr.shape[0] // 2
-                stack.append(arr[mid:])
-                arr = arr[:mid]
+                stack.append((arr[mid:], p[mid:]))
+                arr, p = arr[:mid], p[:mid]
                 continue
-            spent += arr.shape[0] * k
-            if spent > budget:
+            i = arr.shape[1]
+            ref = arr[np.arange(arr.shape[0]), i - p]
+            rows, s = np.nonzero(A[arr[:, -1]] & (syms >= ref[:, None]))
+            spent += rows.size
+            if spent > _BUILD_ROW_BUDGET:
                 raise DomainError(
                     f"enumeration of anchored {n}-words exceeds the budget",
                     name="enumeration_too_large",
                 )
-            ext = np.repeat(arr, k, axis=0)
-            s = np.tile(syms, arr.shape[0])
-            keep = sft.A[ext[:, -1].astype(np.int64), s] > 0
-            arr = np.concatenate([ext[keep], s[keep, None]], axis=1)
-        if arr.shape[0]:
-            out = arr[sft.A[arr[:, -1].astype(np.int64), anchor] > 0]
-            if out.shape[0]:
-                yield out
+            p = np.where(s == ref[rows], p[rows], i + 1)
+            arr = np.concatenate([arr[rows], syms[s, None]], axis=1)
+        keep = (n % p == 0) & A[arr[:, -1], anchor]
+        if keep.any():
+            yield arr[keep], p[keep]
+
+
+def _anchored_rotations(classes: list, anchor: int) -> list:
+    """Sorted rotations, starting at ``anchor``, of (words, periods) classes."""
+    W = np.concatenate([w for w, _ in classes])
+    per = np.concatenate([p for _, p in classes])
+    n = W.shape[1]
+    r, j = np.nonzero((W == anchor) & (np.arange(n) < per[:, None]))
+    rot = sliding_window_view(np.concatenate([W, W], axis=1), n, axis=1)[r, j]
+    return list(map(tuple, rot[np.lexsort(rot.T[::-1])].tolist()))
 
 
 def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: int, seed=None) -> HorseshoePack:
     """Search block lengths up to n_max for a valid anchored pack.
 
-    For each n and anchor, the candidate set is the anchored closable
-    n-words, streamed in chunks; each target keeps those within zeta/2 in
-    d*.  The pack is accepted once every count satisfies
+    For each n, the rotation classes of closable n-words are classified
+    once, by their necklaces; each target keeps the classes within zeta/2
+    in d*, and counts at anchor a the rotations that start with a.  The
+    pack is accepted once every count satisfies
     log|G_i|/n > h(mu_i) - eta/2, which leaves the certificate margin at
     least eta/2.
     """
@@ -521,18 +537,22 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
                 raise DomainError(
                     f"targets {i} and {j} are closer than zeta in d*", name="targets"
                 )
+    n_start = max(_DSTAR_DEPTH, 2)
+    if n_max < n_start:
+        raise DomainError(f"n_max={n_max} is below the minimum block length {n_start}", name="smb_depth")
     tables = [_measure_tables(sft, mu, _DSTAR_DEPTH) for mu in measures]
     hs = [mu.entropy() for mu in measures]
     K = len(measures)
     best = None  # (deficit, n, anchor)
     exhausted = False
-    n_start = max(_DSTAR_DEPTH, 2)
     for n in range(n_start, n_max + 1):
+        # A necklace starts with its least symbol, so by anchor a every class
+        # through a is classified; counts[i, a] counts rotations starting at a.
+        accepted = [[] for _ in range(K)]
+        counts = np.zeros((K, sft.k), dtype=np.int64)
         for anchor in range(sft.k):
-            accepted = [[] for _ in range(K)]
-            counts = [0] * K
             try:
-                for cand in _anchored_word_chunks(sft, n, anchor):
+                for cand, per in _necklace_chunks(sft, n, anchor):
                     masks = _classify(sft, cand, tables, zeta)
                     for i in range(K):
                         for j in range(i + 1, K):
@@ -540,8 +560,9 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
                                 raise DomainError("word sets overlap", name="targets")
                     for i, mask in enumerate(masks):
                         if mask.any():
-                            accepted[i].append(cand[mask])
-                            counts[i] += int(mask.sum())
+                            words, periods = cand[mask], per[mask]
+                            accepted[i].append((words, periods))
+                            counts[i] += np.bincount(words[np.arange(n) < periods[:, None]], minlength=sft.k)
             except DomainError as exc:
                 if exc.name != "enumeration_too_large":
                     raise
@@ -551,7 +572,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
             ok = True
             for i in range(K):
                 need = hs[i] - eta / 2.0
-                have = np.log(counts[i]) / n if counts[i] > 0 else -np.inf
+                have = np.log(counts[i, anchor]) / n if counts[i, anchor] > 0 else -np.inf
                 deficit = max(deficit, need - have)
                 if not have > need:
                     ok = False
@@ -559,14 +580,13 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
                 best = (deficit, n, anchor)
             if not ok:
                 continue
-            sets = [list(map(tuple, np.concatenate(accepted[i], axis=0).tolist())) for i in range(K)]
             return HorseshoePack(
                 sft=sft,
                 n=n,
                 anchor=anchor,
                 eta=eta,
                 zeta=zeta,
-                word_sets=sets,
+                word_sets=[_anchored_rotations(classes, anchor) for classes in accepted],
                 measures=measures,
                 meta={"seed": seed, "n_max": n_max},
             )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,18 +8,21 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import bernoulli_measure
+from symflow import horseshoe
 from symflow.errors import DomainError, InputError
 from symflow.horseshoe import (
+    _DSTAR_DEPTH,
     HorseshoePack,
     WordProcessMeasure,
     _classify,
     _measure_tables,
+    _necklace_chunks,
     _word_roof_root,
     build_multi_horseshoe,
     certify_pack,
     lift_pack_to_flow,
 )
-from symflow.measures import InvariantMeasure, d_star, periodic_orbit_measure, random_markov_component
+from symflow.measures import InvariantMeasure, MarkovComponent, d_star, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
 from symflow.suspension import SuspensionSystem
 
@@ -155,6 +159,156 @@ def test_build_reports_depth_exhaustion():
     with pytest.raises(DomainError) as e:
         build_multi_horseshoe(full2, targets, eta=0.5, zeta=0.4, n_max=6, seed=0)
     assert e.value.name == "smb_depth"
+    assert str(e.value) == "n_max=6 is below the minimum block length 10"
+
+
+SHIFTS = {
+    "full2": [[1, 1], [1, 1]],
+    "golden": [[1, 1], [1, 0]],
+    "full3": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "cycle3": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+    "gap3": [[0, 1, 1], [1, 0, 1], [1, 1, 1]],
+}
+
+
+def brute_necklaces(sft: Sft, n: int, anchor: int) -> tuple:
+    """(words, periods) of the anchored closable n-words that are least among
+    their rotations, found by comparing base-k codes with every rotation."""
+    k = sft.k
+    codes, last = np.array([anchor], dtype=np.int64), np.array([anchor])
+    for _ in range(n - 1):
+        rows, s = np.nonzero(sft.A[last] > 0)
+        codes, last = codes[rows] * k + s, s
+    codes = codes[sft.A[last, anchor] > 0]
+    rots = np.stack([(codes % k ** (n - j)) * k**j + codes // k ** (n - j) for j in range(1, n + 1)])
+    least = (codes <= rots).all(axis=0)
+    periods = 1 + np.argmax(rots[:, least] == codes[least], axis=0)
+    words = codes[least, None] // k ** np.arange(n - 1, -1, -1) % k
+    return words, periods
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("shift", sorted(SHIFTS))
+def test_necklace_chunks_match_least_rotation_filter(shift, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(horseshoe, "_CHUNK_ROWS", chunk)
+    sft = Sft(SHIFTS[shift])
+    for n in range(1, 14):
+        for anchor in range(sft.k):
+            words, periods = brute_necklaces(sft, n, anchor)
+            chunks = list(_necklace_chunks(sft, n, anchor))
+            got_words = np.concatenate([w for w, _ in chunks]) if chunks else np.zeros((0, n), dtype=np.int8)
+            got_periods = np.concatenate([p for _, p in chunks]) if chunks else np.zeros(0, dtype=int)
+            assert got_words.dtype == np.int8
+            assert np.array_equal(got_words, words), (n, anchor)
+            assert np.array_equal(got_periods, periods), (n, anchor)
+
+
+def _anchored_words(sft: Sft, n: int, anchor: int) -> np.ndarray:
+    """Every closable admissible n-word starting at anchor, in lexicographic order."""
+    words = np.full((1, 1), anchor, dtype=np.int8)
+    for _ in range(n - 1):
+        rows, s = np.nonzero(sft.A[words[:, -1]] > 0)
+        words = np.concatenate([words[rows], s[:, None].astype(np.int8)], axis=1)
+    return words[sft.A[words[:, -1], anchor] > 0]
+
+
+def reference_build(sft: Sft, measures, eta: float, zeta: float, n_max: int) -> tuple:
+    """(n, anchor, word sets) of the search that classifies every anchored
+    closable word, for every n and every anchor."""
+    tables = [_measure_tables(sft, mu, _DSTAR_DEPTH) for mu in measures]
+    best = None
+    for n in range(_DSTAR_DEPTH, n_max + 1):
+        for anchor in range(sft.k):
+            words = _anchored_words(sft, n, anchor)
+            masks = _classify(sft, words, tables, zeta)
+            deficit, ok = -np.inf, True
+            for mask, mu in zip(masks, measures):
+                count = int(mask.sum())
+                need = mu.entropy() - eta / 2.0
+                have = np.log(count) / n if count > 0 else -np.inf
+                deficit, ok = max(deficit, need - have), ok and have > need
+            if best is None or deficit < best[0]:
+                best = (deficit, n, anchor)
+            if ok:
+                return n, anchor, [list(map(tuple, words[m].tolist())) for m in masks]
+    raise DomainError(
+        "SMB depth insufficient: increase n_max "
+        f"(best deficit {best[0]:.6g} at n={best[1]}, anchor={best[2]})",
+        name="smb_depth",
+    )
+
+
+def _build_targets(sft: Sft, spec: tuple) -> list:
+    """Two seeded random memory-1 chains, or one chain that flips symbol with
+    probability 1 - eps, whose accepted words include the periodic (01)^(n/2)."""
+    if spec[0] == "flip":
+        eps = spec[1]
+        Q = np.array([[eps, 1.0 - eps], [1.0 - eps, eps]])
+        return [InvariantMeasure.single(MarkovComponent(sft, 1, [(0,), (1,)], Q))]
+    rng = np.random.default_rng(spec[1])
+    return [InvariantMeasure.single(random_markov_component(sft, 1, rng, spec[2])) for _ in range(2)]
+
+
+# (shift, targets, eta, zeta, n_max, expected outcome)
+BUILD_CASES = [
+    ("golden", ("markov", 0, 2.0), 0.1, 0.2, 20, (15, 0)),
+    ("golden", ("markov", 4, 2.0), 0.1, 0.2, 13, "smb_depth"),
+    ("full3", ("markov", 7, 0.5), 0.3, 0.3, 11, (11, 1)),
+    ("full3", ("markov", 3, 0.5), 0.3, 0.2, 11, (10, 2)),
+    ("full3", ("markov", 7, 0.5), 0.1, 0.3, 11, "smb_depth"),
+    ("full2", ("flip", 0.05), 0.2, 0.1, 14, (14, 0)),
+    ("full2", ("flip", 0.1), 0.05, 0.1, 14, "smb_depth"),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+@pytest.mark.parametrize("case", BUILD_CASES, ids=lambda c: f"{c[0]}-{c[1][0]}{c[1][1]}-eta{c[2]}")
+def test_build_matches_every_word_search(case, chunk, monkeypatch):
+    shift, spec, eta, zeta, n_max, outcome = case
+    if chunk is not None:
+        monkeypatch.setattr(horseshoe, "_CHUNK_ROWS", chunk)
+    sft = Sft(SHIFTS[shift])
+    targets = _build_targets(sft, spec)
+    if outcome == "smb_depth":
+        with pytest.raises(DomainError) as want:
+            reference_build(sft, targets, eta, zeta, n_max)
+        with pytest.raises(DomainError) as got:
+            build_multi_horseshoe(sft, targets, eta=eta, zeta=zeta, n_max=n_max)
+        assert got.value.name == "smb_depth"
+        assert str(got.value) == str(want.value)
+        return
+    n, anchor, sets = reference_build(sft, targets, eta, zeta, n_max)
+    assert (n, anchor) == outcome
+    pack = build_multi_horseshoe(sft, targets, eta=eta, zeta=zeta, n_max=n_max)
+    assert (pack.n, pack.anchor) == (n, anchor)
+    assert pack.word_sets == sets
+
+
+def test_build_classifies_each_rotation_class_once(monkeypatch):
+    # The benchmark's horseshoe build: full2, n = 10..19.  Every binary
+    # necklace of those lengths is classified once, except 1^19: the search
+    # settles on anchor 0 at n = 19.
+    rows = []
+
+    def spy(sft, W, *args, **kwargs):
+        rows.append(W.shape[0])
+        return _classify(sft, W, *args, **kwargs)
+
+    monkeypatch.setattr(horseshoe, "_classify", spy)
+    full2 = Sft(SHIFTS["full2"])
+    targets = [bernoulli_measure(full2, [0.8, 0.2]), bernoulli_measure(full2, [0.2, 0.8])]
+    pack = build_multi_horseshoe(full2, targets, eta=0.15, zeta=0.22, n_max=40)
+
+    def necklaces(n: int) -> int:  # binary necklaces of length n
+        phi = [sum(np.gcd(i, d) == 1 for i in range(1, d + 1)) for d in range(n + 1)]
+        return sum(phi[d] * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+    assert (pack.n, pack.anchor) == (19, 0)
+    assert sum(rows) == sum(necklaces(n) for n in range(10, 20)) - 1 == 58_679
+    text = repr([[tuple(int(a) for a in w) for w in ws] for ws in pack.word_sets])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "ec8311682304f154655d71b627b335db62f0170da78da4f3d24158a5131fabaa"
 
 
 def test_word_process_tables_are_probabilities(small_pack):
