@@ -117,7 +117,7 @@ def min_mean_cycle(adj: np.ndarray, weight: np.ndarray) -> tuple[float, list[int
             break
         seen[u] = len(path)
         path.append(u)
-    total = sum(weight[cycle[i], cycle[(i + 1) % len(cycle)]] for i in range(len(cycle)))
+    total = float(np.asarray(weight, dtype=float)[cycle, np.roll(cycle, -1)].sum())
     return total / len(cycle), cycle
 
 

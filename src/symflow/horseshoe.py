@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InputError
-from .measures import InvariantMeasure, _integrate, d_star
+from .measures import InvariantMeasure, _entropy_rate, _integrate, d_star
 from .sft import (
     ENUMERATION_BUDGET,
     LocallyConstantFunction,
@@ -304,10 +304,7 @@ class WordProcessMeasure:
             h = -(num - 1) * a * np.log(a) - b * np.log(b) if eps > 0 else np.log(num)
             h = float(h)
         else:
-            Q = self.kind[2]
-            with np.errstate(divide="ignore"):
-                lq = np.where(Q > 0, np.log(np.where(Q > 0, Q, 1.0)), 0.0)
-            h = float(-(self._pi[:, None] * Q * lq).sum())
+            h = _entropy_rate(self._pi, self.kind[2])
         return h / self.n
 
     integrate = _integrate
@@ -636,9 +633,10 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     """Re-derive the pack's certificate from scratch.
 
     Conditions 1 and 2 are exact: the horseshoes are full shifts on
-    disjoint word alphabets, and their entropies are recomputed through the
-    Perron root of the word graph divided by the block length.  Condition 3
-    is a statistical certificate: a theta-grid of target mixtures is
+    disjoint word alphabets, and their entropies are recomputed as
+    log(count) / n for block length n: free concatenation makes each word
+    graph complete, so its Perron root is the word count.  Condition 3 is
+    a statistical certificate: a theta-grid of target mixtures is
     matched by constructed lifts, and seeded random word-level chains
     (Dirichlet Bernoulli weights alternating with permutation mixtures,
     each sample's generator seeded by its counter index) are matched back
@@ -652,8 +650,6 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     numU = len(union)
     disjoint = len(set(union)) == len(union)
 
-    # Free concatenation makes each word graph complete: the all-ones
-    # count x count matrix has Perron root exactly count.
     entropies = [float(np.log(c)) / pack.n for c in counts]
     target_h = [mu.entropy() for mu in pack.measures]
     margins = [e - (h - pack.eta) for e, h in zip(entropies, target_h)]

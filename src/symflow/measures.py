@@ -7,7 +7,9 @@ exact finite sums here, which is what makes the desk-scale certificates in
 the rest of the package possible.  Cylinder probabilities come as whole
 tables over the admissible words of each length (``cylinder_tables``),
 which every d* computation reads; ``cylinder_prob`` is the per-word
-reference.
+reference.  The chain a measure induces on the admissible m-words is read
+off the same tables, one edge quotient t_{m+1}[e] / t_m[prefix of e]
+(``_markovize``, ``MarkovComponent.dense`` and ``MarkovComponent.lift``).
 """
 
 from __future__ import annotations
@@ -155,6 +157,46 @@ def _stationary_inverse(Q: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _entropy_rate(pi: np.ndarray, Q) -> float:
+    """Entropy rate -sum_ij pi_i Q_ij log Q_ij of a chain with stationary vector pi."""
+    Q = np.asarray(Q, dtype=float)
+    return float(-(pi[:, None] * Q * np.log(np.where(Q > 0, Q, 1.0))).sum())
+
+
+def _quotient(mu, m: int, budget: int = ENUMERATION_BUDGET) -> tuple:
+    """(t_m, parent, suffix, q): the chain mu induces on the admissible
+    m-words, as edges.  Edge e, the e-th admissible (m+1)-word, runs from
+    m-word parent[e] to m-word suffix[e] (``_word_levels``); q[e] is
+    t_{m+1}[e] / t_m[parent[e]] where mu charges the prefix, else 0."""
+    t = mu.cylinder_tables(m + 1, budget)
+    parent, _, suffix = _word_levels(mu.sft, m + 1, budget)[m + 1]
+    prefix = t[m][parent]
+    return t[m], parent, suffix, np.divide(t[m + 1], prefix, out=np.zeros(parent.size), where=prefix > 0)
+
+
+def _markovize(mu, m: int, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+    """Memory-m Markov projection of mu, dense over all admissible m-words.
+
+    Charged words get their :func:`_quotient` rows, the others a uniform row
+    over their successors, which changes nothing mu can see.  It preserves
+    every integral of memory at most m+1 and can only raise entropy.  The
+    n^2 entries are held to ``budget`` before they are allocated.
+    """
+    t, parent, suffix, q = _quotient(mu, m, budget)
+    n = t.size
+    if n * n > budget:
+        msg = f"enumeration too large: a dense matrix on {n} {m}-words exceeds the budget of {budget}"
+        raise DomainError(msg, name="enumeration_too_large")
+    deg = np.bincount(parent, minlength=n)
+    stuck = np.flatnonzero((t == 0.0) & (deg == 0))
+    if stuck.size:
+        word = admissible_words(mu.sft, m)[stuck[0]]
+        raise DomainError(f"word {word} has no admissible extension; trim the SFT first", name="degenerate_sft")
+    Q = np.zeros((n, n))
+    Q[parent, suffix] = np.where(t[parent] > 0, q, 1.0 / deg[parent])
+    return Q
+
+
 def _integrate(mu, g: LocallyConstantFunction) -> float:
     """Integral of g: the depth-m cylinder table of mu times g's values on
     the admissible m-words (m = g.memory), added up in word order.  The
@@ -229,40 +271,26 @@ class MarkovComponent:
         return graphs.is_strongly_connected(sub) if len(charged) else False
 
     def entropy(self) -> float:
-        Q = self.Q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(Q > 0, Q * np.log(np.where(Q > 0, Q, 1.0)), 0.0)
-        return float(-(self.pi @ plogp.sum(axis=1)))
+        return _entropy_rate(self.pi, self.Q)
 
     def lift(self, memory: int, budget: int = ENUMERATION_BUDGET) -> "MarkovComponent":
-        """Equivalent chain on longer windows (memory >= current memory)."""
+        """Equivalent chain on longer windows (memory >= current memory): the
+        charged words in sorted order, their :func:`_quotient` edges and
+        their cylinder table.  ``budget`` holds each word level up to memory + 1."""
         m, m2 = self.memory, memory
         if m2 < m:
             raise InputError("can only lift to larger memory")
         if m2 == m:
             return self
-        # Grow positive-probability windows from the charged states.
-        level = {w: p for w, p in zip(self.states, self.pi) if p > 0}
-        for _ in range(m2 - m):
-            nxt = {}
-            for u, p in level.items():
-                i = self.index[u[-m:]]
-                for j in np.flatnonzero(self.Q[i] > 0):
-                    nxt[u + self.states[j][-1:]] = p * self.Q[i, j]
-            level = nxt
-            if len(level) > budget:
-                raise DomainError("lifted state space exceeds enumeration budget", name="enumeration_too_large")
-        states2 = sorted(level)
-        index2 = {w: i for i, w in enumerate(states2)}
-        Q2 = np.zeros((len(states2), len(states2)))
-        for w, i in index2.items():
-            a = self.index[w[-m:]]
-            for b in np.flatnonzero(self.Q[a] > 0):
-                w2 = w[1:] + self.states[b][-1:]
-                Q2[i, index2[w2]] = self.Q[a, b]
-        pi2 = np.array([level[w] for w in states2])
-        pi2 /= pi2.sum()
-        return MarkovComponent(self.sft, m2, states2, Q2, pi2)
+        t, parent, suffix, q = _quotient(self, m2, budget)
+        keep = np.flatnonzero(t > 0)
+        at = np.full(t.size, -1)
+        at[keep] = np.arange(keep.size)
+        e = (at[parent] >= 0) & (at[suffix] >= 0)
+        Q2 = np.zeros((keep.size, keep.size))
+        Q2[at[parent[e]], at[suffix[e]]] = q[e]
+        words = admissible_words(self.sft, m2, budget)
+        return MarkovComponent(self.sft, m2, [words[i] for i in keep], Q2, t[keep] / t[keep].sum())
 
     def cylinder_prob(self, word) -> float:
         word = tuple(word)
@@ -327,23 +355,10 @@ class MarkovComponent:
         return out
 
     def dense(self) -> tuple[list, np.ndarray, np.ndarray]:
-        """(words, Q, pi) over *all* admissible m-words, for serialization.
-
-        Rows of states the measure never visits are padded uniformly over
-        their recoded successors; this changes nothing the measure can see.
-        """
-        rec = block_recode(self.sft, self.memory)
-        at = [rec.index[w] for w in self.states]
-        Q = np.zeros(rec.sft.A.shape)
-        pi = np.zeros(len(rec.words))
-        Q[np.ix_(at, at)] = self.Q
-        pi[at] = self.pi
-        for i in np.flatnonzero(Q.sum(axis=1) == 0.0):
-            succ = rec.sft.successors(i)
-            if not succ.size:
-                raise DomainError(f"word {rec.words[i]} has no admissible extension; trim the SFT first", name="degenerate_sft")
-            Q[i, succ] = 1.0 / succ.size
-        return rec.words, Q, pi
+        """(words, :func:`_markovize`, pi) over *all* admissible m-words, for serialization."""
+        m = self.memory
+        Q = _markovize(self, m)
+        return admissible_words(self.sft, m), Q, self.cylinder_tables(m)[m]
 
 
 class InvariantMeasure:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import max_mean_cycle, min_mean_cycle
-from .measures import InvariantMeasure, MarkovComponent, _gth, _stationary_inverse, stationary
+from .measures import InvariantMeasure, MarkovComponent, _entropy_rate, _gth, _stationary_inverse, stationary
 from .sft import (
     LocallyConstantFunction,
     Sft,
@@ -143,12 +143,9 @@ def _equilibrium(
         pi, pi_from = _gth(Q.copy()), "gth"
     flux = pi[:, None] * Q
     means = tuple(float((flux * E).sum()) for E in edges)
-    with np.errstate(divide="ignore"):
-        logQ = np.where(Q > 0, np.log(np.where(Q > 0, Q, 1.0)), 0.0)
-    entropy = float(-(flux * logQ).sum())
     return _Solve(
-        P=offset + float(np.log(lam)), Q=Q, pi=pi, means=means, entropy=entropy, right=right, start=start,
-        pi_from=pi_from,
+        P=offset + float(np.log(lam)), Q=Q, pi=pi, means=means, entropy=_entropy_rate(pi, Q), right=right,
+        start=start, pi_from=pi_from,
     )
 
 
@@ -256,9 +253,7 @@ class _EdgeModel:
 
     def cycle_sums(self, cycle, which) -> float:
         """Sum of edge weights of funcs[which] along a recoded cycle."""
-        E = self.edges[which]
-        n = len(cycle)
-        return float(sum(E[cycle[i], cycle[(i + 1) % n]] for i in range(n)))
+        return float(self.edges[which][cycle, np.roll(cycle, -1)].sum())
 
     def project(self, cycle) -> tuple:
         return self.rec.project_cycle(cycle)

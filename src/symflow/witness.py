@@ -11,7 +11,8 @@ Three constructions:
   and the fully supported equilibrium chain, re-tilting along the way so
   the mean stays at alpha, and root-finds along the path (Brent's method in
   the path parameter; each tilt a Newton iteration on the mean, warm-started
-  from the last) until h + integral(u) hits the requested level c.
+  from the last) until h + integral(u) hits the requested level c.  Its
+  ends and mu0's chain are Markov projections (``measures._markovize``).
 * ``orthant_combination`` produces nonnegative mixture weights matching a
   vector of target ratios from candidates that straddle every orthant.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .measures import InvariantMeasure, MarkovComponent, d_star, stationary
+from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
 from .spectrum import _brentq, _check_interior, _edge_tol, _tilt, conditional_entropy_spectrum_2d
 from .thermo import _EdgeModel
@@ -265,22 +266,19 @@ def intermediate_witness(
         if c > P_mu0 + band_tol:
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
 
-    # low endpoint, with the cap shrunk until the tilted path starts below c
+    # low endpoint, with the cap shrunk until the tilted path starts below c;
+    # its memory, set by g and its extreme cycles, is the same for every cap
     h_cap = min(0.05, max(c / 4.0, 1e-6)) if u is None else 0.05
-    need_memory = max(model.rec.m, 2)
-    work = None
-    Qtop = Qlow = None
+    nu_low = low_entropy_mean_witness(sft, g, alpha, h_cap)
+    work = _EdgeModel(sft, funcs, min_memory=nu_low.components[0].memory)
+    Qtop = _markovize(model.component(sol_top), work.rec.m)
     achieved_min = None
-    reached = False
     for _ in range(12):
         try:
-            nu_low = low_entropy_mean_witness(sft, g, alpha, h_cap).components[0]
-            if work is None or nu_low.memory > work.rec.m:
-                work = _EdgeModel(sft, funcs, min_memory=max(need_memory, nu_low.memory))
-                Qtop = model.component(sol_top).lift(work.rec.m).dense()[1]
-            Qlow = nu_low.lift(work.rec.m).dense()[1]
-            missing = (Qtop > 0.0) & (Qlow == 0.0)
-            Qlow = np.where(missing, 1e-9, Qlow)
+            if achieved_min is not None:
+                nu_low = low_entropy_mean_witness(sft, g, alpha, h_cap)
+            Qlow = _markovize(nu_low, work.rec.m)
+            Qlow = np.where((Qtop > 0.0) & (Qlow == 0.0), 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
             # Qlow has mean alpha up to the 1e-9 fill, so its tilt is near 0.
             low = _tilted_chain(work, Qlow, alpha, 0.0)
@@ -288,13 +286,11 @@ def intermediate_witness(
             if achieved_min is None:
                 raise
             break  # numerical floor of the glue-and-tilt construction
-        v0 = low[3]
-        achieved_min = v0 if achieved_min is None else min(achieved_min, v0)
-        if v0 <= c - band_tol:
-            reached = True
+        achieved_min = low[3] if achieved_min is None else min(achieved_min, low[3])
+        if low[3] <= c - band_tol:
             break
         h_cap *= 0.1
-    if not reached:
+    if low[3] > c - band_tol:
         raise DomainError(
             f"c outside admissible band: achieved minimum {achieved_min:.12g}", name="band"
         )
@@ -343,14 +339,15 @@ def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, 
     """Pull both path ends toward mu0: the largest lam = 1 - 2^-j, j <= 14,
     whose tilted ends straddle level (end0 at most level, end1 at least).
 
-    The ends at lam are Qlow and Qtop mixed with the Markov approximation of
-    mu0, each tilted to mean alpha.  j = 14 is probed first, both ends cold;
-    then the lam = 0 ends (``low`` itself and Qtop tilted from it) must
-    straddle, or the level is out of band; then j is bisected over (0, 14),
-    each tilt starting from its end's tilt at the last j that straddled, and
-    end1 tilted only when end0 passes.  Returns (j, (Q0, end0), (Q1, end1)).
+    The ends at lam are Qlow and Qtop mixed with the Markov projection
+    ``_markovize`` of mu0, each tilted to mean alpha.  j = 14 is probed
+    first, both ends cold; then the lam = 0 ends (``low`` itself and Qtop
+    tilted from it) must straddle, or the level is out of band; then j is
+    bisected over (0, 14), each tilt starting from its end's tilt at the last
+    j that straddled, and end1 tilted only when end0 passes.  Returns
+    (j, (Q0, end0), (Q1, end1)).
     """
-    Qm0 = _markovize(work, mu0)
+    Qm0 = _markovize(mu0, work.rec.m)
 
     def end(j: int, Q: np.ndarray, beta0: float | None) -> tuple:
         lam = 1.0 - 2.0 ** (-j)
@@ -374,27 +371,6 @@ def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, 
                 continue
         fail = mid
     return j, lo_end, hi_end
-
-
-def _markovize(model: _EdgeModel, mu: InvariantMeasure) -> np.ndarray:
-    """Memory-m Markov approximation of mu on the model's recoded words.
-
-    Conditional cylinder probabilities where mu charges the word, uniform
-    rows elsewhere; preserves every integral of functions with memory at
-    most m+1 and can only increase entropy.
-    """
-    A = model.rec.sft.A
-    m = model.rec.m
-    D = np.where(A > 0, 1.0, 0.0) / np.maximum(A.sum(axis=1), 1)[:, None]
-    t = mu.cylinder_tables(m + 1)
-    # The recoded symbols are the admissible m-words in order, so the
-    # row-major edges of A are the admissible (m+1)-words in order.
-    R = np.zeros(A.shape)
-    R[A > 0] = t[m + 1]
-    s = R.sum(axis=1)
-    keep = (t[m] > 1e-300) & (s > 0.0)
-    D[keep] = R[keep] / s[keep, None]
-    return D
 
 
 def birkhoff_witness_2d(sft: Sft, g: LocallyConstantFunction, h: LocallyConstantFunction, alpha, tol: float = 1e-9) -> InvariantMeasure:

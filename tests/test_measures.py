@@ -219,6 +219,88 @@ def test_lift_preserves_the_measure(golden):
         assert abs(comp.cylinder_prob(w) - lifted.cylinder_prob(w)) < 1e-14
 
 
+
+def _lift_by_dict_walk(comp: MarkovComponent, m2: int) -> tuple:
+    """(states, Q, pi) of the lift as the dict walk before the edge
+    quotient: grow the charged windows along Q > 0, then read each lifted
+    row off the row of its last m-window."""
+    m = comp.memory
+    level = {w: p for w, p in zip(comp.states, comp.pi) if p > 0}
+    for _ in range(m2 - m):
+        nxt = {}
+        for u, p in level.items():
+            i = comp.index[u[-m:]]
+            for j in np.flatnonzero(comp.Q[i] > 0):
+                nxt[u + comp.states[j][-1:]] = p * comp.Q[i, j]
+        level = nxt
+    states = sorted(level)
+    index = {w: i for i, w in enumerate(states)}
+    Q = np.zeros((len(states), len(states)))
+    for w, i in index.items():
+        a = comp.index[w[-m:]]
+        for b in np.flatnonzero(comp.Q[a] > 0):
+            Q[i, index[w[1:] + comp.states[b][-1:]]] = comp.Q[a, b]
+    pi = np.array([level[w] for w in states])
+    return states, Q, pi / pi.sum()
+
+
+def test_lift_matches_the_dict_walk(full2, golden):
+    from symflow.thermo import pressure
+    from symflow.witness import low_entropy_mean_witness
+
+    full3 = Sft(np.ones((3, 3), dtype=int))
+    rng = np.random.default_rng(20)
+    comps = [random_markov_component(sft, int(rng.integers(1, 4)), rng) for sft in (full2, golden, full3) for _ in range(3)]
+    comps.append(periodic_orbit_measure(full2, (0, 0, 1, 0, 1)).components[0])
+    comps.append(periodic_orbit_measure(full3, (0, 2, 1, 2)).components[0])
+    g = LocallyConstantFunction(full2, 2, {w: float(w[0] + w[0] * w[1]) for w in admissible_words(full2, 2)})
+    comps.append(low_entropy_mean_witness(full2, g, 0.7, 0.01).components[0])
+    h = LocallyConstantFunction.from_callable(golden, 3, lambda w: float(w[0] - 2 * w[2]))
+    comps.append(pressure(golden, h).equilibrium)
+    for comp in comps:
+        for m2 in range(comp.memory + 1, comp.memory + 4):
+            states, Q, pi = _lift_by_dict_walk(comp, m2)
+            lifted = comp.lift(m2)
+            assert lifted.memory == m2 and lifted.states == states
+            assert np.abs(lifted.Q - Q).max() <= 1e-15
+            assert np.abs(lifted.pi - pi).max() <= 1e-15
+
+
+def test_entropy_rate_matches_the_row_sum_spelling(full2, golden):
+    # MarkovComponent.entropy used to sum each row's Q log Q and then weight
+    # the rows by pi.
+    rng = np.random.default_rng(21)
+    for sft in (full2, golden):
+        for m in (1, 2, 3):
+            comp = random_markov_component(sft, m, rng, concentration=0.3)
+            Q = comp.Q
+            rows = np.where(Q > 0, Q * np.log(np.where(Q > 0, Q, 1.0)), 0.0).sum(axis=1)
+            assert abs(comp.entropy() + comp.pi @ rows) <= 1e-15
+
+
+def test_to_json_names_a_word_without_extension():
+    sft = Sft([[1, 1], [0, 0]])  # symbol 1 has no successor
+    mu = InvariantMeasure.single(MarkovComponent(sft, 1, [(0,)], np.array([[1.0]])))
+    with pytest.raises(DomainError) as e:
+        mu.to_json()
+    assert e.value.name == "degenerate_sft"
+
+
+def test_to_json_refuses_a_dense_matrix_over_the_budget_before_allocating(full2):
+    import tracemalloc
+
+    # 8,192 admissible 13-words: 2^26 matrix entries, over the 2^24 budget.
+    mu = periodic_orbit_measure(full2, (0,) * 12 + (1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as e:
+            mu.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.name == "enumeration_too_large"
+    assert peak < 2**26  # the matrix alone would take 2^29 bytes
+
 def test_d_star_metric_properties(full2):
     b2 = bernoulli_measure(full2, [0.8, 0.2])
     b8 = bernoulli_measure(full2, [0.2, 0.8])

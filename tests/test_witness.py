@@ -392,7 +392,7 @@ def test_intermediate_witness_newton_solve_budget(full2, golden, monkeypatch, sh
 def _scan_mu0_pull(work, Qlow, Qtop, mu0, alpha, level):
     """The 15-step scan the bisection replaced: j from 14 down to 0, both
     ends tilted at every step from their tilts at the step before."""
-    Qm0 = witness._markovize(work, mu0)
+    Qm0 = witness._markovize(mu0, work.rec.m)
     beta0 = beta1 = None
     for j in range(14, -1, -1):
         lam = 1.0 - 2.0 ** (-j) if j > 0 else 0.0
