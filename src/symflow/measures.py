@@ -8,8 +8,9 @@ the rest of the package possible.  Cylinder probabilities come as whole
 tables over the admissible words of each length (``cylinder_tables``),
 which every d* computation reads; ``cylinder_prob`` is the per-word
 reference.  The chain a measure induces on the admissible m-words is read
-off the same tables, one edge quotient t_{m+1}[e] / t_m[prefix of e]
-(``_markovize``, ``MarkovComponent.dense`` and ``MarkovComponent.lift``).
+off the same tables: t_{m+1} on each recoded edge over its sum on the
+edges leaving the same m-word (``_markovize``, ``MarkovComponent.dense``
+and ``MarkovComponent.lift``).
 """
 
 from __future__ import annotations
@@ -167,33 +168,38 @@ def _quotient(mu, m: int, budget: int = ENUMERATION_BUDGET) -> tuple:
     """(t_m, parent, suffix, q): the chain mu induces on the admissible
     m-words, as edges.  Edge e, the e-th admissible (m+1)-word, runs from
     m-word parent[e] to m-word suffix[e] (``_word_levels``); q[e] is
-    t_{m+1}[e] / t_m[parent[e]] where mu charges the prefix, else 0."""
+    t_{m+1}[e] over the sum of t_{m+1} on the edges leaving parent[e], and
+    0 where that sum is 0.  Dividing by the children's sum rather than by
+    t_m[parent[e]] keeps every charged row stochastic to rounding even when
+    the word's mass is subnormal."""
     t = mu.cylinder_tables(m + 1, budget)
     parent, _, suffix = _word_levels(mu.sft, m + 1, budget)[m + 1]
-    prefix = t[m][parent]
-    return t[m], parent, suffix, np.divide(t[m + 1], prefix, out=np.zeros(parent.size), where=prefix > 0)
+    total = np.bincount(parent, weights=t[m + 1], minlength=t[m].size)[parent]
+    return t[m], parent, suffix, np.divide(t[m + 1], total, out=np.zeros(parent.size), where=total > 0)
 
 
-def _markovize(mu, m: int, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+def _markovize(mu, m: int) -> np.ndarray:
     """Memory-m Markov projection of mu, dense over all admissible m-words.
 
-    Charged words get their :func:`_quotient` rows, the others a uniform row
-    over their successors, which changes nothing mu can see.  It preserves
-    every integral of memory at most m+1 and can only raise entropy.  The
-    n^2 entries are held to ``budget`` before they are allocated.
+    Words with a charged extension get their :func:`_quotient` rows, the
+    others a uniform row over their successors, which changes nothing mu
+    can see.  It preserves every integral of memory at most m+1 and can
+    only raise entropy.  The n^2 entries are held to ``ENUMERATION_BUDGET``
+    before they are allocated.
     """
-    t, parent, suffix, q = _quotient(mu, m, budget)
+    t, parent, suffix, q = _quotient(mu, m)
     n = t.size
-    if n * n > budget:
-        msg = f"enumeration too large: a dense matrix on {n} {m}-words exceeds the budget of {budget}"
+    if n * n > ENUMERATION_BUDGET:
+        msg = f"enumeration too large: a dense matrix on {n} {m}-words exceeds the budget of {ENUMERATION_BUDGET}"
         raise DomainError(msg, name="enumeration_too_large")
     deg = np.bincount(parent, minlength=n)
-    stuck = np.flatnonzero((t == 0.0) & (deg == 0))
+    stuck = np.flatnonzero(deg == 0)
     if stuck.size:
         word = admissible_words(mu.sft, m)[stuck[0]]
         raise DomainError(f"word {word} has no admissible extension; trim the SFT first", name="degenerate_sft")
+    charged = np.bincount(parent, weights=q, minlength=n) > 0
     Q = np.zeros((n, n))
-    Q[parent, suffix] = np.where(t[parent] > 0, q, 1.0 / deg[parent])
+    Q[parent, suffix] = np.where(charged[parent], q, 1.0 / deg[parent])
     return Q
 
 
@@ -283,14 +289,25 @@ class MarkovComponent:
         if m2 == m:
             return self
         t, parent, suffix, q = _quotient(self, m2, budget)
-        keep = np.flatnonzero(t > 0)
+        keep = t > 0
+        while True:  # drop words left with no charged edge inside the set (masses near 2^-1074)
+            e = keep[parent] & keep[suffix] & (q > 0)
+            live = np.bincount(parent[e], minlength=t.size) > 0
+            if (live == keep).all():
+                break
+            keep = live
+        idx = np.flatnonzero(keep)
         at = np.full(t.size, -1)
-        at[keep] = np.arange(keep.size)
-        e = (at[parent] >= 0) & (at[suffix] >= 0)
-        Q2 = np.zeros((keep.size, keep.size))
+        at[idx] = np.arange(idx.size)
+        Q2 = np.zeros((idx.size, idx.size))
         Q2[at[parent[e]], at[suffix[e]]] = q[e]
-        words = admissible_words(self.sft, m2, budget)
-        return MarkovComponent(self.sft, m2, [words[i] for i in keep], Q2, t[keep] / t[keep].sum())
+        Q2 /= Q2.sum(axis=1, keepdims=True)
+        cols, row = [], idx  # the kept words, read back symbol by symbol from the word levels
+        for level_parent, level_last, _ in _word_levels(self.sft, m2, budget)[m2:0:-1]:
+            cols.append(level_last[row])
+            row = level_parent[row]
+        words = [tuple(w) for w in np.stack(cols[::-1], axis=1).tolist()]
+        return MarkovComponent(self.sft, m2, words, Q2, t[idx] / t[idx].sum())
 
     def cylinder_prob(self, word) -> float:
         word = tuple(word)

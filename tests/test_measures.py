@@ -219,7 +219,6 @@ def test_lift_preserves_the_measure(golden):
         assert abs(comp.cylinder_prob(w) - lifted.cylinder_prob(w)) < 1e-14
 
 
-
 def _lift_by_dict_walk(comp: MarkovComponent, m2: int) -> tuple:
     """(states, Q, pi) of the lift as the dict walk before the edge
     quotient: grow the charged windows along Q > 0, then read each lifted
@@ -300,6 +299,24 @@ def test_to_json_refuses_a_dense_matrix_over_the_budget_before_allocating(full2)
         tracemalloc.stop()
     assert e.value.name == "enumeration_too_large"
     assert peak < 2**26  # the matrix alone would take 2^29 bytes
+
+
+def test_subnormal_states_round_trip_and_lift():
+    # States 1 and 2 carry about 3e-320 each: their (m+1)-word masses round
+    # to a few thousand units of 2^-1074, so a row read as t_{m+1} / t_m
+    # would miss 1 by about 1e-4.
+    full3 = Sft(np.ones((3, 3), dtype=int))
+    Q = np.array([[1.0, 1e-320, 1e-320], [1 / 3] * 3, [1 / 3] * 3])
+    comp = MarkovComponent(full3, 1, [(0,), (1,), (2,)], Q)
+    assert 0.0 < comp.pi[1] < 1e-318
+    back = InvariantMeasure.from_json(full3, InvariantMeasure.single(comp).to_json()).components[0]
+    assert np.abs(back.Q.sum(axis=1) - 1.0).max() <= 1e-15
+    for m2 in (2, 3):
+        lifted = comp.lift(m2)
+        assert np.abs(lifted.Q.sum(axis=1) - 1.0).max() <= 1e-15
+        for a, b in zip(comp.cylinder_tables(4)[1:], lifted.cylinder_tables(4)[1:]):
+            assert np.abs(a - b).max() <= 1e-15
+
 
 def test_d_star_metric_properties(full2):
     b2 = bernoulli_measure(full2, [0.8, 0.2])
