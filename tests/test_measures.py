@@ -301,12 +301,15 @@ def test_to_json_refuses_a_dense_matrix_over_the_budget_before_allocating(full2)
     assert peak < 2**26  # the matrix alone would take 2^29 bytes
 
 
-def test_subnormal_states_round_trip_and_lift():
-    # States 1 and 2 carry about 3e-320 each: their (m+1)-word masses round
-    # to a few thousand units of 2^-1074, so a row read as t_{m+1} / t_m
-    # would miss 1 by about 1e-4.
+@pytest.mark.parametrize("eps", [1e-320, 5e-324])
+def test_subnormal_states_round_trip_and_lift(eps):
+    # At eps = 1e-320 states 1 and 2 carry about 3e-320 each: their
+    # (m+1)-word masses round to a few thousand units of 2^-1074, so a row
+    # read as t_{m+1} / t_m would miss 1 by about 1e-4.  At eps = 2^-1074
+    # some lifted words keep a unit of mass while all their extensions
+    # round to 0, and lift drops them.
     full3 = Sft(np.ones((3, 3), dtype=int))
-    Q = np.array([[1.0, 1e-320, 1e-320], [1 / 3] * 3, [1 / 3] * 3])
+    Q = np.array([[1.0, eps, eps], [1 / 3] * 3, [1 / 3] * 3])
     comp = MarkovComponent(full3, 1, [(0,), (1,), (2,)], Q)
     assert 0.0 < comp.pi[1] < 1e-318
     back = InvariantMeasure.from_json(full3, InvariantMeasure.single(comp).to_json()).components[0]
