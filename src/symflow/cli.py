@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, InputError, SymflowError
-from .horseshoe import HorseshoePack, build_multi_horseshoe, certify_pack, lift_pack_to_flow
+from .horseshoe import HorseshoePack, _check_count, build_multi_horseshoe, certify_pack, lift_pack_to_flow
 from .jsonio import config_hash, csv_text, read_json, write_csv, write_json
 from .lorenz import LorenzModel, simulate_return_map, validate_lorenz
 from .measures import InvariantMeasure, d_star, support_is_full
@@ -284,8 +284,11 @@ def _cmd_horseshoe(args) -> None:
 
 
 def _cmd_certify(args) -> None:
-    if args.samples < 1:
-        raise InputError("samples must be at least 1")
+    # certify_pack and lift_pack_to_flow check their counts too; checking
+    # here first fails a bad --mixtures before the certificate is computed.
+    _check_count("samples", args.samples, 1)
+    if args.system:
+        _check_count("mixtures", args.mixtures, 1)
     doc = read_json(args.pack)
     if "pack" not in doc:
         raise InputError("pack file must hold a 'pack' object")

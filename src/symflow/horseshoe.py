@@ -16,9 +16,14 @@ quadratic in the alphabet:
 
 * every level table up to the d* depth N is a marginal of three depth-N
   histograms per word weight vector (in-word windows, suffixes, prefixes)
-  and, for word chains, of N-1 joint (suffix, prefix) histograms with k^N
-  bins each; the certificate draws each random chain once and reads all
-  its depths from one set of statistics;
+  and of the N-1 joint (suffix_a, prefix_{N-a}) histograms of consecutive
+  words, k^N bins each; the crossing tables are marginals of the running
+  sums of the joints, and a permutation chain counts its joints as integers
+  from a few histograms of wider windows of the (suffix, prefix) pair code;
+* the certificate draws each random chain once, reads all its depths from
+  one set of statistics, and evaluates the full-depth distance between a
+  grid mixture and a sample only where a shallow-depth lower bound leaves
+  the pair a candidate for a row or column minimum;
 * the factory classifies one necklace per rotation class against all
   targets at once (the periodic measure is the same for every rotation),
   extending window codes level by level for the rows still undecided;
@@ -94,15 +99,19 @@ class _TableEngine:
     * ``S = theta . onehot(suffix_{N-1})``;
     * ``P = theta . onehot(prefix_{N-1})``.
 
-    An in-word window of length ell is a prefix of an H window or sits at
-    an offset 0..N-1-ell inside the suffix.  A crossing window is a suffix
-    of length a followed by a prefix of length ell-a of the next word: for
-    i.i.d. words that is the product of S and P marginals, and for a chain
-    it is a marginal of the joint histogram J_a of (suffix_a, prefix_{N-a}
-    of the successor), so the N-1 joints of k^N bins serve every depth.
-    H, S and P of a whole block of weight vectors are one product with a
-    stacked sparse operator.  Every table method returns a list indexed by
-    ell = 1..N (entry 0 is None) of (batch, k^ell) arrays.
+    The in-word windows of length ell are the length-ell prefixes of the H
+    windows plus the windows inside the suffix; the one at offset j sums S
+    over its last N-1-j-ell digits and then its first j, a grouping that
+    keeps the tables bitwise those of summing each window on its own.  A
+    crossing window of length ell is the first ell digits of the window
+    (suffix_a, prefix_{N-a}) of some a < ell, so with J_a the joint
+    histogram of that pair its table is the ell-digit marginal of the
+    running sum J_1 + ... + J_{ell-1} (:meth:`_crossing`).  For i.i.d. words
+    J_a = su_a (x) pr_{N-a}, the outer product of the suffix and prefix
+    marginals; a chain counts it from the word pairs (:meth:`_perm_joints`,
+    :meth:`markov`).  H, S and P of a whole block of weight vectors are one
+    product with a stacked sparse operator.  Every table method returns a
+    list indexed by ell = 1..N (entry 0 is None) of (batch, k^ell) arrays.
     """
 
     def __init__(self, sft: Sft, arr: np.ndarray, N: int):
@@ -136,6 +145,7 @@ class _TableEngine:
         op.sum_duplicates()
         self._op = op
         self._uniform = None
+        self._windows = None
 
     def stats(self, W: np.ndarray) -> tuple:
         """(H, S, P) for the weight columns of W (num, B); H is None when N > n."""
@@ -144,81 +154,122 @@ class _TableEngine:
         return (Y[:, :h] if h else None), Y[:, h : h + km], Y[:, h + km :]
 
     def _inword(self, H, S) -> list:
+        """In-word tables from H and S (see the class docstring)."""
         k, N, m = self.k, self.N, self.N - 1
-        B = S.shape[0]
-        out = [None] + [np.zeros((B, k**ell)) for ell in range(1, N + 1)]
-        if H is not None:
-            cur = H
-            for ell in range(N, 0, -1):
-                out[ell] += cur
-                cur = cur.reshape(B, -1, k).sum(axis=2)
+        B = len(S)
+        out = [None] * (N + 1)
+        out[N] = np.zeros((B, k**N)) if H is None else H
+        for ell in range(m, 0, -1):
+            out[ell] = _drop_last(out[ell + 1], k)
+        # Y[r] is S with its last r digits summed out; the suffix window at
+        # offset j of length ell sums the first j digits of Y[m - j - ell].
+        Y = [S] + [S.reshape(B, -1, k**r).sum(axis=2) for r in range(1, m)]
         for ell in range(1, m + 1):
             for j in range(m - ell + 1):
-                out[ell] += S.reshape(B, k**j, k**ell, -1).sum(axis=(1, 3))
+                out[ell] = out[ell] + Y[m - j - ell].reshape(B, k**j, k**ell).sum(axis=1)
         return out
 
-    def _cross_indep(self, S, P) -> list:
-        k, N, m = self.k, self.N, self.N - 1
-        B = S.shape[0]
-        su = [None] + [S.reshape(B, -1, k**a).sum(axis=1) for a in range(1, m + 1)]
-        pr = [None] + [P.reshape(B, k**b, -1).sum(axis=2) for b in range(1, m + 1)]
-        out = [None, np.zeros((B, k))]
-        for ell in range(2, N + 1):
-            out.append(sum((su[a][:, :, None] * pr[ell - a][:, None, :]).reshape(B, -1) for a in range(1, ell)))
+    def _crossing(self, joints, B: int) -> list:
+        """Crossing tables from the joints J_a (B, k^N), a = 1..N-1, of
+        (suffix_a, prefix_{N-a}) in flat bin suffix_a * k^(N-a) + prefix_{N-a}."""
+        out = [None, np.zeros((B, self.k))]
+        run = None
+        for ell, J in zip(range(2, self.N + 1), joints):
+            run = J if run is None else run + J
+            cur = run
+            for _ in range(self.N - ell):
+                cur = _drop_last(cur, self.k)
+            out.append(cur)
         return out
 
-    def _cross_joint(self, J: np.ndarray) -> list:
-        """Crossing terms from joints J (B, N-1, k^N) of (suffix_a, prefix_{N-a})."""
-        k, N = self.k, self.N
-        B = J.shape[0]
-        out = [None, np.zeros((B, k))]
-        for ell in range(2, N + 1):
-            out.append(
-                sum(J[:, a - 1].reshape(B, k**a, k ** (ell - a), -1).sum(axis=3).reshape(B, -1) for a in range(1, ell))
-            )
-        return out
+    def _independent(self, H, S, P) -> tuple:
+        """(in-word, crossing) tables of i.i.d. words with statistics H, S, P."""
+        k, N, B = self.k, self.N, len(S)
+        su = [None] + [S.reshape(B, -1, k**a).sum(axis=1) for a in range(1, N)]
+        pr = [None] + [P.reshape(B, k**b, -1).sum(axis=2) for b in range(1, N)]
+        joints = ((su[a][:, :, None] * pr[N - a][:, None, :]).reshape(B, -1) for a in range(1, N))
+        return self._inword(H, S), self._crossing(joints, B)
 
     def bernoulli_tables(self, H, S, P) -> list:
-        inw, cross = self._inword(H, S), self._cross_indep(S, P)
+        inw, cross = self._independent(H, S, P)
         return [None] + [(inw[ell] + cross[ell]) / self.n for ell in range(1, self.N + 1)]
 
     def bernoulli(self, W: np.ndarray) -> list:
         """Tables of i.i.d. words drawn with the weight columns of W (num, B)."""
         return self.bernoulli_tables(*self.stats(W))
 
+    def _perm_joints(self, perms: list):
+        """Integer joints J_1..J_{N-1} (B, k^N) of (suffix_a, prefix_{N-a}[perm]).
+
+        With m = N-1 and c = suffix_m * k^m + prefix_m[perm], J_a is the
+        histogram of the N base-k digits of c from position m-a on, so w
+        consecutive joints are marginals of one histogram of a window of
+        N+w-1 digits.  Rule: w is the largest count in 1..m whose window has
+        at most as many bins as there are words (1 when none has), and the
+        m joints are split into ceil(m / w) windows as evenly as possible.
+        A window's histogram then costs about one pass over the words, and
+        one window holds every joint once the words number at least the
+        k^(2m) codes of c.  A window's code is a suffix part plus a prefix
+        part read through the permutation, both tabulated once.
+        """
+        k, N, m, B = self.k, self.N, self.N - 1, len(perms)
+        if self._windows is None:
+            wmax = 1
+            while wmax < m and k ** (N + wmax) <= self.num:
+                wmax += 1
+            count = -(-m // wmax)
+            w = -(-m // count)
+            self._windows = []
+            for a0 in range(1, N, w):
+                width = min(w, N - a0)
+                hi = (self.suf % k ** (a0 + width - 1)) * k ** (N - a0)
+                self._windows.append((width, hi, self.pre // k ** (a0 - 1)))
+        for width, hi, lo in self._windows:
+            size = k ** (N + width - 1)
+            h = np.empty((B, size), dtype=np.int64)
+            for i, perm in enumerate(perms):
+                h[i] = np.bincount(lo[perm] + hi, minlength=size)
+            # J_{a0+j} drops the last j and the first width-1-j digits.
+            for j in range(width):
+                yield h.reshape(B, k ** (width - 1 - j), k**N).sum(axis=1)
+                if j + 1 < width:
+                    h = _drop_last(h, k)
+
     def perm_mix(self, specs: list) -> list:
         """Tables of (eps, perm) word chains with uniform marginal."""
-        k, N = self.k, self.N
         if self._uniform is None:
-            H, S, P = self.stats(np.full((self.num, 1), 1.0 / self.num))
-            # Joint a-1 holds (suffix_a, prefix_{N-a}) in flat bin
-            # (a-1)*k^N + suffix_a*k^(N-a) + prefix_{N-a}, and prefix_{N-a}
-            # is prefix_{N-1} // k^(a-1).
-            a = np.arange(1, N, dtype=np.int64)[:, None]
-            suf = (self.suf[None, :] % k**a) * k ** (N - a) + (a - 1) * k**N
-            self._uniform = (self._inword(H, S), self._cross_indep(S, P), suf, k ** (a - 1))
-        inw, indep, suf, div = self._uniform
-        J = np.stack(
-            [np.bincount((suf + self.pre[perm] // div).ravel(), minlength=(N - 1) * k**N) for _, perm in specs]
-        ).reshape(len(specs), N - 1, -1) / self.num
-        pair = self._cross_joint(J)
+            self._uniform = self._independent(*self.stats(np.full((self.num, 1), 1.0 / self.num)))
+        inw, indep = self._uniform
+        pair = self._crossing(self._perm_joints([perm for _, perm in specs]), len(specs))
         eps = np.array([e for e, _ in specs])[:, None]
-        return [None] + [(inw[ell] + (1.0 - eps) * indep[ell] + eps * pair[ell]) / self.n for ell in range(1, N + 1)]
+        return [None] + [
+            (inw[ell] + (1.0 - eps) * indep[ell] + eps * (pair[ell] / self.num)) / self.n for ell in range(1, self.N + 1)
+        ]
 
     def markov(self, pi: np.ndarray, Q: np.ndarray) -> list:
         """Tables of the word chain with stationary vector pi and transitions Q."""
         k, N = self.k, self.N
         PQ = pi[:, None] * Q
-        J = np.empty((1, N - 1, k**N))
-        for a in range(1, N):
-            b = N - a
-            su = _onehot(self.suf % k**a, k**a).T
-            pr = _onehot(self.pre // k ** (a - 1), k**b)
-            # Bin the smaller side first so the intermediate stays num x k^min(a, b).
-            J[0, a - 1] = np.asarray(su @ (PQ @ pr) if b <= a else (su @ PQ) @ pr).reshape(-1)
+
+        def joints():
+            for a in range(1, N):
+                b = N - a
+                su = _onehot(self.suf % k**a, k**a).T
+                pr = _onehot(self.pre // k ** (a - 1), k**b)
+                # Bin the smaller side first so the intermediate stays num x k^min(a, b).
+                yield np.asarray(su @ (PQ @ pr) if b <= a else (su @ PQ) @ pr).reshape(1, -1)
+
         H, S, _ = self.stats(pi[:, None])
-        inw, cross = self._inword(H, S), self._cross_joint(J)
+        inw, cross = self._inword(H, S), self._crossing(joints(), 1)
         return [None] + [(inw[ell] + cross[ell]) / self.n for ell in range(1, N + 1)]
+
+
+def _drop_last(x: np.ndarray, k: int) -> np.ndarray:
+    """Sum out the last base-k digit of the codes that index the columns of x."""
+    out = x[:, 0::k]
+    for i in range(1, k):
+        out = out + x[:, i::k]
+    return out
 
 
 def _onehot(codes: np.ndarray, size: int):
@@ -615,6 +666,86 @@ def _simplex_grid(K: int, res: int) -> np.ndarray:
     return np.asarray(out, dtype=float) / res
 
 
+# Depths whose maxima bound every (grid, sample) distance from below, and
+# the element count of one temporary difference array.  Depth 5 reads 62 of
+# the 2,046 table columns at N = 10 and was the fastest of depths 4..8 on
+# the k = 2 packs of criterion 8 and of the benchmark.
+_BOUND_DEPTH = 5
+_PAIR_CHUNK = 1 << 16
+
+
+def _deep_maxima(t_grid, t_samp, s, g, offsets, L: int) -> np.ndarray:
+    """Per-depth maxima of |t_samp[s] - t_grid[g]| at the depths past L, for the pairs (s, g)."""
+    cut = offsets[L]
+    out = np.empty((len(s), len(offsets) - L))
+    step = max(1, _PAIR_CHUNK // (t_grid.shape[1] - cut))
+    for lo in range(0, len(s), step):
+        diff = np.abs(t_samp[s[lo : lo + step], cut:] - t_grid[g[lo : lo + step], cut:])
+        out[lo : lo + step] = np.maximum.reduceat(diff, offsets[L:] - cut, axis=1)
+    return out
+
+
+def _nearest_pairs(t_grid, t_samp, row, offsets, weights) -> np.ndarray:
+    """Exact min over g of d*(grid g, sample s), for each sample s of t_samp.
+
+    ``row`` is lowered in place to min(row[g], d*(g, s) over these samples).
+    A pair's distance is its per-depth maxima summed as the (G, N) @ weights
+    product of its sample, as an all-pairs loop would sum them.  The sum
+    over the depths up to _BOUND_DEPTH bounds it from below; the remaining
+    depths are evaluated first for each sample's pair of least bound and
+    then only for the pairs whose bound does not exceed their row's or
+    column's least evaluated distance.  Both sums have at most N nonnegative
+    terms, so a bound is within a factor 1 + 2N*eps of the distance it
+    bounds, and that factor is the pruning margin.
+    """
+    b, G, N = len(t_samp), len(t_grid), len(weights)
+    L = min(_BOUND_DEPTH, N)
+    cut = offsets[L] if L < N else t_grid.shape[1]
+    M = np.zeros((b, G, N))
+    step = max(1, _PAIR_CHUNK // (G * cut))
+    for lo in range(0, b, step):
+        diff = np.abs(t_samp[lo : lo + step, None, :cut] - t_grid[None, :, :cut])
+        M[lo : lo + step, :, :L] = np.maximum.reduceat(diff, offsets[:L], axis=2)
+    bound = M[:, :, :L] @ weights[:L]
+    D = np.full((b, G), np.inf)
+
+    def evaluate(s, g):
+        if L < N:
+            M[s, g, L:] = _deep_maxima(t_grid, t_samp, s, g, offsets, L)
+        D[s, g] = (M @ weights)[s, g]
+        np.minimum(row, D.min(axis=0), out=row)
+
+    evaluate(np.arange(b), bound.argmin(axis=1))
+    margin = 1.0 + 2 * N * np.finfo(float).eps
+    near = (bound <= row * margin) | (bound <= D.min(axis=1, keepdims=True) * margin)
+    evaluate(*np.nonzero(near & np.isinf(D)))
+    return D.min(axis=1)
+
+
+def _hausdorff(t_grid, d_match, blocks, samples: int, offsets, weights) -> tuple:
+    """Hausdorff estimates over all samples and over the first max(1, samples // 2).
+
+    ``blocks`` yields the sample tables in sample order.  An estimate is the
+    larger of the cover max_g min(d_match[g], min_s d*(g, s)) and the
+    spread max_s min_g d*(g, s); every minimum is exact (:func:`_nearest_pairs`).
+    """
+    half = max(1, samples // 2)
+    row, cols, seen = np.array(d_match, dtype=float), np.empty(samples), 0
+    for t in blocks:
+        cuts = [0, len(t)]
+        if seen < half < seen + len(t):
+            cuts.insert(1, half - seen)
+        for a, b in zip(cuts, cuts[1:]):
+            cols[seen + a : seen + b] = _nearest_pairs(t_grid, t[a:b], row, offsets, weights)
+            if seen + b == half:
+                row_half = row.copy()
+        seen += len(t)
+    return (
+        max(float(row.max()), float(cols.max())),
+        max(float(row_half.max()), float(cols[:half].max())),
+    )
+
+
 def _sample_weights(union_size: int, seed: int, index: int) -> np.ndarray:
     """Dirichlet(1,..,1) word weights from a counter-derived seed."""
     g = np.random.default_rng([seed, index])
@@ -629,6 +760,12 @@ def _sample_perm_spec(union_size: int, seed: int, index: int) -> tuple:
     return eps, perm
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise InputError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     """Re-derive the pack's certificate from scratch.
 
@@ -641,8 +778,15 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     (Dirichlet Bernoulli weights alternating with permutation mixtures,
     each sample's generator seeded by its counter index) are matched back
     to the grid; the Hausdorff estimate is reported at the full and at half
-    the sample count.
+    the sample count.  The tables of a block of samples come from the
+    table engine (windowed integer joints for the permutation mixtures,
+    one crossing routine for all kinds), and the distance minima behind
+    both estimates are exact although most (grid, sample) pairs are only
+    bounded from below at the shallow depths (:func:`_nearest_pairs`).
+    ``samples`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
+    _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     K = len(pack.word_sets)
     N = min(_DSTAR_DEPTH, pack.n + 1)
     counts = [len(ws) for ws in pack.word_sets]
@@ -686,28 +830,21 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     # Each sample is drawn once and its tables at every depth come from one
     # set of statistics: Dirichlet Bernoulli weights at even indices,
     # permutation mixtures at odd ones.
-    block = 64
-    D_gs = np.zeros((G, samples))  # d(grid theta, sampled chain)
-    for lo in range(0, samples, block):
-        hi = min(samples, lo + block)
-        t_samp = np.empty((hi - lo, t_grid.shape[1]))
-        bern, perm = np.arange(lo, hi, 2), np.arange(lo + 1, hi, 2)
-        if bern.size:
-            TH = np.stack([_sample_weights(numU, seed, int(s)) for s in bern])
-            t_samp[bern - lo] = flat(engine.bernoulli(TH.T))
-        if perm.size:
-            t_samp[perm - lo] = flat(engine.perm_mix([_sample_perm_spec(numU, seed, int(s)) for s in perm]))
-        for s in range(lo, hi):
-            D_gs[:, s] = dist(t_grid, t_samp[s - lo])
+    block = 32
 
-    def hausdorff(count: int) -> float:
-        sub = D_gs[:, :count]
-        cover = float(np.minimum(D_gm, sub.min(axis=1)).max()) if count else float(D_gm.max())
-        spread = float(sub.min(axis=0).max()) if count else 0.0
-        return max(cover, spread)
+    def sample_tables():
+        for lo in range(0, samples, block):
+            hi = min(samples, lo + block)
+            t_samp = np.empty((hi - lo, t_grid.shape[1]))
+            bern, perm = np.arange(lo, hi, 2), np.arange(lo + 1, hi, 2)
+            if bern.size:
+                TH = np.stack([_sample_weights(numU, seed, int(s)) for s in bern], axis=1)
+                t_samp[bern - lo] = flat(engine.bernoulli(TH))
+            if perm.size:
+                t_samp[perm - lo] = flat(engine.perm_mix([_sample_perm_spec(numU, seed, int(s)) for s in perm]))
+            yield t_samp
 
-    est = hausdorff(samples)
-    est_half = hausdorff(max(1, samples // 2))
+    est, est_half = _hausdorff(t_grid, D_gm, sample_tables(), samples, offsets, weights)
     push_dist = [float(p) for p in push]
 
     cond1 = {
@@ -724,8 +861,8 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     }
     cond3 = {
         "kind": "statistical certificate",
-        "samples": samples,
-        "seed": seed,
+        "samples": int(samples),
+        "seed": int(seed),
         "depth": N,
         "push_distances": push_dist,
         "hausdorff_estimate": est,
@@ -818,7 +955,10 @@ def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: i
     eta divided by each target's roof integral (so a constant roof scales
     all margins by the same factor).  The mixture reweighting identity is
     checked on seeded random mixtures and several probe observables.
+    ``mixtures`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
+    _check_count("mixtures", mixtures, 1)
+    _check_count("seed", seed, 0)
     if system.base != pack.sft:
         raise InputError("pack and suspension live over different SFTs")
     K = len(pack.word_sets)
@@ -857,8 +997,8 @@ def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: i
         "all_margins_positive": bool(all(m > 0.0 for m in margins)),
         "flow_push_distances": flow_dist,
         "reweighting": {
-            "mixtures": mixtures,
-            "seed": seed,
+            "mixtures": int(mixtures),
+            "seed": int(seed),
             "max_identity_gap": worst,
             "pass": bool(worst <= 1e-10),
         },

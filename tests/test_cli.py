@@ -308,6 +308,23 @@ def test_certify_with_flow_lift(files, pack_file, tmp_path):
     assert doc["flow"]["all_margins_positive"] is True
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--samples", "4", "--seed", "-1"], "seed"),
+        (["--samples", "0", "--seed", "0"], "samples"),
+        (["--samples", "4", "--seed", "0", "--system", "SYSTEM", "--mixtures", "0"], "mixtures"),
+    ],
+)
+def test_certify_rejects_bad_counts_without_a_traceback(files, pack_file, flags, name):
+    argv = ["certify", "--pack", str(pack_file)] + [str(files["system"]) if f == "SYSTEM" else f for f in flags]
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "symflow.cli", *argv], capture_output=True, text=True, env=env)
+    assert fresh.returncode == 1 and fresh.stdout == ""
+    assert fresh.stderr.startswith(f"error: input: {name} must be"), fresh.stderr
+    assert "Traceback" not in fresh.stderr
+
+
 def test_witness_verify_roundtrip(files, tmp_path):
     req = {
         "kind": "intermediate",

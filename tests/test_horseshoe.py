@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import json
 
 import numpy as np
@@ -571,3 +572,158 @@ def test_certify_small_pack_reproduces_recorded_certificate(small_pack):
     assert rep["condition1"] == {"alphabet_sizes": [189, 91], "transitive": True, "disjoint": True}
     assert (c2["all_positive"], c3["pass"], rep["pass"]) == (True, True, True)
     assert (c3["samples"], c3["seed"], c3["depth"], c3["zeta"]) == (24, 0, 10, 0.4)
+
+
+def test_certify_and_lift_check_their_arguments(small_pack, monkeypatch):
+    system = SuspensionSystem(small_pack.sft, LocallyConstantFunction(small_pack.sft, 1, {(0,): 1.0, (1,): 2.0}))
+    rep = certify_pack(small_pack, samples=np.int64(2), seed=np.int64(0))
+    assert json.loads(json.dumps(rep))["condition3"]["samples"] == 2
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("_measure_tables", "_TableEngine", "abramov_entropy", "_word_roof_root"):
+        monkeypatch.setattr(horseshoe, name, no_work)
+    for samples, seed in [(0, 0), (-3, 0), (2.5, 0), (True, 0), (4, -1), (4, 1.0), (4, None)]:
+        with pytest.raises(InputError):
+            certify_pack(small_pack, samples=samples, seed=seed)
+    for mixtures, seed in [(0, 0), (-2, 0), (1.5, 0), (False, 0), (3, -1)]:
+        with pytest.raises(InputError):
+            lift_pack_to_flow(system, small_pack, mixtures=mixtures, seed=seed)
+
+
+@pytest.mark.parametrize("k, N", [(2, 2), (2, 5), (2, 10), (3, 2), (3, 5), (3, 10)])
+def test_windowed_joints_match_pair_bincounts(k, N):
+    # Joint J_a of a permutation chain counts (suffix_a of a word, prefix_{N-a}
+    # of its successor).  Word counts run from a handful to beyond 4 k^N, and
+    # to k^(2(N-1)) where that stays small, where one window holds every joint.
+    m, n = N - 1, N + 1
+    sft = Sft(np.ones((k, k), dtype=int))
+    rng = np.random.default_rng(100 * k + N)
+    nums = {5, 2 * k**N + 1, 4 * k**N + 3}
+    if k ** (2 * m) + 7 <= 300_000:
+        nums.add(k ** (2 * m) + 7)
+    for num in sorted(nums):
+        arr = rng.integers(0, k, (num, n), dtype=np.int8)
+        engine = horseshoe._TableEngine(sft, arr, N)
+        perms = [rng.permutation(num) for _ in range(3)]
+        got = list(engine._perm_joints(perms))
+        assert len(got) == m
+        assert (len(engine._windows) == 1) == (m <= 1 or num >= k ** (2 * m)), (num, len(engine._windows))
+        for a in range(1, N):
+            suffix = arr[:, n - a :].astype(np.int64) @ k ** np.arange(a - 1, -1, -1)
+            prefix = arr[:, : N - a].astype(np.int64) @ k ** np.arange(N - a - 1, -1, -1)
+            for i, perm in enumerate(perms):
+                want = np.bincount(suffix * k ** (N - a) + prefix[perm], minlength=k**N)
+                assert got[a - 1].dtype == np.int64
+                assert np.array_equal(got[a - 1][i], want), (num, a, i)
+
+
+def _all_pairs(t_grid, T, offsets, weights) -> np.ndarray:
+    """D[g, s]: every (grid, sample) distance at full depth, one sample at a time."""
+    return np.stack([np.maximum.reduceat(np.abs(t_grid - t), offsets, axis=1) @ weights for t in T], axis=1)
+
+
+def _all_pairs_hausdorff(t_grid, d_match, T, offsets, weights) -> tuple:
+    """Both estimates from every (grid, sample) distance."""
+    samples = len(T)
+    D = _all_pairs(t_grid, T, offsets, weights)
+
+    def estimate(count):
+        sub = D[:, :count]
+        return max(float(np.minimum(d_match, sub.min(axis=1)).max()), float(sub.min(axis=0).max()))
+
+    return estimate(samples), estimate(max(1, samples // 2))
+
+
+def test_pruned_distances_match_all_pairs_on_the_small_pack(small_pack, monkeypatch):
+    seen, deep = {}, []
+    hausdorff, deep_maxima = horseshoe._hausdorff, horseshoe._deep_maxima
+
+    def spy_hausdorff(t_grid, d_match, blocks, samples, offsets, weights):
+        blocks = [b.copy() for b in blocks]
+        seen.update(t_grid=t_grid, d_match=d_match, T=np.concatenate(blocks), offsets=offsets, weights=weights)
+        return hausdorff(t_grid, d_match, iter(blocks), samples, offsets, weights)
+
+    def spy_deep(t_grid, t_samp, s, g, offsets, L):
+        deep.append(len(s))
+        return deep_maxima(t_grid, t_samp, s, g, offsets, L)
+
+    monkeypatch.setattr(horseshoe, "_hausdorff", spy_hausdorff)
+    monkeypatch.setattr(horseshoe, "_deep_maxima", spy_deep)
+    samples = 200
+    c3 = certify_pack(small_pack, samples=samples, seed=5)["condition3"]
+    want = _all_pairs_hausdorff(seen["t_grid"], seen["d_match"], seen["T"], seen["offsets"], seen["weights"])
+    assert (c3["hausdorff_estimate"], c3["hausdorff_estimate_half"]) == want
+    assert sum(deep) < 0.1 * len(seen["t_grid"]) * samples, sum(deep)
+
+
+@pytest.mark.parametrize("N, samples", [(10, 1), (10, 37), (10, 150), (4, 29)])
+def test_pruned_distances_match_all_pairs_on_random_tables(N, samples):
+    rng = np.random.default_rng(N * 1000 + samples)
+    offsets = np.cumsum([0] + [2**ell for ell in range(1, N)])
+    weights = 2.0 ** -np.arange(1, N + 1)
+    width = int(offsets[-1]) + 2**N
+    G = 41
+    centers = rng.random((5, width))
+    t_grid = centers[rng.integers(0, 5, G)] + 0.05 * rng.random((G, width))
+    T = centers[rng.integers(0, 5, samples)] + rng.choice([0.01, 0.1, 0.5], (samples, 1)) * rng.random((samples, width))
+    d_match = 0.3 * rng.random(G)
+    cuts = np.unique(np.concatenate([[0, samples], rng.integers(0, samples, 4)]))
+    blocks = (T[a:b] for a, b in zip(cuts, cuts[1:]))
+    got = horseshoe._hausdorff(t_grid, d_match, blocks, samples, offsets, weights)
+    assert got == _all_pairs_hausdorff(t_grid, d_match, T, offsets, weights)
+
+
+@pytest.mark.parametrize("incumbent", [0.0, 0.02, np.inf])
+def test_nearest_pairs_give_every_row_and_column_minimum(incumbent):
+    # Grid rows form two clusters that differ at the shallow depths.  The
+    # samples sit near cluster B, whose rows agree at the shallow depths and
+    # differ at the deep ones, so a sample's least bound rarely marks its
+    # nearest row; cluster A's rows are minimised by pairs no column needs.
+    N, G, S = 10, 41, 60
+    rng = np.random.default_rng(29)
+    offsets = np.cumsum([0] + [2**ell for ell in range(1, N)])
+    weights = 2.0 ** -np.arange(1, N + 1)
+    width, cut = int(offsets[-1]) + 2**N, int(offsets[horseshoe._BOUND_DEPTH])
+    in_b = rng.random(G) < 0.7
+    t_grid = rng.random((G, width))
+    t_grid[:, :cut] = np.where(in_b[:, None], 0.5, 0.1) + 1e-4 * rng.random((G, cut))
+    T = np.empty((S, width))
+    T[:, :cut] = 0.5 + 1e-4 * rng.random((S, cut))
+    T[:, cut:] = t_grid[rng.choice(np.flatnonzero(in_b), S), cut:] + 0.1 * rng.random((S, width - cut))
+    D = _all_pairs(t_grid, T, offsets, weights)
+    row = np.full(G, incumbent)
+    cols = horseshoe._nearest_pairs(t_grid, T, row, offsets, weights)
+    assert np.array_equal(cols, D.min(axis=0))
+    assert np.array_equal(row, np.minimum(incumbent, D.min(axis=1)))
+
+
+def test_bench_certificate_is_pinned():
+    # The bench's criterion-8 pack at zeta 0.22, certified with 500 samples
+    # at seed 0.  Its floats are pinned to 2 ulp, so that a change to the
+    # table engine or to the distance stage cannot move them unnoticed.
+    full2 = Sft(np.ones((2, 2), dtype=int))
+    targets = [bernoulli_measure(full2, [0.8, 0.2]), bernoulli_measure(full2, [0.2, 0.8])]
+    pack = build_multi_horseshoe(full2, targets, eta=0.15, zeta=0.22, n_max=40, seed=0)
+    assert (pack.n, [len(ws) for ws in pack.word_sets]) == (19, [10299, 3324])
+    rep = certify_pack(pack, samples=500, seed=0)
+    c3 = rep["condition3"]
+    recorded = {
+        "push_distances": ["0x1.bea15c3dbf547p-5", "0x1.ff07de1528df3p-5"],
+        "hausdorff_estimate": ["0x1.ff07de1528df3p-5"],
+        "hausdorff_estimate_half": ["0x1.ff07de1528df3p-5"],
+    }
+    for key, hexes in recorded.items():
+        for got, want in zip(np.atleast_1d(c3[key]), map(float.fromhex, hexes)):
+            assert abs(float(got) - want) <= 2 * math.ulp(want), (key, float(got).hex())
+    assert (c3["pass"], rep["pass"]) == (True, True)
+
+
+def test_certificate_sample_stream_is_pinned():
+    eps, perm = horseshoe._sample_perm_spec(13623, 0, 1)
+    digest = hashlib.sha256(np.float64(eps).tobytes() + perm.astype("<i8").tobytes()).hexdigest()
+    assert digest == "ee42b9a1cf2db40b287e7273f1fb104808fd2e07cf0046df15f4265d394afa21"
+    weights = horseshoe._sample_weights(13623, 0, 0)
+    digest = hashlib.sha256(weights.astype("<f8").tobytes()).hexdigest()
+    assert digest == "28e1741268a2fd8007263b5223367ef8653bb54e1e3618a69bd7421ea94f90c4"
