@@ -34,6 +34,7 @@ quadratic in the alphabet:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -650,20 +651,12 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
 
 
 def _simplex_grid(K: int, res: int) -> np.ndarray:
-    """Barycentric grid with denominator res over K vertices."""
-    if K == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], res, K)
-    return np.asarray(out, dtype=float) / res
+    """Barycentric grid with denominator res over K vertices, in lexicographic
+    order: stars and bars, the K - 1 bars at each increasing choice of
+    positions among res + K - 1."""
+    bars = np.array(list(combinations(range(res + K - 1), K - 1)), dtype=np.int64)
+    walls = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, res + K - 1))
+    return (np.diff(walls, axis=1) - 1) / res
 
 
 # Depths whose maxima bound every (grid, sample) distance from below, and
@@ -889,8 +882,9 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
     num, n = arr.shape
     k = system.base.k
 
+    codes = _admissible_codes(system.base, m)[m]
     vals = np.zeros(k**m)
-    vals[_admissible_codes(system.base, m)[m]] = roof.values(admissible_words(system.base, m))
+    vals[codes] = roof.values(admissible_words(system.base, m))
     pw = _powers(k, m)
     windows = sliding_window_view(arr, m, axis=1)
     base = vals[windows @ pw].sum(axis=1)
@@ -908,14 +902,15 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
         su_classes = np.unique(suf)
         pr_classes = np.unique(pre)
         Ks, Kp = len(su_classes), len(pr_classes)
-        cross = np.zeros((Ks, Kp))
-        digits = _powers(k, m - 1)
-        for iu, cu in enumerate(su_classes):
-            wu = [(int(cu) // int(d)) % k for d in digits]
-            for iv, cv in enumerate(pr_classes):
-                wv = [(int(cv) // int(d)) % k for d in digits]
-                junction = wu + wv
-                cross[iu, iv] = sum(roof(junction[t : t + m]) for t in range(m - 1))
+        # The junction's window at offset t takes the last m - 1 - t digits
+        # of the suffix and the first t + 1 of the prefix; the roof is summed
+        # over the offsets in order.
+        cross = 0.0
+        for t in range(m - 1):
+            window = su_classes[:, None] % k ** (m - 1 - t) * k ** (t + 1) + pr_classes[None, :] // k ** (m - 2 - t)
+            if not np.isin(window, codes).all():
+                raise InputError("the words do not concatenate freely: a junction window is not admissible")
+            cross = cross + vals[window]
         # Bin each word by (prefix class, suffix class); the collapsed
         # product is M[u,v] * G[v,u'] with G the class-binned exponentials.
         combo = np.searchsorted(pr_classes, pre) * Ks + np.searchsorted(su_classes, suf)

@@ -91,31 +91,12 @@ class LorenzModel:
         )
 
 
-def _aitken_limit(values: np.ndarray) -> float:
-    """Iterated Aitken delta-squared extrapolation, row by row.
-
-    Each pass maps the whole sequence to its delta-squared transform (exact
-    for a geometric tail); iteration stops once the tail is flat at roundoff
-    or a denominator vanishes.
-    """
-    v = np.asarray(values, dtype=float)
-    scale = max(1.0, float(np.abs(v).max()))
-    while len(v) >= 3:
-        d1 = v[1:-1] - v[:-2]
-        d2 = v[2:] - v[1:-1]
-        denom = d2 - d1
-        if np.abs(d2).max() < 1e-13 * scale or np.abs(denom).min() < 1e-300:
-            return float(v[-1])
-        v = v[2:] - d2 * d2 / denom
-    return float(v[-1])
-
-
 def validate_lorenz(model: LorenzModel, grid: int = 10**4) -> dict:
     """Check every defining constraint; report margins.
 
     The range and expansion of f are checked on a grid of ``grid`` points
-    per half-axis, staying one spacing away from the singular line;
-    one-sided limits of f are extrapolated from x = +-10^-k, k = 4..8.  The
+    per half-axis, staying one spacing away from the singular line; the
+    one-sided limits of f at 0 are in closed form, +-inf included.  The
     sign, fiber and section constraints on H are exact: max H on x > 0 is
     a + |b|, min H on x < 0 is -a - |b|, sup|dH/dy| = |b| and sup|dH/dx|
     = 0.  Positive margin means the constraint holds; a failed constraint
@@ -137,9 +118,12 @@ def validate_lorenz(model: LorenzModel, grid: int = 10**4) -> dict:
     entry("lambda sum l1+l3<0", -(l1 + l3), value=l1 + l3)
     entry("lambda sum l2+l3>0", l2 + l3, value=l2 + l3)
 
-    ks = np.arange(4, 9)
-    lim_pos = _aitken_limit(model.f(10.0 ** (-ks.astype(float))))
-    lim_neg = _aitken_limit(model.f(-(10.0 ** (-ks.astype(float)))))
+    # f(0+) = L - 1 and f(0-) = 1 - L with L the limit of c*x^gamma as x
+    # falls to 0: x^gamma tends to 0, 1 or inf as gamma is positive, zero or
+    # negative, and c*x^gamma is 0 throughout when c = 0.
+    power = 0.0 if model.gamma > 0.0 else 1.0 if model.gamma == 0.0 else math.inf
+    L = 0.0 if model.c == 0.0 else model.c * power
+    lim_pos, lim_neg = L - 1.0, 1.0 - L
     lim_tol = 1e-6
     entry("limit f(0+)=-1", lim_tol - abs(lim_pos + 1.0), value=lim_pos)
     entry("limit f(0-)=+1", lim_tol - abs(lim_neg - 1.0), value=lim_neg)

@@ -4,17 +4,19 @@ The conditional entropy spectrum H(alpha) = sup{h(mu) : integral g = alpha}
 is computed by tilting: solve mean(beta) = alpha where mean(beta) is the
 g-average of the equilibrium state of beta*g, then H = P(beta*g) - beta*alpha.
 The slope d mean/d beta is the asymptotic variance of g, known in closed form,
-so every mean tilt (``_tilt``, also used by ``witness``) is a bracketed
-Newton iteration.  Two observables give the two-dimensional spectrum.  The
-flow spectrum s(alpha) is the root of the convex, decreasing
-F(s) = max{h - s*int(rho) : int(phi - alpha*rho) = 0}, F'(s) = -int(rho), and
-Newton on F is Dinkelbach's update s <- h/int(rho): monotone from s = 0, one
-warm-started mean tilt a step (``_flow_level``).
+so every mean tilt of a model's first function (``_tilt``, also used by
+``witness``) is a bracketed Newton iteration.  Two observables give the
+two-dimensional spectrum.  The flow spectrum s(alpha) is the root of the
+convex, decreasing F(s) = max{h - s*int(rho) : int(phi - alpha*rho) = 0},
+F'(s) = -int(rho), and Newton on F is Dinkelbach's update s <- h/int(rho):
+monotone from s = 0, one warm-started mean tilt a step.  ``_dinkelbach`` is
+the one such loop, also for the flow ratio range and the flow entropy.
 
 All solvers share ``thermo._EdgeModel``: one block recoding on which every
-potential in play is an exact edge function, so tilted pressures, means and
-mean-weight cycles come from a single weighted graph, and every tilted
-equilibrium comes from the certified Perron solve in ``thermo``.
+potential in play is an exact edge function, so tilted pressures, means,
+mean-weight cycles and the ends of L_g (``model.ends``) come from a single
+weighted graph, and every tilted equilibrium comes from the certified
+Perron solve in ``thermo``.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ def birkhoff_range(sft: Sft, g: LocallyConstantFunction) -> BirkhoffRange:
     words are the projected cycles.
     """
     model = _EdgeModel(sft, [g])
-    lo, cyc_lo = model.min_cycle((1.0,))
-    hi, cyc_hi = model.max_cycle((1.0,))
+    lo, cyc_lo, hi, cyc_hi = model.ends
     return BirkhoffRange(lo=lo, hi=hi, argmin=model.project(cyc_lo), argmax=model.project(cyc_hi))
 
 
@@ -90,9 +91,7 @@ def _edge_tol(lo: float, hi: float) -> float:
 
 def _check_interior(model: _EdgeModel, alpha: float) -> None:
     """Raise unless alpha lies strictly inside L_g, g the model's first function."""
-    coeffs = (1.0,) + (0.0,) * (len(model.funcs) - 1)
-    lo, _ = model.min_cycle(coeffs)
-    hi, _ = model.max_cycle(coeffs)
+    lo, _, hi, _ = model.ends
     if hi - lo <= 1e-12:
         raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
     edge = _edge_tol(lo, hi)
@@ -102,13 +101,14 @@ def _check_interior(model: _EdgeModel, alpha: float) -> None:
         raise DomainError("boundary: spectrum not computed", name="boundary")
 
 
-def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
-    """(beta, sol = solve(beta)) with sol.means[0] = alpha, for a mean
-    nondecreasing in beta.
+def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, fixed: tuple = (), chain: np.ndarray | None = None):
+    """(beta, sol) with sol = model.solve((beta, *fixed), chain=chain) and
+    sol.means[0] = alpha: the tilt of the model's first function g, the other
+    coefficients held at ``fixed``; its mean is nondecreasing in beta.
 
     Safeguarded Newton on f(beta) = mean(beta) - alpha from beta0, or from 0
-    when no beta0 is given.  The slope f' is the asymptotic variance of the
-    edge table ``edge`` under the chain of ``sol`` (``thermo._covariance``,
+    when no beta0 is given.  The slope f' is the asymptotic variance of g's
+    edge table under the chain of ``sol`` (``thermo._covariance``,
     Parry & Pollicott 1990).  Each step narrows the sign-change bracket
     [lo, hi] (both ends start infinite) and returns once f = 0, the Newton
     step is within 1e-13 + 8.9e-16 |beta|, or the bracket is narrower than
@@ -134,14 +134,14 @@ def _tilt(solve, edge: np.ndarray, alpha: float, beta0: float | None = None):
     for steps in range(200):
         if abs(beta) > _BETA_CAP:
             raise failed("tilt parameter diverged", steps, "iteration_cap")
-        sol = solve(beta)
+        sol = model.solve((beta, *fixed), chain=chain)
         f = sol.means[0] - alpha
         if f > 0.0:
             hi = beta
         elif f < 0.0:
             lo = beta
         try:
-            var = float(_covariance(sol, [edge])[0, 0])
+            var = float(_covariance(sol, model.edges[:1])[0, 0])
         except np.linalg.LinAlgError:  # the chain has gone deterministic
             var = np.nan
         step = -f / var if 0.0 < var < np.inf else np.nan
@@ -205,7 +205,7 @@ def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: fl
     """
     model = _EdgeModel(sft, [g])
     _check_interior(model, alpha)
-    beta, sol = _tilt(lambda b: model.solve((b,)), model.edges[0], alpha)
+    beta, sol = _tilt(model, alpha)
     if abs(sol.means[0] - alpha) > max(tol, 1e-9):
         raise DomainError("tilt solve missed the target mean", name="no_convergence")
     H = sol.P - beta * alpha
@@ -374,25 +374,26 @@ class FlowRatioRange:
     argmax: tuple
 
 
-def _dinkelbach(model: _EdgeModel, sign: float) -> tuple:
-    """Exact extreme ratio sum(phi)/sum(rho) over cycles, by Dinkelbach.
+def _dinkelbach(step, s: float, sign: float = 1.0) -> tuple:
+    """(s, out) at a fixed point of Dinkelbach's update s <- ratio (1967).
 
-    With sign=+1 iterates r <- ratio(argmax cycle of phi - r*rho), which is
-    strictly increasing over the finite cycle set until it fixes at the
-    maximum ratio; sign=-1 gives the minimum via the minimizing cycle.
+    ``step(s)`` returns (ratio, out): the ratio of the maximiser (sign=+1) or
+    minimiser (sign=-1) of numerator - s*denominator, and that optimiser.
+    From an s no better than the optimum the ratio moves monotonically
+    toward it, so the loop returns s and the last ``out`` once the next
+    ratio improves s by at most 1e-15*max(1, |s|); 100 steps raise
+    ``no_convergence`` with the last s and increment.
     """
-    extreme = model.max_cycle if sign > 0 else model.min_cycle
-    _, cyc = extreme((1.0, 0.0))
-    r = model.cycle_sums(cyc, 0) / model.cycle_sums(cyc, 1)
-    best = (r, cyc)
-    for _ in range(10000):
-        _, cyc = extreme((1.0, -r))
-        cand = model.cycle_sums(cyc, 0) / model.cycle_sums(cyc, 1)
-        if sign * (cand - r) <= 1e-15 * max(1.0, abs(r)):
-            return best
-        r = cand
-        best = (r, cyc)
-    raise DomainError("ratio iteration did not terminate", name="iteration_cap")
+    inc = 0.0
+    for _ in range(100):
+        nxt, out = step(s)
+        if sign * (nxt - s) <= 1e-15 * max(1.0, abs(s)):
+            return s, out
+        s, inc = nxt, nxt - s
+    raise DomainError(
+        f"Dinkelbach iteration did not converge after 100 steps: s {s:.17g}, last increment {inc:.3g}",
+        name="no_convergence",
+    )
 
 
 def flow_ratio_range(system, phi: LocallyConstantFunction) -> FlowRatioRange:
@@ -400,41 +401,30 @@ def flow_ratio_range(system, phi: LocallyConstantFunction) -> FlowRatioRange:
 
     Flow averages of invariant measures are ratios integral(phi)/integral(roof);
     the extremes are attained on periodic orbits and found exactly by
-    Dinkelbach iteration on the mean-weight cycle problem.
+    Dinkelbach iteration on the mean-weight cycle problem, from the ratio
+    of the extreme cycle of phi alone.
     """
     model = _EdgeModel(system.base, [phi, system.roof])
-    hi, cyc_hi = _dinkelbach(model, +1.0)
-    lo, cyc_lo = _dinkelbach(model, -1.0)
+
+    def ends(sign: float) -> tuple:
+        extreme = model.max_cycle if sign > 0 else model.min_cycle
+
+        def step(r: float) -> tuple:
+            _, cyc = extreme((1.0, -r))
+            return model.cycle_sums(cyc, 0) / model.cycle_sums(cyc, 1), cyc
+
+        return _dinkelbach(step, step(0.0)[0], sign)
+
+    hi, cyc_hi = ends(+1.0)
+    lo, cyc_lo = ends(-1.0)
     return FlowRatioRange(lo=lo, hi=hi, argmin=model.project(cyc_lo), argmax=model.project(cyc_hi))
-
-
-def _flow_level(level, roof: int) -> tuple:
-    """(s, sol = level(s)) at the root of F(s) = max{h - s*int(roof)}.
-
-    ``level(s)`` solves the maximiser, whose roof mean is ``sol.means[roof]``.
-    F is convex and decreasing with F'(s) = -int(roof), so Newton on F from
-    s = 0 is Dinkelbach's update s <- h/int(roof) (1967), rising monotonically.
-    Returns the last level solved once the next is within 1e-15*max(1, s);
-    100 steps raise ``no_convergence`` with the last level and increment.
-    """
-    s = inc = 0.0
-    for _ in range(100):
-        sol = level(s)
-        nxt = sol.entropy / sol.means[roof]
-        if nxt - s <= 1e-15 * max(1.0, s):
-            return s, sol
-        s, inc = nxt, nxt - s
-    raise DomainError(
-        f"flow entropy level did not converge after 100 steps: s {s:.17g}, last increment {inc:.3g}",
-        name="no_convergence",
-    )
 
 
 def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float, tol: float = 1e-9) -> SpectrumResult:
     """Flow spectrum: s(alpha) = sup{h(nu)/int(rho) : flow average of phi = alpha}.
 
     With q = phi - alpha*rho, s(alpha) is the root of F(s) = max{h - s*int(rho)
-    : int q = 0} = min over beta of P(beta*q - s*rho).  ``_flow_level`` steps
+    : int q = 0} = min over beta of P(beta*q - s*rho).  ``_dinkelbach`` steps
     s by Dinkelbach's update; each level is one Newton tilt to int q = 0,
     warm-started from the last beta.  The witness is the equilibrium of
     beta*q - s*rho at the returned s: its Abramov entropy is s.
@@ -451,12 +441,12 @@ def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float
     model = _EdgeModel(system.base, [phi - alpha * system.roof, system.roof])
     beta = None
 
-    def level(s: float):
+    def level(s: float) -> tuple:
         nonlocal beta
-        beta, sol = _tilt(lambda b: model.solve((b, -s)), model.edges[0], 0.0, beta)
-        return sol
+        beta, sol = _tilt(model, 0.0, beta, fixed=(-s,))
+        return sol.entropy / sol.means[1], sol
 
-    s, sol = _flow_level(level, 1)
+    s, sol = _dinkelbach(level, 0.0)
     ratio = sol.means[0] / sol.means[1] + alpha
     if abs(ratio - alpha) > max(tol, 1e-8):
         raise DomainError("flow tilt solve missed the target ratio", name="no_convergence")

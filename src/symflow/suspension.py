@@ -4,7 +4,8 @@ A suspension system is a base SFT together with a strictly positive roof
 function.  Invariant measures of the flow correspond to invariant measures
 of the base, with time rescaled by the roof integral: entropy transforms by
 Abramov's formula, observables by the ratio of base integrals, and the
-flow's topological entropy is the Dinkelbach root of P(-s * roof) = 0.
+flow's topological entropy is the root of P(-s * roof) = 0, found by the
+Dinkelbach loop the flow spectrum uses (``spectrum._dinkelbach``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .measures import InvariantMeasure
 from .sft import LocallyConstantFunction, Sft, _word_levels, admissible_words
-from .spectrum import _flow_level
+from .spectrum import _dinkelbach
 from .thermo import _EdgeModel
 
 __all__ = [
@@ -70,11 +71,16 @@ def flow_top_entropy(system: SuspensionSystem, tol: float = 1e-12) -> float:
     """Topological entropy of the flow: the root s* of P(-s * roof) = 0.
 
     P(-s*roof) = max{h - s*int(roof)} is convex and decreasing, so Newton
-    from s = 0 is Dinkelbach's update s <- h/int(roof) (``spectrum._flow_level``):
+    from s = 0 is Dinkelbach's update s <- h/int(roof) (``spectrum._dinkelbach``):
     one equilibrium solve a step, certified to ``tol``, on one recoding.
     """
     model = _EdgeModel(system.base, [system.roof])
-    return _flow_level(lambda s: model.solve((-s,), tol=tol), 0)[0]
+
+    def level(s: float) -> tuple:
+        sol = model.solve((-s,), tol=tol)
+        return sol.entropy / sol.means[0], sol
+
+    return _dinkelbach(level, 0.0)[0]
 
 
 def d_star_flow(system: SuspensionSystem, mu: InvariantMeasure, nu: InvariantMeasure, N: int = 10) -> float:

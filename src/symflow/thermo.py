@@ -27,6 +27,9 @@ Perron solve from the right vector of the model's previous solve instead of
 a dense ``eig``; smaller recodings, and the first solve of every model, start
 cold.  A warm start that stalls falls back to the cold start, and each
 ``_Solve`` records which of "cold", "warm" and "fallback" found its root.
+
+``_EdgeModel.ends`` holds the ends of L_g, the Birkhoff range of the model's
+first function, and their cycles: one Karp pair per model.
 """
 
 from __future__ import annotations
@@ -250,6 +253,12 @@ class _EdgeModel:
 
     def min_cycle(self, coeffs):
         return min_mean_cycle(self.rec.sft.A, self._combined(coeffs))
+
+    @cached_property
+    def ends(self) -> tuple:
+        """(lo, cycle_lo, hi, cycle_hi): the extreme cycle means of funcs[0]
+        (the ends of L_g) and their recoded cycles."""
+        return (*self.min_cycle((1.0,)), *self.max_cycle((1.0,)))
 
     def cycle_sums(self, cycle, which) -> float:
         """Sum of edge weights of funcs[which] along a recoded cycle."""

@@ -13,6 +13,8 @@ Three constructions:
   the path parameter; each tilt a Newton iteration on the mean, warm-started
   from the last) until h + integral(u) hits the requested level c.  Its
   ends and mu0's chain are Markov projections (``measures._markovize``).
+  L_g is solved once a request (``model.ends``).  With mu0, both ends are
+  pulled toward mu0 by a bisection from lam = 0, with no probe at j = 14.
 * ``orthant_combination`` produces nonnegative mixture weights matching a
   vector of target ratios from candidates that straddle every orthant.
 """
@@ -140,9 +142,14 @@ def low_entropy_mean_witness(
     lies outside (1, 1e16).  That floor of q puts the floor of the entropy
     at about 1e-14.
     """
-    model = _EdgeModel(sft, [g])
-    lo, cyc_lo = model.min_cycle((1.0,))
-    hi, cyc_hi = model.max_cycle((1.0,))
+    return _low_entropy(_EdgeModel(sft, [g]), alpha, h_cap, tol)
+
+
+def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float, tol: float) -> InvariantMeasure:
+    """``low_entropy_mean_witness`` for g = model.funcs[0], whose extreme
+    cycles are read from ``model.ends``."""
+    sft, g = model.sft, model.funcs[0]
+    lo, cyc_lo, hi, cyc_hi = model.ends
     if hi - lo <= 1e-12:
         raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
     edge = _edge_tol(lo, hi)
@@ -214,8 +221,7 @@ def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float 
     tilted matrix vanishes; ``thermo._equilibrium`` certifies its Perron
     root by a Collatz-Wielandt bracket and needs no gap.
     """
-    zeros = (0.0,) * (len(model.funcs) - 1)
-    beta, sol = _tilt(lambda b: model.solve((b,) + zeros, chain=Qt), model.edges[0], alpha, beta0)
+    beta, sol = _tilt(model, alpha, beta0, fixed=(0.0,) * (len(model.funcs) - 1), chain=Qt)
     return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
 
 
@@ -244,14 +250,14 @@ def intermediate_witness(
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0:
     to the largest lam = 1 - 2^-j with j <= 14 whose tilted ends straddle c,
-    probed at j = 14 and then bisected from lam = 0 (``_mu0_pull``).
+    bisected from lam = 0 (``_mu0_pull``).
     """
     funcs = [g] + ([u] if u is not None else [])
     model = _EdgeModel(sft, funcs)
     _check_interior(model, alpha)
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
-    _, sol_top = _tilt(lambda b: model.solve((b, 1.0) if u is not None else (b,)), model.edges[0], alpha)
+    _, sol_top = _tilt(model, alpha, fixed=(1.0,) if u is not None else ())
     P_top = sol_top.entropy + sum(sol_top.means[1:])
     band_tol = max(tol, 1e-9) * (1.0 + abs(c))
     if c > P_top + band_tol:
@@ -267,16 +273,18 @@ def intermediate_witness(
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
 
     # low endpoint, with the cap shrunk until the tilted path starts below c;
-    # its memory, set by g and its extreme cycles, is the same for every cap
+    # its memory, set by g and its extreme cycles, is the same for every cap.
+    # The cycles are g's alone, recoded at g's memory however large u's is.
+    low_model = model if u is None else _EdgeModel(sft, [g])
     h_cap = min(0.05, max(c / 4.0, 1e-6)) if u is None else 0.05
-    nu_low = low_entropy_mean_witness(sft, g, alpha, h_cap)
+    nu_low = _low_entropy(low_model, alpha, h_cap, 1e-9)
     work = _EdgeModel(sft, funcs, min_memory=nu_low.components[0].memory)
     Qtop = _markovize(model.component(sol_top), work.rec.m)
     achieved_min = None
     for _ in range(12):
         try:
             if achieved_min is not None:
-                nu_low = low_entropy_mean_witness(sft, g, alpha, h_cap)
+                nu_low = _low_entropy(low_model, alpha, h_cap, 1e-9)
             Qlow = _markovize(nu_low, work.rec.m)
             Qlow = np.where((Qtop > 0.0) & (Qlow == 0.0), 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
@@ -340,12 +348,11 @@ def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, 
     whose tilted ends straddle level (end0 at most level, end1 at least).
 
     The ends at lam are Qlow and Qtop mixed with the Markov projection
-    ``_markovize`` of mu0, each tilted to mean alpha.  j = 14 is probed
-    first, both ends cold; then the lam = 0 ends (``low`` itself and Qtop
-    tilted from it) must straddle, or the level is out of band; then j is
-    bisected over (0, 14), each tilt starting from its end's tilt at the last
-    j that straddled, and end1 tilted only when end0 passes.  Returns
-    (j, (Q0, end0), (Q1, end1)).
+    ``_markovize`` of mu0, each tilted to mean alpha.  The lam = 0 ends
+    (``low`` itself and Qtop tilted from it) must straddle, or the level is
+    out of band; then j is bisected over [0, 15), so j = 14 is reachable,
+    each tilt starting from its end's tilt at the last j that straddled, and
+    end1 tilted only when end0 passes.  Returns (j, (Q0, end0), (Q1, end1)).
     """
     Qm0 = _markovize(mu0, work.rec.m)
 
@@ -354,13 +361,10 @@ def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, 
         Qj = (1.0 - lam) * Q + lam * Qm0
         return Qj, _tilted_chain(work, Qj, alpha, beta0)
 
-    lo_end, hi_end = end(14, Qlow, None), end(14, Qtop, None)
-    if lo_end[1][3] <= level <= hi_end[1][3]:
-        return 14, lo_end, hi_end
     lo_end, hi_end = (Qlow, low), (Qtop, _tilted_chain(work, Qtop, alpha, low[4]))
     if hi_end[1][3] < level:
         raise DomainError("c outside admissible band for the requested mu0", name="band")
-    j, fail = 0, 14
+    j, fail = 0, 15
     while fail - j > 1:
         mid = (j + fail) // 2
         e0 = end(mid, Qlow, lo_end[1][4])

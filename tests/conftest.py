@@ -46,6 +46,24 @@ def sign_change_bracket(f) -> tuple[float, float]:
     return lo, hi
 
 
+def count_karp(monkeypatch):
+    """Record the size of the graph of every Karp mean-cycle table.
+
+    ``thermo`` holds its own name for ``min_mean_cycle``, and
+    ``max_mean_cycle`` calls the one in ``graphs``, so both are patched."""
+    from symflow import graphs, thermo
+
+    calls, karp = [], graphs.min_mean_cycle
+
+    def spy(adj, weight):
+        calls.append(len(adj))
+        return karp(adj, weight)
+
+    monkeypatch.setattr(graphs, "min_mean_cycle", spy)
+    monkeypatch.setattr(thermo, "min_mean_cycle", spy)
+    return calls
+
+
 def count_solves(monkeypatch):
     """Record the coefficient tuple of every equilibrium solve of an ``_EdgeModel``."""
     return spy_solves(monkeypatch)[0]

@@ -18,6 +18,7 @@ from symflow.horseshoe import (
     _classify,
     _measure_tables,
     _necklace_chunks,
+    _simplex_grid,
     _word_roof_root,
     build_multi_horseshoe,
     certify_pack,
@@ -364,6 +365,15 @@ def dense_flow_root(system: SuspensionSystem, words) -> float:
     return float(brentq(f, lo, hi, xtol=1e-13))
 
 
+@pytest.mark.parametrize("K, res", [(1, 40), (2, 40), (3, 8), (4, 8), (5, 3)])
+def test_simplex_grid_lists_every_point_in_lexicographic_order(K, res):
+    import itertools
+
+    want = [p for p in itertools.product(range(res + 1), repeat=K) if sum(p) == res]
+    grid = _simplex_grid(K, res)
+    assert np.array_equal(grid, np.array(want, dtype=float) / res)
+
+
 def test_word_roof_root_matches_dense_oracle():
     full2 = Sft([[1, 1], [1, 1]])
     words = [(0,) + w for w in admissible_words(full2, 3)]  # anchored 4-blocks
@@ -372,11 +382,23 @@ def test_word_roof_root_matches_dense_oracle():
         LocallyConstantFunction(full2, 2, {(0, 0): 1.0, (0, 1): 1.4, (1, 0): 2.2, (1, 1): 0.7}),
         LocallyConstantFunction.constant(full2, 2.0),
     ]
+    for m in (3, 4):  # junction windows that reach two and three digits into each word
+        table = np.random.default_rng(m).uniform(0.5, 2.0, size=2**m)
+        roofs.append(LocallyConstantFunction(full2, m, dict(zip(admissible_words(full2, m), table))))
     for roof in roofs:
         system = SuspensionSystem(full2, roof)
         got = _word_roof_root(system, words)
         want = dense_flow_root(system, words)
         assert abs(got - want) < 1e-11
+
+
+def test_word_roof_root_refuses_words_that_do_not_concatenate():
+    # On the golden shift 1 cannot follow 1, so (0, 1) followed by (1, 0)
+    # has an inadmissible junction window under a memory-2 roof.
+    golden = Sft([[1, 1], [1, 0]])
+    roof = LocallyConstantFunction(golden, 2, {(0, 0): 1.0, (0, 1): 1.4, (1, 0): 2.2})
+    with pytest.raises(InputError):
+        _word_roof_root(SuspensionSystem(golden, roof), [(0, 1), (1, 0)])
 
 
 def test_word_roof_root_names_a_missed_root(monkeypatch):

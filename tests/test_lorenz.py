@@ -62,6 +62,24 @@ def test_one_sided_limits_extrapolate():
     assert abs(entries["limit f(0-)=+1"]["value"] - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "c, gamma, lim_pos",
+    [(1.9, 0.78, -1.0), (1.5, 0.8, -1.0), (1.9, -0.5, math.inf), (-1.9, -0.5, -math.inf), (0.0, -0.5, -1.0), (1.5, 0.0, 0.5)],
+)
+def test_one_sided_limits_are_in_closed_form(c, gamma, lim_pos):
+    # f(0+) = lim c*x^gamma - 1 and f(0-) = -f(0+).  With gamma < 0, f runs off
+    # to infinity at 0, where extrapolating f(+-10^-k) read the limits as -+1.
+    entries = by_name(validate_lorenz(LorenzModel(c=c, gamma=gamma, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0))))
+    pos, neg = entries["limit f(0+)=-1"], entries["limit f(0-)=+1"]
+    assert pos["value"] == lim_pos and neg["value"] == -lim_pos
+    passes = lim_pos == -1.0
+    assert pos["pass"] == neg["pass"] == passes
+    if passes:
+        assert pos["margin"] == neg["margin"] == 1e-6
+    else:
+        assert pos["margin"] == neg["margin"] == 1e-6 - abs(lim_pos + 1.0)
+
+
 def test_skew_product_x_track_ignores_y():
     a = simulate_return_map(EXAMPLE, 0.6, 0.3, 1000)
     b = simulate_return_map(EXAMPLE, 0.6, -0.8, 1000)

@@ -482,7 +482,7 @@ def test_unreachable_tilt_names_its_bracket(full2):
 
     model = _EdgeModel(full2, [ind1(full2)])
     with pytest.raises(DomainError) as e:
-        _tilt(lambda b: model.solve((b,)), model.edges[0], 1.5)
+        _tilt(model, 1.5)
     assert e.value.name == "iteration_cap"
     found = re.search(r"after (\d+) steps: bracket \[(\S+), (\S+)\], beta (\S+), \|mean - alpha\| (\S+)", str(e.value))
     assert found is not None, str(e.value)
@@ -490,6 +490,19 @@ def test_unreachable_tilt_names_its_bracket(full2):
     assert int(found.group(1)) >= 1
     assert 0.0 < lo < beta and hi == np.inf and abs(beta) > 2.0**40
     assert miss == pytest.approx(0.5, abs=1e-3)
+
+
+def test_dinkelbach_names_its_last_level():
+    # A ratio that keeps rising never settles: 100 steps, then the error
+    # gives the last s and increment.
+    from symflow.spectrum import _dinkelbach
+
+    with pytest.raises(DomainError) as e:
+        _dinkelbach(lambda s: (s + 0.5, None), 0.0)
+    assert e.value.name == "no_convergence"
+    assert "after 100 steps: s 50, last increment 0.5" in str(e.value)
+    # The minimising direction stops where the ratio no longer falls.
+    assert _dinkelbach(lambda s: (max(s - 1.0, -3.0), s), 0.0, -1.0) == (-3.0, -3.0)
 
 
 @pytest.mark.parametrize("frac", [0.01, 0.5, 0.99])

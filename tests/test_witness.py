@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure, binary_entropy, count_solves, sign_change_bracket
+from conftest import bernoulli_measure, binary_entropy, count_karp, count_solves, sign_change_bracket
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
@@ -204,27 +204,45 @@ def test_intermediate_witness_snaps_to_the_top_end(full2, monkeypatch):
     # the witness, and no root-finding runs on the same-sign bracket.
     g = ind1(full2)
     mu0 = InvariantMeasure.single(MarkovComponent(full2, 1, [(0,), (1,)], np.array([[0.7, 0.3], [0.6, 0.4]])))
-    tilt = witness._tilted_chain
-    log = []
+    tilt, pull = witness._tilted_chain, witness._mu0_pull
+    log, ends = [], []
 
-    def logged(model, Qt, alpha, beta0=None):
-        out = tilt(model, Qt, alpha, beta0)
-        log.append((beta0, out[3]))
+    def logged(*args):
+        out = tilt(*args)
+        log.append(out[3])
+        return out
+
+    def spied(*args):
+        out = pull(*args)
+        ends.append((out[1][1][3], out[2][1][3], len(log)))  # end0, end1, tilts so far
         return out
 
     monkeypatch.setattr(witness, "_tilted_chain", logged)
+    monkeypatch.setattr(witness, "_mu0_pull", spied)
     intermediate_witness(full2, g, 0.3, 0.5, mu0=mu0, zeta=0.5)
-    # The first cold tilts are the two ends at the first lambda; the top end
-    # does not depend on c.
-    first = next(i for i, (beta0, _) in enumerate(log) if beta0 is None)
-    v0, v1 = log[first][1], log[first + 1][1]
+    ((v0, v1, _),) = ends
     c = (v1 + 0.5e-7) / (1.0 - 0.5e-7)  # v1 = c - band_tol / 2
     assert v0 <= c - 1e-7 * (1.0 + c)
     log.clear()
+    ends.clear()
     nu = intermediate_witness(full2, g, 0.3, c, mu0=mu0, zeta=0.5)
-    first = next(i for i, (beta0, _) in enumerate(log) if beta0 is None)
-    assert len(log) == first + 2
+    ((_, _, tilts),) = ends
+    assert len(log) == tilts
     assert abs(nu.entropy() - v1) < 1e-12
+
+
+def test_intermediate_witness_solves_l_g_once(full2, golden, monkeypatch):
+    # A request without u has one [g] model: the interior check and the
+    # glued cycles of the low end read the same Karp pair, however often
+    # the low end is rebuilt.
+    for sft, alpha in ((full2, 0.3), (golden, 0.25)):
+        g = ind1(sft)
+        c = 0.5 * conditional_entropy_spectrum(sft, g, alpha).entropy
+        with monkeypatch.context() as m:
+            karp = count_karp(m)
+            nu = intermediate_witness(sft, g, alpha, c)
+        assert abs(nu.entropy() - c) < 1e-5
+        assert len(karp) == 2, karp
 
 
 def _memory6_table(full2, seed: int) -> LocallyConstantFunction:
@@ -453,8 +471,9 @@ def test_mu0_pull_refuses_zeta_where_the_scan_hit_the_cap(full2, p, alpha, c):
 
 
 def test_mu0_witness_solve_budget(full2, monkeypatch):
-    # The nine mu0 requests of the witness benchmark: at most 600 equilibrium
-    # solves together (1,082 for the 15-step scan), with the same outcomes.
+    # The nine mu0 requests of the witness benchmark: at most 400 equilibrium
+    # solves together (1,082 for the 15-step scan, 442 with a cold probe at
+    # j = 14), with the same outcomes.
     g = ind1(full2)
     mu0 = bernoulli_measure(full2, [0.7, 0.3])
     calls = count_solves(monkeypatch)
@@ -470,4 +489,26 @@ def test_mu0_witness_solve_budget(full2, monkeypatch):
             assert d_star(nu, mu0) < 0.1
             ok.append((alpha, c))
     assert ok == [(0.30, 0.4), (0.30, 0.5), (0.34, 0.5)]
-    assert len(calls) <= 600, len(calls)
+    assert len(calls) <= 400, len(calls)
+
+
+def test_mu0_pull_starts_every_tilt_warm(full2, monkeypatch):
+    # The nine mu0 requests of the witness benchmark: the pull starts from
+    # the lam = 0 ends, so every chain tilt starts from a tilt already
+    # solved (a cold probe of both ends at j = 14 made 18 cold tilts).
+    g = ind1(full2)
+    mu0 = bernoulli_measure(full2, [0.7, 0.3])
+    tilt, starts = witness._tilted_chain, []
+
+    def logged(model, Qt, alpha, beta0=None):
+        starts.append(beta0)
+        return tilt(model, Qt, alpha, beta0)
+
+    monkeypatch.setattr(witness, "_tilted_chain", logged)
+    for alpha in (0.26, 0.30, 0.34):
+        for c in (0.3, 0.4, 0.5):
+            try:
+                intermediate_witness(full2, g, alpha, c, mu0=mu0, zeta=0.1)
+            except DomainError as e:
+                assert e.name == "zeta", (alpha, c, e.name)
+    assert starts and None not in starts
