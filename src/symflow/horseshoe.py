@@ -353,8 +353,10 @@ class WordProcessMeasure:
             num = len(self.words)
             a = (1.0 - eps) / num
             b = a + eps
-            h = -(num - 1) * a * np.log(a) - b * np.log(b) if eps > 0 else np.log(num)
-            h = float(h)
+            if eps == 0:
+                h = float(np.log(num))
+            else:  # at eps = 1 the chain is the permutation, and a = 0
+                h = float(-b * np.log(b) - ((num - 1) * a * np.log(a) if a > 0 else 0.0))
         else:
             h = _entropy_rate(self._pi, self.kind[2])
         return h / self.n
@@ -578,7 +580,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
     measures = list(measures)
     if not measures:
         raise InputError("need at least one target measure")
-    if eta <= 0.0 or zeta <= 0.0:
+    if not (eta > 0.0 and zeta > 0.0):
         raise InputError("eta and zeta must be positive")
     for i in range(len(measures)):
         for j in range(i + 1, len(measures)):

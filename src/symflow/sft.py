@@ -12,6 +12,8 @@ its budget guard.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import graphs
@@ -364,7 +366,8 @@ class LocallyConstantFunction:
     """Observable depending on finitely many coordinates:
     g(x) = table[(x_0, ..., x_{m-1})].
 
-    The table must cover exactly the admissible m-words.  Arithmetic lifts
+    The table must cover exactly the admissible m-words with finite values
+    (``InputError`` otherwise).  Arithmetic lifts
     operands to a common memory, so potentials like beta*g - s*rho can be
     assembled without bookkeeping at the call sites.
     """
@@ -380,6 +383,9 @@ class LocallyConstantFunction:
         extra = set(table) - set(words)
         if extra:
             raise InputError(f"table has {len(extra)} entries off the admissible set, e.g. {sorted(extra)[0]}")
+        if not all(map(math.isfinite, table.values())):
+            w = next(w for w, v in table.items() if not math.isfinite(v))
+            raise InputError(f"table value {table[w]} at {w} is not finite")
         self.sft = sft
         self.memory = memory
         self.table = table

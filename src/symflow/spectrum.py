@@ -16,7 +16,9 @@ All solvers share ``thermo._EdgeModel``: one block recoding on which every
 potential in play is an exact edge function, so tilted pressures, means,
 mean-weight cycles and the ends of L_g (``model.ends``) come from a single
 weighted graph, and every tilted equilibrium comes from the certified
-Perron solve in ``thermo``.
+Perron solve in ``thermo``.  Every 1-D entry point, here and in ``witness``,
+tests alpha once, by ``_check_interior`` on the ends of the model it has
+built: L_g for maps and witnesses, the flow ratio range for flows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .measures import MarkovComponent
 from .sft import LocallyConstantFunction, Sft
 from .thermo import _covariance, _EdgeModel
@@ -85,16 +87,16 @@ def birkhoff_range(sft: Sft, g: LocallyConstantFunction) -> BirkhoffRange:
     return BirkhoffRange(lo=lo, hi=hi, argmin=model.project(cyc_lo), argmax=model.project(cyc_hi))
 
 
-def _edge_tol(lo: float, hi: float) -> float:
-    return 1e-9 * max(1.0, abs(lo), abs(hi))
-
-
-def _check_interior(model: _EdgeModel, alpha: float) -> None:
-    """Raise unless alpha lies strictly inside L_g, g the model's first function."""
-    lo, _, hi, _ = model.ends
-    if hi - lo <= 1e-12:
-        raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
-    edge = _edge_tol(lo, hi)
+def _check_interior(lo: float, hi: float, alpha: float, spread: float = 1e-12) -> None:
+    """Raise unless alpha lies strictly inside [lo, hi], the ends of a request's
+    model: NaN is ``input``; a spread of at most ``spread`` (1e-12 for L_g, 1e-10
+    for flow ratios) ``degenerate``; beyond an end by more than 1e-9*max(1, |lo|,
+    |hi|) ``outside_range`` (so is +-inf), and within that of an end ``boundary``."""
+    if math.isnan(alpha):
+        raise InputError("alpha is NaN")
+    if hi - lo <= spread:
+        raise DomainError(f"degenerate: the range [{lo:.12g}, {hi:.12g}] is a single point", name="degenerate")
+    edge = 1e-9 * max(1.0, abs(lo), abs(hi))
     if alpha < lo - edge or alpha > hi + edge:
         raise DomainError(f"alpha outside L_g = [{lo:.12g}, {hi:.12g}]", name="outside_range")
     if alpha <= lo + edge or alpha >= hi - edge:
@@ -204,7 +206,8 @@ def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: fl
     attaining the supremum.
     """
     model = _EdgeModel(sft, [g])
-    _check_interior(model, alpha)
+    lo, _, hi, _ = model.ends
+    _check_interior(lo, hi, alpha)
     beta, sol = _tilt(model, alpha)
     if abs(sol.means[0] - alpha) > max(tol, 1e-9):
         raise DomainError("tilt solve missed the target mean", name="no_convergence")
@@ -318,8 +321,8 @@ def conditional_entropy_spectrum_2d(
     otherwise.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (2,):
-        raise DomainError("alpha must be a pair", name="input")
+    if alpha.shape != (2,) or np.isnan(alpha).any():
+        raise DomainError("alpha must be a pair of numbers", name="input")
     model = _EdgeModel(sft, [g, h])
     rset = _rotation_set(model, directions)
     cls = rset.classify(alpha)
@@ -364,14 +367,8 @@ def conditional_entropy_spectrum_2d(
     raise DomainError("2d tilt solve did not converge", name="no_convergence")
 
 
-@dataclass
-class FlowRatioRange:
+class FlowRatioRange(BirkhoffRange):
     """Extreme flow averages of phi (ratios of Birkhoff sums to roof sums)."""
-
-    lo: float
-    hi: float
-    argmin: tuple
-    argmax: tuple
 
 
 def _dinkelbach(step, s: float, sign: float = 1.0) -> tuple:
@@ -430,13 +427,7 @@ def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float
     beta*q - s*rho at the returned s: its Abramov entropy is s.
     """
     rng = flow_ratio_range(system, phi)
-    if rng.hi - rng.lo <= 1e-10:
-        raise DomainError("degenerate direction: flow ratios are constant", name="degenerate")
-    edge = _edge_tol(rng.lo, rng.hi)
-    if alpha < rng.lo - edge or alpha > rng.hi + edge:
-        raise DomainError(f"alpha outside L_g = [{rng.lo:.12g}, {rng.hi:.12g}]", name="outside_range")
-    if alpha <= rng.lo + edge or alpha >= rng.hi - edge:
-        raise DomainError("boundary: spectrum not computed", name="boundary")
+    _check_interior(rng.lo, rng.hi, alpha, spread=1e-10)
 
     model = _EdgeModel(system.base, [phi - alpha * system.roof, system.roof])
     beta = None

@@ -47,9 +47,9 @@ from .sft import (
     LocallyConstantFunction,
     Sft,
     _perron_right,
+    _require_irreducible,
     admissible_words,
     block_recode,
-    is_irreducible,
     topological_entropy,
 )
 
@@ -180,8 +180,7 @@ class _EdgeModel:
     """
 
     def __init__(self, sft: Sft, funcs, min_memory: int = 1):
-        if not is_irreducible(sft):
-            raise DomainError("pressure and spectra need an irreducible SFT", name="reducible")
+        _require_irreducible(sft)
         self.sft = sft
         self.funcs = list(funcs)
         memory = max(f.memory for f in self.funcs)

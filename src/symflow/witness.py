@@ -13,7 +13,9 @@ Three constructions:
   the path parameter; each tilt a Newton iteration on the mean, warm-started
   from the last) until h + integral(u) hits the requested level c.  Its
   ends and mu0's chain are Markov projections (``measures._markovize``).
-  L_g is solved once a request (``model.ends``).  With mu0, both ends are
+  L_g is solved once a request, on the request's own [g] or [g, u] model
+  (``model.ends``), and alpha is tested once against it
+  (``spectrum._check_interior``).  With mu0, both ends are
   pulled toward mu0 by a bisection from lam = 0, with no probe at j = 14.
 * ``orthant_combination`` produces nonnegative mixture weights matching a
   vector of target ratios from candidates that straddle every orthant.
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
-from .spectrum import _brentq, _check_interior, _edge_tol, _tilt, conditional_entropy_spectrum_2d
+from .spectrum import _brentq, _check_interior, _tilt, conditional_entropy_spectrum_2d
 from .thermo import _EdgeModel
 
 __all__ = [
@@ -140,23 +142,27 @@ def low_entropy_mean_witness(
     the switch-back probability q that puts the mean on alpha is a closed
     form: the mean equation is linear in x = 1/q, and p is halved while x
     lies outside (1, 1e16).  That floor of q puts the floor of the entropy
-    at about 1e-14.
+    at about 1e-14.  Alpha passes ``spectrum._check_interior``, whose
+    ``outside_range`` and ``boundary`` are reported as ``not_interior``.
     """
-    return _low_entropy(_EdgeModel(sft, [g]), alpha, h_cap, tol)
+    model = _EdgeModel(sft, [g])
+    lo, _, hi, _ = model.ends
+    try:
+        _check_interior(lo, hi, alpha)
+    except DomainError as exc:
+        if exc.name == "degenerate":
+            raise
+        raise DomainError(f"alpha not interior to L_g = [{lo:.12g}, {hi:.12g}]", name="not_interior") from None
+    return _low_entropy(model, alpha, h_cap, tol)
 
 
 def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float, tol: float) -> InvariantMeasure:
     """``low_entropy_mean_witness`` for g = model.funcs[0], whose extreme
-    cycles are read from ``model.ends``."""
+    cycles are read from ``model.ends``; alpha has passed ``_check_interior``."""
     sft, g = model.sft, model.funcs[0]
-    lo, cyc_lo, hi, cyc_hi = model.ends
-    if hi - lo <= 1e-12:
-        raise DomainError("degenerate observable: L_g is a single point", name="degenerate")
-    edge = _edge_tol(lo, hi)
-    if alpha <= lo + edge or alpha >= hi - edge:
-        raise DomainError(f"alpha not interior to L_g = [{lo:.12g}, {hi:.12g}]", name="not_interior")
-    if h_cap <= 0.0:
-        raise DomainError("h_cap below achievable floor: any branching chain has positive entropy", name="h_cap")
+    _, cyc_lo, _, cyc_hi = model.ends
+    if not h_cap > 0.0:
+        raise DomainError(f"h_cap {h_cap} is not positive: any branching chain has positive entropy", name="h_cap")
 
     wm = _least_period(model.project(cyc_lo))
     wp = _least_period(model.project(cyc_hi))
@@ -250,11 +256,17 @@ def intermediate_witness(
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0:
     to the largest lam = 1 - 2^-j with j <= 14 whose tilted ends straddle c,
-    bisected from lam = 0 (``_mu0_pull``).
+    bisected from lam = 0 (``_mu0_pull``).  A non-finite c, or mu0 without a
+    positive zeta, raises ``InputError`` before any model is built.
     """
+    if not np.isfinite(c):
+        raise InputError(f"c must be finite, got {c}")
+    if mu0 is not None and not (zeta is not None and zeta > 0.0):
+        raise InputError("mu0 requires a positive zeta")
     funcs = [g] + ([u] if u is not None else [])
     model = _EdgeModel(sft, funcs)
-    _check_interior(model, alpha)
+    lo, _, hi, _ = model.ends
+    _check_interior(lo, hi, alpha)
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
     _, sol_top = _tilt(model, alpha, fixed=(1.0,) if u is not None else ())
@@ -266,25 +278,22 @@ def intermediate_witness(
         return InvariantMeasure.single(model.component(sol_top))
 
     if mu0 is not None:
-        if zeta is None or zeta <= 0.0:
-            raise InputError("mu0 requires a positive zeta")
         P_mu0 = mu0.entropy() + (mu0.integrate(u) if u is not None else 0.0)
         if c > P_mu0 + band_tol:
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
 
     # low endpoint, with the cap shrunk until the tilted path starts below c;
     # its memory, set by g and its extreme cycles, is the same for every cap.
-    # The cycles are g's alone, recoded at g's memory however large u's is.
-    low_model = model if u is None else _EdgeModel(sft, [g])
+    # g is funcs[0] with or without u, so ``model.ends`` holds g's extreme cycles.
     h_cap = min(0.05, max(c / 4.0, 1e-6)) if u is None else 0.05
-    nu_low = _low_entropy(low_model, alpha, h_cap, 1e-9)
+    nu_low = _low_entropy(model, alpha, h_cap, 1e-9)
     work = _EdgeModel(sft, funcs, min_memory=nu_low.components[0].memory)
     Qtop = _markovize(model.component(sol_top), work.rec.m)
     achieved_min = None
     for _ in range(12):
         try:
             if achieved_min is not None:
-                nu_low = _low_entropy(low_model, alpha, h_cap, 1e-9)
+                nu_low = _low_entropy(model, alpha, h_cap, 1e-9)
             Qlow = _markovize(nu_low, work.rec.m)
             Qlow = np.where((Qtop > 0.0) & (Qlow == 0.0), 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)

@@ -64,6 +64,20 @@ def count_karp(monkeypatch):
     return calls
 
 
+def count_models(monkeypatch):
+    """Record the recoding memory of every ``_EdgeModel`` built."""
+    from symflow import thermo
+
+    memories, init = [], thermo._EdgeModel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        memories.append(self.rec.m)
+
+    monkeypatch.setattr(thermo._EdgeModel, "__init__", spy)
+    return memories
+
+
 def count_solves(monkeypatch):
     """Record the coefficient tuple of every equilibrium solve of an ``_EdgeModel``."""
     return spy_solves(monkeypatch)[0]

@@ -60,6 +60,7 @@ def files(tmp_path_factory):
         "golden": golden.to_json(),
         "g": g.to_json(),
         "h": h.to_json(),
+        "u00": LocallyConstantFunction.indicator(full2, (0, 0)).to_json(),
         "system": system.to_json(),
         "model": model.to_json(),
         "weak_model": weak.to_json(),
@@ -688,3 +689,75 @@ def test_csv_text_matches_cell_by_cell_formatting():
     ]
     header, comments = ["a", "b", "c", "d"], ["symflow test", "halted=false"]
     assert csv_text(header, rows, comments) == _reference_csv_text(header, rows, comments)
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["spectrum", "--sft", "full2", "--g", "bad", "--alpha", "0.3"], float("nan")),
+        (["rotation-set", "--sft", "full2", "--g", "bad", "--h", "h"], float("nan")),
+        (["pressure", "--sft", "full2", "--g", "bad"], float("inf")),
+        (["pressure", "--sft", "full2", "--g", "g", "--beta", "nan"], None),
+        (["pressure", "--sft", "full2", "--g", "g", "--beta", "inf"], None),
+    ],
+)
+def test_non_finite_tables_are_input_errors(files, tmp_path, argv, entry):
+    # A NaN or infinite table value, read from a file or made by --beta, is
+    # refused when the function is built, before any solver sees it.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"memory": 1, "table": {"0": 0.5, "1": entry}}))
+    paths = dict(files, bad=bad)
+    code, out, err = run_cli(*[paths.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:"), err
+    assert "Traceback" not in err
+
+
+def _intermediate_request(files, **extra) -> dict:
+    return {
+        "kind": "intermediate",
+        "sft": json.loads(files["full2"].read_text()),
+        "g": json.loads(files["g"].read_text()),
+        "alpha": 0.3,
+        **extra,
+    }
+
+
+@pytest.mark.parametrize(
+    "extra, check, break_it",
+    [
+        ({"c": 0.75, "u": "u00"}, "entropy plus integral u", {"c": 0.7}),
+        ({"c": 0.4, "mu0": "bern_half", "zeta": 0.5}, "d* to mu0", {"zeta": 1e-6}),
+    ],
+)
+def test_witness_verify_checks_u_and_mu0(files, tmp_path, extra, check, break_it):
+    # The u and mu0 checks of an intermediate witness pass on the witness
+    # command's own output, and fail on re-verify once the request asks more.
+    docs = {k: json.loads(files[v].read_text()) for k, v in extra.items() if k in ("u", "mu0")}
+    reqfile, wfile = tmp_path / "req.json", tmp_path / "w.json"
+    reqfile.write_text(json.dumps(_intermediate_request(files, **{**extra, **docs})))
+    code, out, _ = run_cli("witness", "--request", reqfile, "--out", wfile)
+    assert code == 0
+    assert f"pass {check}" in out.splitlines()
+    vfile = tmp_path / "v.json"
+    code, out, _ = run_cli("verify", "--measure", wfile, "--out", vfile)
+    assert code == 0 and f"pass {check}" in out.splitlines()
+    (entry,) = [c for c in json.loads(vfile.read_text())["checks"] if c["check"] == check]
+    assert entry["pass"] is True
+
+    doc = json.loads(wfile.read_text())
+    doc["request"].update(break_it)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", "--measure", tampered)
+    assert code == 2 and err.startswith("error: verify:")
+    assert f"FAIL {check}" in out.splitlines()
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+def test_witness_refuses_a_non_finite_level(files, tmp_path, c):
+    # json writes these as the NaN, Infinity and -Infinity literals
+    reqfile = tmp_path / "req.json"
+    reqfile.write_text(json.dumps(_intermediate_request(files, c=c)))
+    code, _, err = run_cli("witness", "--request", reqfile, "--out", tmp_path / "w.json")
+    assert code == 1 and err.startswith("error: input:"), err

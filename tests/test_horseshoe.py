@@ -24,7 +24,7 @@ from symflow.horseshoe import (
     certify_pack,
     lift_pack_to_flow,
 )
-from symflow.measures import InvariantMeasure, MarkovComponent, d_star, periodic_orbit_measure, random_markov_component
+from symflow.measures import InvariantMeasure, MarkovComponent, _entropy_rate, d_star, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
 from symflow.suspension import SuspensionSystem
 
@@ -749,3 +749,43 @@ def test_certificate_sample_stream_is_pinned():
     weights = horseshoe._sample_weights(13623, 0, 0)
     digest = hashlib.sha256(weights.astype("<f8").tobytes()).hexdigest()
     assert digest == "28e1741268a2fd8007263b5223367ef8653bb54e1e3618a69bd7421ea94f90c4"
+
+
+@pytest.mark.parametrize("eta, zeta", [(float("nan"), 0.3), (0.3, float("nan")), (-1.0, 0.3), (0.3, 0.0)])
+def test_build_refuses_a_nan_or_nonpositive_budget(eta, zeta):
+    # NaN is refused with the name of a nonpositive value, before any search.
+    full2 = Sft([[1, 1], [1, 1]])
+    with pytest.raises(InputError):
+        build_multi_horseshoe(full2, [bernoulli_measure(full2, [0.75, 0.25])], eta=eta, zeta=zeta, n_max=12)
+
+
+def test_word_process_entropy_of_each_kind():
+    # Each kind's entropy is the entropy rate of its dense word chain over the
+    # block length, and the closed form where one exists.
+    n, sft = 3, Sft(np.ones((2, 2), dtype=int))
+    words = admissible_words(sft, n)
+    num = len(words)
+    rng = np.random.default_rng(11)
+    theta = rng.dirichlet(np.ones(num))
+    perm = rng.permutation(num)
+    Q = rng.random((num, num)) + np.eye(num)
+    Q /= Q.sum(axis=1, keepdims=True)
+    w, v = np.linalg.eig(Q.T)
+    pi = np.abs(np.real(v[:, np.argmin(np.abs(w - 1.0))]))
+    pi /= pi.sum()
+
+    wp = WordProcessMeasure(sft, words, ("bernoulli", theta))
+    closed = -(theta * np.log(theta)).sum() / n
+    assert abs(wp.entropy() - closed) < 1e-15
+    assert abs(wp.entropy() - _entropy_rate(theta, np.tile(theta, (num, 1))) / n) < 1e-15
+    uniform = np.full(num, 1.0 / num)
+    a, b = 0.7 / num, 0.7 / num + 0.3  # the off- and on-permutation entries at eps = 0.3
+    for eps, closed in ((0.0, np.log(num)), (0.3, -(num - 1) * a * np.log(a) - b * np.log(b)), (1.0, 0.0)):
+        dense = (1.0 - eps) * np.full((num, num), 1.0 / num)
+        dense[np.arange(num), perm] += eps
+        wp = WordProcessMeasure(sft, words, ("perm_mix", eps, perm))
+        assert abs(wp.entropy() - closed / n) < 1e-15, eps
+        assert abs(wp.entropy() - _entropy_rate(uniform, dense) / n) < 1e-15, eps
+    wp = WordProcessMeasure(sft, words, ("markov", pi, Q))
+    assert abs(wp.entropy() - _entropy_rate(pi, Q) / n) < 1e-15
+    assert abs(wp.entropy() + (pi[:, None] * Q * np.log(Q)).sum() / n) < 1e-14

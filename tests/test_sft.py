@@ -138,6 +138,17 @@ def test_entropy_requires_irreducible():
         topological_entropy(Sft([[1, 1], [0, 1]]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_function_tables_refuse_non_finite_values(full2, bad):
+    with pytest.raises(InputError):
+        LocallyConstantFunction(full2, 1, {(0,): 0.5, (1,): bad})
+    with pytest.raises(InputError):
+        LocallyConstantFunction.from_json(full2, {"memory": 1, "table": {"0": bad, "1": 1.0}})
+    g = LocallyConstantFunction.indicator(full2, (1,))
+    with pytest.raises(InputError):
+        g * bad  # bad * 1 is not finite, and inf * 0 is NaN
+
+
 def test_admissible_words_counts(full2, golden):
     assert admissible_words(full2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     w3 = admissible_words(golden, 3)

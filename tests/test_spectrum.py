@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
 
-from conftest import bernoulli_measure, binary_entropy, count_solves, sign_change_bracket, spy_solves
-from symflow.errors import DomainError
+from conftest import bernoulli_measure, binary_entropy, count_karp, count_models, count_solves, sign_change_bracket, spy_solves
+from symflow.errors import DomainError, InputError
 from symflow.measures import InvariantMeasure, periodic_orbit_measure, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
 from symflow.spectrum import (
+    BirkhoffRange,
+    FlowRatioRange,
+    _check_interior,
     birkhoff_range,
     conditional_entropy_spectrum,
     conditional_entropy_spectrum_2d,
@@ -121,6 +124,53 @@ def test_spectrum_domain_errors(full2):
     assert "boundary" in str(e.value)
     with pytest.raises(DomainError):
         conditional_entropy_spectrum(full2, LocallyConstantFunction.constant(full2, 0.7), 0.7)
+
+
+def test_check_interior_names_each_case():
+    # One test for every 1-D entry point: NaN is input, +-inf outside_range,
+    # and the degenerate spread is 1e-12 unless the caller passes another.
+    with pytest.raises(InputError):
+        _check_interior(0.0, 1.0, float("nan"))
+    cases = [
+        ((0.0, 1.0, np.inf), "outside_range"),
+        ((0.0, 1.0, -np.inf), "outside_range"),
+        ((0.0, 1.0, 1.0 + 2e-9), "outside_range"),
+        ((0.0, 1.0, 1.0 + 0.5e-9), "boundary"),
+        ((0.0, 1.0, 0.5e-9), "boundary"),
+        ((0.0, 1e-12, 0.5e-12), "degenerate"),
+        ((0.0, 5e-11, 2.5e-11), "boundary"),
+    ]
+    for args, name in cases:
+        with pytest.raises(DomainError) as e:
+            _check_interior(*args)
+        assert e.value.name == name, args
+    with pytest.raises(DomainError) as e:
+        _check_interior(0.0, 5e-11, 2.5e-11, spread=1e-10)
+    assert e.value.name == "degenerate"
+    _check_interior(-3.0, 4.0, 0.25)
+    _check_interior(1e12, 1e12 + 1e4, 1e12 + 5e3)  # the edge tolerance scales with the ends
+
+
+def test_spectrum_refuses_a_nan_alpha(full2, golden):
+    with pytest.raises(InputError):
+        conditional_entropy_spectrum(full2, ind1(full2), float("nan"))
+    with pytest.raises(DomainError) as e:
+        conditional_entropy_spectrum(full2, ind1(full2), np.inf)
+    assert e.value.name == "outside_range"
+    system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
+    with pytest.raises(InputError):
+        flow_conditional_spectrum(system, ind1(golden), float("nan"))
+    with pytest.raises(DomainError) as e:
+        flow_conditional_spectrum(system, ind1(golden), -np.inf)
+    assert e.value.name == "outside_range"
+
+
+def test_2d_spectrum_refuses_a_nan_coordinate(full2):
+    h = LocallyConstantFunction.indicator(full2, (1, 1))
+    for alpha in ((float("nan"), 0.3), (0.5, float("nan")), (0.5,)):
+        with pytest.raises(DomainError) as e:
+            conditional_entropy_spectrum_2d(full2, ind1(full2), h, alpha)
+        assert e.value.name == "input", alpha
 
 
 def test_spectrum_concavity(full2):
@@ -331,6 +381,38 @@ def test_flow_spectrum_concavity_and_errors(golden):
         flow_conditional_spectrum(system, g, 0.9)
     with pytest.raises(DomainError):
         flow_conditional_spectrum(system, LocallyConstantFunction.constant(golden, 2.0), 2.0)
+
+
+def test_flow_spectrum_degenerate_ratios(golden):
+    # phi = 2 roof: every flow average is 2, so the ratio range is a point.
+    roof = LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0})
+    system = SuspensionSystem(golden, roof)
+    r = flow_ratio_range(system, 2.0 * roof)
+    assert r.lo == r.hi == 2.0
+    with pytest.raises(DomainError) as e:
+        flow_conditional_spectrum(system, 2.0 * roof, 2.0)
+    assert e.value.name == "degenerate"
+
+
+def test_flow_ratio_range_is_a_birkhoff_range(golden):
+    # The subclass keeps its own name in repr and compares only to its own kind.
+    system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
+    r = flow_ratio_range(system, ind1(golden))
+    assert isinstance(r, BirkhoffRange) and FlowRatioRange.__doc__ != BirkhoffRange.__doc__
+    fields = dict(lo=r.lo, hi=r.hi, argmin=r.argmin, argmax=r.argmax)
+    assert repr(r) == "FlowRatioRange(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    assert r == FlowRatioRange(**fields)
+    assert r != BirkhoffRange(**fields)
+
+
+def test_flow_spectrum_model_and_karp_counts(golden, monkeypatch):
+    # The ratio range's [phi, roof] model and the tilt's [phi - alpha roof,
+    # roof] model, both at memory 1; the interior check adds no Karp call.
+    system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
+    models, karp = count_models(monkeypatch), count_karp(monkeypatch)
+    flow_conditional_spectrum(system, ind1(golden), 0.16)
+    assert models == [1, 1]
+    assert len(karp) == 4
 
 
 def test_each_tilt_is_solved_once(full2, golden, monkeypatch):

@@ -159,6 +159,9 @@ def test_pressure_requires_irreducible_sft():
     zero = LocallyConstantFunction.constant(reducible, 0.0)
     with pytest.raises(DomainError):
         pressure(reducible, zero)
+    with pytest.raises(DomainError) as e:
+        _EdgeModel(reducible, [zero])
+    assert e.value.name == "reducible"
 
 
 def test_binary_entropy_helper_consistency(full2):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure, binary_entropy, count_karp, count_solves, sign_change_bracket
+from conftest import bernoulli_measure, binary_entropy, count_karp, count_models, count_solves, sign_change_bracket
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
@@ -512,3 +512,72 @@ def test_mu0_pull_starts_every_tilt_warm(full2, monkeypatch):
             except DomainError as e:
                 assert e.name == "zeta", (alpha, c, e.name)
     assert starts and None not in starts
+
+
+def test_low_entropy_witness_interior_names(full2):
+    # The shared interior check runs first; outside_range and boundary are
+    # reported under the name this function documents, not_interior.
+    g = ind1(full2)
+    for alpha in (-0.5, 1e-12, 1.0, np.inf, -np.inf):
+        with pytest.raises(DomainError) as e:
+            low_entropy_mean_witness(full2, g, alpha, 0.05)
+        assert e.value.name == "not_interior", alpha
+    with pytest.raises(InputError):
+        low_entropy_mean_witness(full2, g, np.nan, 0.05)
+    with pytest.raises(DomainError) as e:
+        low_entropy_mean_witness(full2, LocallyConstantFunction.constant(full2, 0.5), 0.5, 0.05)
+    assert e.value.name == "degenerate"
+
+
+def test_low_entropy_witness_refuses_a_nan_cap(full2, monkeypatch):
+    # A NaN cap is named at once, before any glued chain is built.
+    monkeypatch.setattr(witness, "_TwoCycleChain", None)
+    with pytest.raises(DomainError) as e:
+        low_entropy_mean_witness(full2, ind1(full2), 0.3, np.nan)
+    assert e.value.name == "h_cap"
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_intermediate_witness_refuses_a_non_finite_level(full2, c):
+    with pytest.raises(InputError):
+        intermediate_witness(full2, ind1(full2), 0.3, c)
+
+
+def test_intermediate_witness_interior_names(full2):
+    g = ind1(full2)
+    with pytest.raises(InputError):
+        intermediate_witness(full2, g, np.nan, 0.3)
+    for alpha, name in ((np.inf, "outside_range"), (-0.5, "outside_range"), (0.0, "boundary")):
+        with pytest.raises(DomainError) as e:
+            intermediate_witness(full2, g, alpha, 0.3)
+        assert e.value.name == name, alpha
+
+
+def test_mu0_witness_refuses_a_nan_zeta(full2):
+    mu0 = bernoulli_measure(full2, [0.7, 0.3])
+    for zeta in (np.nan, None, 0.0):
+        with pytest.raises(InputError):
+            intermediate_witness(full2, ind1(full2), 0.3, 0.3, mu0=mu0, zeta=zeta)
+
+
+def test_u_witness_reads_g_cycles_from_its_own_model(full2, monkeypatch):
+    # A request with u builds its [g, u] model and the path's model, and
+    # reads L_g from the first: 2 models and one Karp pair (3 and 4 before
+    # the g-only model for the low end was dropped).
+    g, u = ind1(full2), LocallyConstantFunction.indicator(full2, (0, 0))
+    models, karp = count_models(monkeypatch), count_karp(monkeypatch)
+    nu = intermediate_witness(full2, g, 0.3, 0.75, u=u)
+    assert abs(nu.integrate(g) - 0.3) < 1e-8
+    assert abs(nu.entropy() + nu.integrate(u) - 0.75) < 1e-5
+    assert models == [1, 2]
+    assert len(karp) == 2
+
+
+@pytest.mark.parametrize("use_mu0", [False, True])
+def test_witness_model_counts_without_u(full2, monkeypatch, use_mu0):
+    # The request's [g] model and the path's recoding at the low end's memory.
+    g = ind1(full2)
+    mu0 = bernoulli_measure(full2, [0.7, 0.3]) if use_mu0 else None
+    models = count_models(monkeypatch)
+    intermediate_witness(full2, g, 0.3, 0.4, mu0=mu0, zeta=0.5 if use_mu0 else None)
+    assert models == [1, 2]
