@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, InputError, SymflowError
+from .errors import DomainError, InputError, SymflowError, _check_tol
 from .horseshoe import HorseshoePack, _check_count, build_multi_horseshoe, certify_pack, lift_pack_to_flow
 from .jsonio import config_hash, csv_text, read_json, write_csv, write_json
 from .lorenz import LorenzModel, simulate_return_map, validate_lorenz
@@ -120,7 +120,7 @@ def _pressure_point(payload):
 
 
 def _cmd_pressure(args) -> None:
-    _require_positive(tol=args.tol)
+    _check_tol(tol=args.tol)
     sft = _load_sft(args.sft)
     g = _load_fn(sft, args.g)
     if args.beta_grid is not None:
@@ -157,7 +157,7 @@ def _spectrum_point(payload):
 
 
 def _cmd_spectrum(args) -> None:
-    _require_positive(tol=args.tol)
+    _check_tol(tol=args.tol)
     sft = _load_sft(args.sft)
     g = _load_fn(sft, args.g)
     if args.alpha_grid is not None:
@@ -193,7 +193,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_spectrum2d(args) -> None:
-    _require_positive(tol=args.tol)
+    _check_tol(tol=args.tol)
     sft = _load_sft(args.sft)
     g = _load_fn(sft, args.g)
     h = _load_fn(sft, args.h)
@@ -234,7 +234,7 @@ def _cmd_rotation_set(args) -> None:
 
 
 def _cmd_flow_entropy(args) -> None:
-    _require_positive(tol=args.tol)
+    _check_tol(tol=args.tol)
     system = SuspensionSystem.from_json(read_json(args.system))
     value = flow_top_entropy(system, tol=args.tol)
     print(f"{value:.12g}")
@@ -243,7 +243,7 @@ def _cmd_flow_entropy(args) -> None:
 
 
 def _cmd_flow_spectrum(args) -> None:
-    _require_positive(tol=args.tol)
+    _check_tol(tol=args.tol)
     system = SuspensionSystem.from_json(read_json(args.system))
     phi = LocallyConstantFunction.from_json(system.base, read_json(args.phi))
     res = flow_conditional_spectrum(system, phi, args.alpha, tol=args.tol)
@@ -374,7 +374,8 @@ def _parse_witness_request(req) -> tuple:
     missing = required - set(req)
     if missing:
         raise InputError(f"missing request keys {sorted(missing)}")
-    for tname in ("tol", "tol_mean", "zeta", "h_cap"):
+    _check_tol(**{t: float(req[t]) for t in ("tol", "tol_mean") if req.get(t) is not None})
+    for tname in ("zeta", "h_cap"):
         if req.get(tname) is not None and not (float(req[tname]) > 0):
             raise InputError(f"{tname} must be positive")
     return kind, Sft.from_json(req["sft"])
@@ -444,8 +445,6 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_lorenz_validate(args) -> None:
-    if args.grid < 3:
-        raise InputError("grid density must be at least 3")
     model = LorenzModel.from_json(read_json(args.model))
     report = validate_lorenz(model, grid=args.grid)
     for e in report["entries"]:

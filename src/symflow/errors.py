@@ -3,6 +3,9 @@
 Every failure the library raises on purpose carries a short machine-readable
 ``name`` (stable across releases, used by the CLI's stderr protocol and exit
 codes) next to the human-readable message.
+
+``_check_tol`` is the one check of a tolerance argument, for every public
+call that takes one and for the CLI.
 """
 
 from __future__ import annotations
@@ -35,3 +38,10 @@ class DomainError(SymflowError):
     """
 
     name = "domain"
+
+
+def _check_tol(**tols) -> None:
+    """Raise ``InputError`` unless every given tolerance is finite and positive."""
+    for name, value in tols.items():
+        if not 0.0 < value < float("inf"):
+            raise InputError(f"{name} must be finite and positive, got {value}")

@@ -849,7 +849,7 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     }
     cond2 = {
         "horseshoe_entropies": entropies,
-        "count_entropies": [float(np.log(c)) / pack.n for c in counts],
+        "count_entropies": entropies,
         "target_entropies": target_h,
         "margins": margins,
         "all_positive": bool(all(m > 0.0 for m in margins)),

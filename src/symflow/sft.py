@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import graphs
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_tol
 
 __all__ = [
     "Sft",
@@ -250,6 +250,7 @@ def perron_root(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
     rng : optional numpy Generator; randomises the starting vector (used to
         check that results do not depend on initialisation)
     """
+    _check_tol(tol=tol)
     lam, right, _ = _perron_right(B, tol=tol, maxiter=maxiter, rng=rng)
     _, left, _ = _perron_right(np.asarray(B, dtype=float).T, tol=tol, maxiter=maxiter, rng=rng)
     return lam, right, left
@@ -257,6 +258,7 @@ def perron_root(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None):
 
 def topological_entropy(sft: Sft, tol: float = 1e-12) -> float:
     """log of the Perron root of A; requires an irreducible SFT."""
+    _check_tol(tol=tol)
     _require_irreducible(sft)
     lam, _, _ = _perron_right(sft.A, tol=tol)
     return float(np.log(lam))

@@ -4,13 +4,17 @@ The conditional entropy spectrum H(alpha) = sup{h(mu) : integral g = alpha}
 is computed by tilting: solve mean(beta) = alpha where mean(beta) is the
 g-average of the equilibrium state of beta*g, then H = P(beta*g) - beta*alpha.
 The slope d mean/d beta is the asymptotic variance of g, known in closed form,
-so every mean tilt of a model's first function (``_tilt``, also used by
-``witness``) is a bracketed Newton iteration.  Two observables give the
+so every mean tilt (``_tilt``, also used by ``witness``) is a bracketed
+Newton iteration along a line base + beta*d in one model's coefficient
+space, its mean read on the edge table d.edges; by default d picks the
+model's first function and base is 0.  Two observables give the
 two-dimensional spectrum.  The flow spectrum s(alpha) is the root of the
 convex, decreasing F(s) = max{h - s*int(rho) : int(phi - alpha*rho) = 0},
 F'(s) = -int(rho), and Newton on F is Dinkelbach's update s <- h/int(rho):
-monotone from s = 0, one warm-started mean tilt a step.  ``_dinkelbach`` is
-the one such loop, also for the flow ratio range and the flow entropy.
+monotone from s = 0, one warm-started mean tilt a step, on the one [phi, rho]
+model of the request along d = (1, -alpha) from base (0, -s).
+``_dinkelbach`` is the one such loop, also for the flow ratio range and the
+flow entropy.
 
 All solvers share ``thermo._EdgeModel``: one block recoding on which every
 potential in play is an exact edge function, so tilted pressures, means,
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_tol
 from .measures import MarkovComponent
 from .sft import LocallyConstantFunction, Sft
 from .thermo import _covariance, _EdgeModel
@@ -103,14 +107,14 @@ def _check_interior(lo: float, hi: float, alpha: float, spread: float = 1e-12) -
         raise DomainError("boundary: spectrum not computed", name="boundary")
 
 
-def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, fixed: tuple = (), chain: np.ndarray | None = None):
-    """(beta, sol) with sol = model.solve((beta, *fixed), chain=chain) and
-    sol.means[0] = alpha: the tilt of the model's first function g, the other
-    coefficients held at ``fixed``; its mean is nondecreasing in beta.
+def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None, d=None, chain: np.ndarray | None = None):
+    """(beta, sol) with sol = model.solve(base + beta*d, chain=chain) and
+    d.means = alpha, the mean of the edge table d.edges (``model._combined(d)``);
+    it is nondecreasing in beta.  By default d picks the model's first function.
 
     Safeguarded Newton on f(beta) = mean(beta) - alpha from beta0, or from 0
-    when no beta0 is given.  The slope f' is the asymptotic variance of g's
-    edge table under the chain of ``sol`` (``thermo._covariance``,
+    when no beta0 is given.  The slope f' is the asymptotic variance of the
+    table d.edges under the chain of ``sol`` (``thermo._covariance``,
     Parry & Pollicott 1990).  Each step narrows the sign-change bracket
     [lo, hi] (both ends start infinite) and returns once f = 0, the Newton
     step is within 1e-13 + 8.9e-16 |beta|, or the bracket is narrower than
@@ -123,6 +127,9 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, fixed: tu
     and 200 steps raise ``no_convergence``; both messages give the steps,
     the bracket, the last beta and |mean - alpha|.
     """
+    d = (1.0,) + (0.0,) * (len(model.funcs) - 1) if d is None else d
+    base = (0.0,) * len(d) if base is None else base
+    E = model._combined(d)
     beta = 0.0 if beta0 is None else float(beta0)
     lo, hi, f = -np.inf, np.inf, np.nan
 
@@ -136,14 +143,14 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, fixed: tu
     for steps in range(200):
         if abs(beta) > _BETA_CAP:
             raise failed("tilt parameter diverged", steps, "iteration_cap")
-        sol = model.solve((beta, *fixed), chain=chain)
-        f = sol.means[0] - alpha
+        sol = model.solve([b + beta * e for b, e in zip(base, d)], chain=chain)
+        f = sum(e * m for e, m in zip(d, sol.means)) - alpha
         if f > 0.0:
             hi = beta
         elif f < 0.0:
             lo = beta
         try:
-            var = float(_covariance(sol, model.edges[:1])[0, 0])
+            var = float(_covariance(sol, [E])[0, 0])
         except np.linalg.LinAlgError:  # the chain has gone deterministic
             var = np.nan
         step = -f / var if 0.0 < var < np.inf else np.nan
@@ -205,11 +212,12 @@ def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: fl
     witness is the equilibrium chain itself: ergodic, fully supported, and
     attaining the supremum.
     """
+    _check_tol(tol=tol)
     model = _EdgeModel(sft, [g])
     lo, _, hi, _ = model.ends
     _check_interior(lo, hi, alpha)
     beta, sol = _tilt(model, alpha)
-    if abs(sol.means[0] - alpha) > max(tol, 1e-9):
+    if not abs(sol.means[0] - alpha) <= max(tol, 1e-9):
         raise DomainError("tilt solve missed the target mean", name="no_convergence")
     H = sol.P - beta * alpha
     return SpectrumResult(alpha=alpha, entropy=H, beta=beta, witness=model.component(sol))
@@ -320,6 +328,7 @@ def conditional_entropy_spectrum_2d(
     the means are within ``tol`` of alpha and raises ``no_convergence``
     otherwise.
     """
+    _check_tol(tol=tol)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (2,) or np.isnan(alpha).any():
         raise DomainError("alpha must be a pair of numbers", name="input")
@@ -393,15 +402,8 @@ def _dinkelbach(step, s: float, sign: float = 1.0) -> tuple:
     )
 
 
-def flow_ratio_range(system, phi: LocallyConstantFunction) -> FlowRatioRange:
-    """Extreme time averages of phi under the suspension flow.
-
-    Flow averages of invariant measures are ratios integral(phi)/integral(roof);
-    the extremes are attained on periodic orbits and found exactly by
-    Dinkelbach iteration on the mean-weight cycle problem, from the ratio
-    of the extreme cycle of phi alone.
-    """
-    model = _EdgeModel(system.base, [phi, system.roof])
+def _ratio_ends(model: _EdgeModel) -> tuple:
+    """(lo, cycle_lo, hi, cycle_hi) of the cycle-sum ratio funcs[0]/funcs[1], by Dinkelbach over Karp."""
 
     def ends(sign: float) -> tuple:
         extreme = model.max_cycle if sign > 0 else model.min_cycle
@@ -412,8 +414,19 @@ def flow_ratio_range(system, phi: LocallyConstantFunction) -> FlowRatioRange:
 
         return _dinkelbach(step, step(0.0)[0], sign)
 
-    hi, cyc_hi = ends(+1.0)
-    lo, cyc_lo = ends(-1.0)
+    return (*ends(-1.0), *ends(+1.0))
+
+
+def flow_ratio_range(system, phi: LocallyConstantFunction) -> FlowRatioRange:
+    """Extreme time averages of phi under the suspension flow.
+
+    Flow averages of invariant measures are ratios integral(phi)/integral(roof);
+    the extremes are attained on periodic orbits and found exactly by
+    Dinkelbach iteration on the mean-weight cycle problem (``_ratio_ends``),
+    from the ratio of the extreme cycle of phi alone.
+    """
+    model = _EdgeModel(system.base, [phi, system.roof])
+    lo, cyc_lo, hi, cyc_hi = _ratio_ends(model)
     return FlowRatioRange(lo=lo, hi=hi, argmin=model.project(cyc_lo), argmax=model.project(cyc_hi))
 
 
@@ -421,24 +434,23 @@ def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float
     """Flow spectrum: s(alpha) = sup{h(nu)/int(rho) : flow average of phi = alpha}.
 
     With q = phi - alpha*rho, s(alpha) is the root of F(s) = max{h - s*int(rho)
-    : int q = 0} = min over beta of P(beta*q - s*rho).  ``_dinkelbach`` steps
-    s by Dinkelbach's update; each level is one Newton tilt to int q = 0,
-    warm-started from the last beta.  The witness is the equilibrium of
-    beta*q - s*rho at the returned s: its Abramov entropy is s.
+    : int q = 0} = min over beta of P(beta*q - s*rho), on one [phi, rho] model.
+    ``_dinkelbach`` steps s by Dinkelbach's update; each level is one Newton
+    tilt to int q = 0 along (1, -alpha) from (0, -s), warm-started from the
+    last beta.  The witness, the equilibrium at the last s, has Abramov entropy s.
     """
-    rng = flow_ratio_range(system, phi)
-    _check_interior(rng.lo, rng.hi, alpha, spread=1e-10)
-
-    model = _EdgeModel(system.base, [phi - alpha * system.roof, system.roof])
+    _check_tol(tol=tol)
+    model = _EdgeModel(system.base, [phi, system.roof])
+    lo, _, hi, _ = _ratio_ends(model)
+    _check_interior(lo, hi, alpha, spread=1e-10)
     beta = None
 
     def level(s: float) -> tuple:
         nonlocal beta
-        beta, sol = _tilt(model, 0.0, beta, fixed=(-s,))
+        beta, sol = _tilt(model, 0.0, beta, base=(0.0, -s), d=(1.0, -alpha))
         return sol.entropy / sol.means[1], sol
 
     s, sol = _dinkelbach(level, 0.0)
-    ratio = sol.means[0] / sol.means[1] + alpha
-    if abs(ratio - alpha) > max(tol, 1e-8):
+    if not abs(sol.means[0] / sol.means[1] - alpha) <= max(tol, 1e-8):
         raise DomainError("flow tilt solve missed the target ratio", name="no_convergence")
     return SpectrumResult(alpha=alpha, entropy=s, beta=beta, witness=model.component(sol), s=s)

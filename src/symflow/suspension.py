@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_tol
 from .measures import InvariantMeasure
 from .sft import LocallyConstantFunction, Sft, _word_levels, admissible_words
 from .spectrum import _dinkelbach
@@ -74,6 +74,7 @@ def flow_top_entropy(system: SuspensionSystem, tol: float = 1e-12) -> float:
     from s = 0 is Dinkelbach's update s <- h/int(roof) (``spectrum._dinkelbach``):
     one equilibrium solve a step, certified to ``tol``, on one recoding.
     """
+    _check_tol(tol=tol)
     model = _EdgeModel(system.base, [system.roof])
 
     def level(s: float) -> tuple:

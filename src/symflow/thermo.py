@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_tol
 from .graphs import max_mean_cycle, min_mean_cycle
 from .measures import InvariantMeasure, MarkovComponent, _entropy_rate, _gth, _stationary_inverse, stationary
 from .sft import (
@@ -156,14 +156,14 @@ def _covariance(sol: _Solve, edges) -> np.ndarray:
     """Asymptotic covariance matrix of the edge tables under the chain of ``sol``.
 
     This is the Hessian of P in the tilt coefficients (Parry & Pollicott
-    1990).  With C_k = E_k - means_k, flux F = pi_i Q_ij and the fundamental
-    matrix Z = (I - Q + 1 pi)^-1 (Kemeny & Snell 1960), entry (a, b) is
-    sum F C_a C_b plus the lag terms (F C_a summed into each state) . Z (Q C_b
-    summed over each row), and the same with a and b swapped.
+    1990).  With flux F = pi_i Q_ij, C_k = E_k - sum F E_k (the flux mean, as in
+    ``_equilibrium``) and the fundamental matrix Z = (I - Q + 1 pi)^-1 (Kemeny &
+    Snell 1960), entry (a, b) is sum F C_a C_b plus the lag terms (F C_a summed
+    into each state) . Z (Q C_b summed over each row), and a and b swapped.
     """
     Q, pi = sol.Q, sol.pi
     flux = pi[:, None] * Q
-    C = [E - mean for E, mean in zip(edges, sol.means)]
+    C = [E - (flux * E).sum() for E in edges]
     into = np.array([(flux * c).sum(axis=0) for c in C])
     ahead = np.linalg.solve(np.eye(len(pi)) - Q + pi[None, :], np.array([(Q * c).sum(axis=1) for c in C]).T)
     lag = into @ ahead
@@ -274,6 +274,7 @@ def pressure(sft: Sft, g: LocallyConstantFunction, tol: float = 1e-12, rng=None)
     stationary distribution proportional to l*r; it is ergodic and attains
     the variational identity h + integral g = P.
     """
+    _check_tol(tol=tol)
     model = _EdgeModel(sft, [g])
     sol = model.solve((1.0,), tol=tol, rng=rng)
     with np.errstate(over="ignore"):  # a root beyond the double range reads inf

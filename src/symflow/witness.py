@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_tol
 from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary
 from .sft import LocallyConstantFunction, Sft
 from .spectrum import _brentq, _check_interior, _tilt, conditional_entropy_spectrum_2d
@@ -145,6 +145,7 @@ def low_entropy_mean_witness(
     at about 1e-14.  Alpha passes ``spectrum._check_interior``, whose
     ``outside_range`` and ``boundary`` are reported as ``not_interior``.
     """
+    _check_tol(tol=tol)
     model = _EdgeModel(sft, [g])
     lo, _, hi, _ = model.ends
     try:
@@ -207,7 +208,7 @@ def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float, tol: float) -> I
         achieved = comp.entropy()
         if achieved <= h_cap:
             mu = InvariantMeasure.single(comp)
-            if abs(mu.integrate(g) - alpha) > max(tol, 1e-9):
+            if not abs(mu.integrate(g) - alpha) <= max(tol, 1e-9):
                 raise DomainError("mean solve missed the target", name="no_convergence")
             return mu
         p *= 0.25
@@ -227,7 +228,7 @@ def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float 
     tilted matrix vanishes; ``thermo._equilibrium`` certifies its Perron
     root by a Collatz-Wielandt bracket and needs no gap.
     """
-    beta, sol = _tilt(model, alpha, beta0, fixed=(0.0,) * (len(model.funcs) - 1), chain=Qt)
+    beta, sol = _tilt(model, alpha, beta0, chain=Qt)
     return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
 
 
@@ -256,9 +257,13 @@ def intermediate_witness(
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0:
     to the largest lam = 1 - 2^-j with j <= 14 whose tilted ends straddle c,
-    bisected from lam = 0 (``_mu0_pull``).  A non-finite c, or mu0 without a
-    positive zeta, raises ``InputError`` before any model is built.
+    bisected from lam = 0 (``_mu0_pull``).  A c above h + integral u of mu0
+    is out of band before the top end is considered, and a top end returned
+    as is must lie zeta-close to mu0 too.  A non-finite c, a tol or tol_mean
+    that is not finite and positive, or mu0 without a positive zeta, raises
+    ``InputError`` before any model is built.
     """
+    _check_tol(tol=tol, tol_mean=tol_mean)
     if not np.isfinite(c):
         raise InputError(f"c must be finite, got {c}")
     if mu0 is not None and not (zeta is not None and zeta > 0.0):
@@ -269,18 +274,17 @@ def intermediate_witness(
     _check_interior(lo, hi, alpha)
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
-    _, sol_top = _tilt(model, alpha, fixed=(1.0,) if u is not None else ())
+    _, sol_top = _tilt(model, alpha, base=(0.0, 1.0) if u is not None else None)
     P_top = sol_top.entropy + sum(sol_top.means[1:])
     band_tol = max(tol, 1e-9) * (1.0 + abs(c))
     if c > P_top + band_tol:
         raise DomainError(f"c outside admissible band: maximum {P_top:.12g}", name="band")
-    if c >= P_top - band_tol:
-        return InvariantMeasure.single(model.component(sol_top))
-
     if mu0 is not None:
         P_mu0 = mu0.entropy() + (mu0.integrate(u) if u is not None else 0.0)
         if c > P_mu0 + band_tol:
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
+    if c >= P_top - band_tol:
+        return _near_mu0(InvariantMeasure.single(model.component(sol_top)), mu0, zeta)
 
     # low endpoint, with the cap shrunk until the tilted path starts below c;
     # its memory, set by g and its extreme cycles, is the same for every cap.
@@ -341,13 +345,18 @@ def intermediate_witness(
     Q, pi, _, value, _ = best
     comp = MarkovComponent(sft, work.rec.m, work.rec.words, Q, pi)
     nu = InvariantMeasure.single(comp)
-    if abs(nu.integrate(g) - alpha) > max(tol_mean, 1e-8):
+    if not abs(nu.integrate(g) - alpha) <= max(tol_mean, 1e-8):
         raise DomainError("witness mean check failed", name="no_convergence")
-    if abs(value - c) > max(tol, 1e-5):
+    if not abs(value - c) <= max(tol, 1e-5):
         raise DomainError(f"witness level check failed: reached {value:.12g}", name="no_convergence")
+    return _near_mu0(nu, mu0, zeta)
+
+
+def _near_mu0(nu: InvariantMeasure, mu0: InvariantMeasure | None, zeta: float | None) -> InvariantMeasure:
+    """nu, if mu0 is None or d*(nu, mu0) < zeta; raises ``zeta`` otherwise."""
     if mu0 is not None:
         dist = d_star(nu, mu0)
-        if dist >= zeta:
+        if not dist < zeta:
             raise DomainError(f"zeta unachievable along the path: d* = {dist:.6g}", name="zeta")
     return nu
 
@@ -437,6 +446,6 @@ def orthant_combination(alpha, candidates) -> np.ndarray:
 
     theta, _ = nnls(M, b)
     resid = float(np.abs(M @ theta - b).max())
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise DomainError(f"combination residual {resid:.3g} exceeds 1e-10", name="residual")
     return theta / theta.sum()

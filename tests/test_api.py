@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import inspect
+
+import numpy as np
+import pytest
 
 import symflow
 from symflow.cli import build_parser
@@ -58,3 +62,49 @@ def test_cli_commands_and_flags_are_kept():
     assert set(COMMANDS) <= set(sub.choices)
     for name, flags in COMMANDS.items():
         assert flags <= _flags(sub.choices[name]), name
+
+
+def _tol_calls() -> dict:
+    """A valid call of every public callable that takes a tol, by name."""
+    full2 = symflow.Sft(np.ones((2, 2), dtype=int))
+    g = symflow.LocallyConstantFunction.indicator(full2, (1,))
+    h = symflow.LocallyConstantFunction.indicator(full2, (1, 1))
+    system = symflow.SuspensionSystem(full2, symflow.LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}))
+    mu = symflow.InvariantMeasure.single(symflow.pressure(full2, g).equilibrium)
+    return {
+        "perron_root": lambda **kw: symflow.perron_root(full2.A, **kw),
+        "topological_entropy": lambda **kw: symflow.topological_entropy(full2, **kw),
+        "pressure": lambda **kw: symflow.pressure(full2, g, **kw),
+        "verify_equilibrium": lambda **kw: symflow.verify_equilibrium(full2, g, mu, **kw),
+        "flow_top_entropy": lambda **kw: symflow.flow_top_entropy(system, **kw),
+        "conditional_entropy_spectrum": lambda **kw: symflow.conditional_entropy_spectrum(full2, g, 0.3, **kw),
+        "conditional_entropy_spectrum_2d": lambda **kw: symflow.conditional_entropy_spectrum_2d(full2, g, h, (0.5, 0.3), **kw),
+        "flow_conditional_spectrum": lambda **kw: symflow.flow_conditional_spectrum(system, g, 0.3, **kw),
+        "birkhoff_witness_2d": lambda **kw: symflow.birkhoff_witness_2d(full2, g, h, (0.5, 0.3), **kw),
+        "intermediate_witness": lambda **kw: symflow.intermediate_witness(full2, g, 0.3, 0.5, **kw),
+        "low_entropy_mean_witness": lambda **kw: symflow.low_entropy_mean_witness(full2, g, 0.3, 0.1, **kw),
+    }
+
+
+def _tol_params(obj) -> list:
+    try:
+        params = inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # no signature to read
+        return []
+    return [p for p in params if p == "tol" or p.startswith("tol_")]
+
+
+def test_every_public_tol_is_checked():
+    # Every public callable that takes a tol is listed in _tol_calls, runs
+    # there with its defaults, and refuses a tol that is not finite and
+    # positive with InputError.
+    takes_tol = {name: _tol_params(getattr(symflow, name)) for name in symflow.__all__}
+    takes_tol = {name: params for name, params in takes_tol.items() if params}
+    calls = _tol_calls()
+    assert set(takes_tol) == set(calls)
+    for name, params in takes_tol.items():
+        calls[name]()
+        for param in params:
+            for bad in (float("nan"), float("inf"), 0.0, -1.0):
+                with pytest.raises(symflow.InputError):
+                    calls[name](**{param: bad})

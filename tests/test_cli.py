@@ -455,6 +455,19 @@ def test_lorenz_validate_command(files):
     assert "expansion" in fails[0]
 
 
+def test_lorenz_validate_refuses_a_grid_below_3(files):
+    code, out, err = run_cli("lorenz-validate", "--model", files["model"], "--grid", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: input: grid density must be an integer of at least 3"), err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(files, tol):
+    code, out, err = run_cli("pressure", "--sft", files["full2"], "--g", files["g"], "--beta", "1", "--tol", tol)
+    assert code == 1 and out == ""
+    assert err.startswith("error: input: tol must be finite and positive"), err
+
+
 def test_lorenz_simulate_csv(files, tmp_path):
     outfile = tmp_path / "orbit.csv"
     code, out, _ = run_cli(

@@ -406,12 +406,12 @@ def test_flow_ratio_range_is_a_birkhoff_range(golden):
 
 
 def test_flow_spectrum_model_and_karp_counts(golden, monkeypatch):
-    # The ratio range's [phi, roof] model and the tilt's [phi - alpha roof,
-    # roof] model, both at memory 1; the interior check adds no Karp call.
+    # One [phi, roof] model at memory 1 serves the ratio range and every
+    # tilt; the interior check adds no Karp call.
     system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
     models, karp = count_models(monkeypatch), count_karp(monkeypatch)
     flow_conditional_spectrum(system, ind1(golden), 0.16)
-    assert models == [1, 1]
+    assert models == [1]
     assert len(karp) == 4
 
 
@@ -429,7 +429,7 @@ def test_each_tilt_is_solved_once(full2, golden, monkeypatch):
     system = SuspensionSystem(golden, LocallyConstantFunction(golden, 1, {(0,): 1.0, (1,): 2.0}))
     res = flow_conditional_spectrum(system, ind1(golden), 0.2)
     assert 5 < len(solved) <= 12 and len(set(solved)) == len(solved)
-    assert (res.beta, -res.s) in solved
+    assert (res.beta, -res.s - res.beta * 0.2) in solved  # (0, -s) + beta * (1, -alpha)
 
 
 def _memory7_table(full2, seed: int) -> LocallyConstantFunction:

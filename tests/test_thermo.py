@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bernoulli_measure, binary_entropy
-from symflow.errors import DomainError
+from symflow.errors import DomainError, InputError
 from symflow import thermo
 from symflow.measures import InvariantMeasure, _gth, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words, topological_entropy
@@ -193,6 +193,26 @@ def test_covariance_is_the_jacobian_of_the_means(name, memory, request):
         e[k] = step
         J[:, k] = (np.array(model.solve(tuple(beta + e)).means) - np.array(model.solve(tuple(beta - e)).means)) / (2 * step)
     assert np.abs(H - J).max() <= 1e-6 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_covariance_of_a_direction_is_its_quadratic_form(full2, seed):
+    """A table d.edges is centred on its own flux mean: its variance is d'Cd."""
+    rng = np.random.default_rng(seed)
+    words = admissible_words(full2, 3)
+    phi = LocallyConstantFunction(full2, 3, dict(zip(words, rng.normal(size=8))))
+    roof = LocallyConstantFunction(full2, 3, dict(zip(words, rng.uniform(0.5, 2.0, size=8))))
+    model = _EdgeModel(full2, [phi, roof])
+    sol = model.solve((rng.normal(), -rng.uniform(0.1, 1.0)))
+    d = np.array([1.0, -rng.uniform(-1.0, 1.0)])
+    var = _covariance(sol, [model._combined(d)])[0, 0]
+    assert abs(var - d @ _covariance(sol, model.edges) @ d) <= 1e-12
+
+
+def test_pressure_refuses_a_nan_tol(full2):
+    # A NaN tol reached the Perron solve and raised a bare LinAlgError.
+    with pytest.raises(InputError):
+        pressure(full2, LocallyConstantFunction.indicator(full2, (1,)), tol=float("nan"))
 
 
 @pytest.mark.parametrize("name", ["full2", "golden"])

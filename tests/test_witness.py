@@ -470,6 +470,35 @@ def test_mu0_pull_refuses_zeta_where_the_scan_hit_the_cap(full2, p, alpha, c):
     assert e.value.name == "zeta"
 
 
+def test_mu0_band_comes_before_the_top_end(full2):
+    # mu0 has entropy 0.2 H, so c = H is out of band for it; the top end,
+    # at d* 0.148 from mu0, was returned without that check.
+    g = ind1(full2)
+    H = conditional_entropy_spectrum(full2, g, 0.3).entropy
+    mu0 = intermediate_witness(full2, g, 0.3, 0.2 * H)
+    with pytest.raises(DomainError) as e:
+        intermediate_witness(full2, g, 0.3, H, mu0=mu0, zeta=0.01)
+    assert e.value.name == "band"
+
+
+def test_a_top_end_witness_meets_zeta(full2):
+    # The fair coin has entropy log 2 > H(0.3), so c = H(0.3) passes its band
+    # check and returns the top end, Bernoulli(0.3), only within zeta of it.
+    g, mu0 = ind1(full2), bernoulli_measure(full2, [0.5, 0.5])
+    H = conditional_entropy_spectrum(full2, g, 0.3).entropy
+    with pytest.raises(DomainError) as e:
+        intermediate_witness(full2, g, 0.3, H, mu0=mu0, zeta=0.01)
+    assert e.value.name == "zeta"
+    nu = intermediate_witness(full2, g, 0.3, H, mu0=mu0, zeta=0.5)
+    assert abs(nu.entropy() - binary_entropy(0.3)) < 1e-9 and d_star(nu, mu0) < 0.5
+
+
+def test_intermediate_witness_refuses_a_nan_tol(full2):
+    # A NaN tol switched the final checks off: c = 5 > log 2 returned the top end.
+    with pytest.raises(InputError):
+        intermediate_witness(full2, ind1(full2), 0.3, 5.0, tol=float("nan"))
+
+
 def test_mu0_witness_solve_budget(full2, monkeypatch):
     # The nine mu0 requests of the witness benchmark: at most 400 equilibrium
     # solves together (1,082 for the 15-step scan, 442 with a cold probe at
