@@ -43,12 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message, name="usage")
 
 
-def _require_positive(**kv) -> None:
-    for name, value in kv.items():
-        if value is not None and not (value > 0):
-            raise InputError(f"{name} must be positive")
-
-
 def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -272,7 +266,6 @@ def _load_targets(sft: Sft, path: str) -> list:
 
 
 def _cmd_horseshoe(args) -> None:
-    _require_positive(eta=args.eta, zeta=args.zeta)
     if args.n_max < 2:
         raise InputError("n-max must be at least 2")
     sft = _load_sft(args.sft)
@@ -313,8 +306,9 @@ _WITNESS_KEYS = {
 }
 
 
-def _witness_checks(sft: Sft, mu: InvariantMeasure, req: dict) -> list:
-    """Recompute the request's guarantees from the serialized measure alone."""
+def _witness_checks(sft: Sft, mu: InvariantMeasure, req: dict, nums: dict) -> list:
+    """Recompute the request's guarantees from the serialized measure alone;
+    ``nums`` holds the request's number fields (:func:`_parse_witness_request`)."""
     checks = []
 
     def add(name, value, target, tol, ok):
@@ -327,14 +321,14 @@ def _witness_checks(sft: Sft, mu: InvariantMeasure, req: dict) -> list:
     add("ergodic", bool(mu.ergodic), True, 0.0, mu.ergodic)
     if kind == "birkhoff_2d":
         h = LocallyConstantFunction.from_json(sft, req["h"])
-        a0, a1 = float(req["alpha"][0]), float(req["alpha"][1])
+        a0, a1 = nums["alpha"]
         mg, mh = mu.integrate(g), mu.integrate(h)
         add("mean g", mg, a0, 1e-5, abs(mg - a0) <= 1e-5)
         add("mean h", mh, a1, 1e-5, abs(mh - a1) <= 1e-5)
         full = support_is_full(mu)
         add("full support", bool(full), True, 0.0, full)
     elif kind == "intermediate":
-        alpha, c = float(req["alpha"]), float(req["c"])
+        alpha, c = nums["alpha"], nums["c"]
         mg = mu.integrate(g)
         add("mean g", mg, alpha, 1e-6, abs(mg - alpha) <= 1e-6)
         value = mu.entropy()
@@ -347,11 +341,11 @@ def _witness_checks(sft: Sft, mu: InvariantMeasure, req: dict) -> list:
         add("full support", bool(full), True, 0.0, full)
         if req.get("mu0") is not None:
             mu0 = InvariantMeasure.from_json(sft, req["mu0"])
-            zeta = float(req["zeta"])
+            zeta = nums["zeta"]
             dist = d_star(mu, mu0)
             add("d* to mu0", dist, zeta, 0.0, dist < zeta)
     elif kind == "low_entropy_mean":
-        alpha, h_cap = float(req["alpha"]), float(req["h_cap"])
+        alpha, h_cap = nums["alpha"], nums["h_cap"]
         mg = mu.integrate(g)
         add("mean g", mg, alpha, 1e-6, abs(mg - alpha) <= 1e-6)
         value = mu.entropy()
@@ -361,7 +355,16 @@ def _witness_checks(sft: Sft, mu: InvariantMeasure, req: dict) -> list:
     return checks
 
 
+def _number(name: str, value) -> float:
+    """The float of a JSON number; InputError for a string, null, bool or other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_witness_request(req) -> tuple:
+    """(kind, sft, nums) of a witness request; nums maps each number field
+    present to its float (birkhoff_2d's alpha to a pair of them)."""
     if not isinstance(req, dict) or "kind" not in req:
         raise InputError("request must be an object with a 'kind' field")
     kind = req["kind"]
@@ -374,43 +377,47 @@ def _parse_witness_request(req) -> tuple:
     missing = required - set(req)
     if missing:
         raise InputError(f"missing request keys {sorted(missing)}")
-    _check_tol(**{t: float(req[t]) for t in ("tol", "tol_mean") if req.get(t) is not None})
+    nums = {t: _number(t, req[t]) for t in ("c", "tol", "tol_mean", "zeta", "h_cap") if t in req}
+    a = req["alpha"]  # required by every kind
+    if kind != "birkhoff_2d":
+        nums["alpha"] = _number("alpha", a)
+    elif isinstance(a, (list, tuple)) and len(a) == 2:
+        nums["alpha"] = (_number("alpha", a[0]), _number("alpha", a[1]))
+    else:
+        raise InputError("birkhoff_2d alpha must be a pair")
+    _check_tol(**{t: nums[t] for t in ("tol", "tol_mean") if t in nums})
     for tname in ("zeta", "h_cap"):
-        if req.get(tname) is not None and not (float(req[tname]) > 0):
+        if tname in nums and not (nums[tname] > 0):
             raise InputError(f"{tname} must be positive")
-    return kind, Sft.from_json(req["sft"])
+    if req.get("mu0") is not None and "zeta" not in nums:  # verify reads zeta with mu0
+        raise InputError("mu0 requires a positive zeta")
+    return kind, Sft.from_json(req["sft"]), nums
 
 
 def _cmd_witness(args) -> None:
     req = read_json(args.request)
-    kind, sft = _parse_witness_request(req)
+    kind, sft, nums = _parse_witness_request(req)
     g = LocallyConstantFunction.from_json(sft, req["g"])
     if kind == "intermediate":
         u = None if req.get("u") is None else LocallyConstantFunction.from_json(sft, req["u"])
         mu0 = None if req.get("mu0") is None else InvariantMeasure.from_json(sft, req["mu0"])
-        zeta = None if req.get("zeta") is None else float(req["zeta"])
         mu = intermediate_witness(
             sft,
             g,
-            float(req["alpha"]),
-            float(req["c"]),
+            nums["alpha"],
+            nums["c"],
             u=u,
             mu0=mu0,
-            zeta=zeta,
-            tol=float(req.get("tol", 1e-7)),
-            tol_mean=float(req.get("tol_mean", 1e-9)),
+            zeta=nums.get("zeta"),
+            tol=nums.get("tol", 1e-7),
+            tol_mean=nums.get("tol_mean", 1e-9),
         )
     elif kind == "birkhoff_2d":
         h = LocallyConstantFunction.from_json(sft, req["h"])
-        a = req["alpha"]
-        if not isinstance(a, (list, tuple)) or len(a) != 2:
-            raise InputError("birkhoff_2d alpha must be a pair")
-        mu = birkhoff_witness_2d(sft, g, h, (float(a[0]), float(a[1])), tol=float(req.get("tol", 1e-9)))
+        mu = birkhoff_witness_2d(sft, g, h, nums["alpha"], tol=nums.get("tol", 1e-9))
     else:
-        mu = low_entropy_mean_witness(
-            sft, g, float(req["alpha"]), float(req["h_cap"]), tol=float(req.get("tol", 1e-9))
-        )
-    checks = _witness_checks(sft, mu, req)
+        mu = low_entropy_mean_witness(sft, g, nums["alpha"], nums["h_cap"], tol=nums.get("tol", 1e-9))
+    checks = _witness_checks(sft, mu, req, nums)
     write_json(
         args.out,
         {
@@ -432,9 +439,9 @@ def _cmd_verify(args) -> None:
     for key in ("sft", "measure", "request"):
         if key not in doc:
             raise InputError(f"measure file lacks the '{key}' field")
-    kind, sft = _parse_witness_request(doc["request"])
+    kind, sft, nums = _parse_witness_request(doc["request"])
     mu = InvariantMeasure.from_json(sft, doc["measure"])
-    checks = _witness_checks(sft, mu, doc["request"])
+    checks = _witness_checks(sft, mu, doc["request"], nums)
     ok = all(c["pass"] for c in checks)
     if args.out:
         write_json(args.out, {"checks": checks, "pass": ok, "meta": _meta(args)})

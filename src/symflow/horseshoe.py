@@ -26,7 +26,9 @@ quadratic in the alphabet:
   the pair a candidate for a row or column minimum;
 * the factory classifies one necklace per rotation class against all
   targets at once (the periodic measure is the same for every rotation),
-  extending window codes level by level for the rows still undecided;
+  extending window codes level by level for the rows still undecided; the
+  necklaces of each block length come from prenecklaces kept from the
+  previous length, and a pack's words are one int8 array per set;
 * spectral quantities are taken on the word graph collapsed to its
   (suffix, prefix) classes.
 """
@@ -210,8 +212,9 @@ class _TableEngine:
         m joints are split into ceil(m / w) windows as evenly as possible.
         A window's histogram then costs about one pass over the words, and
         one window holds every joint once the words number at least the
-        k^(2m) codes of c.  A window's code is a suffix part plus a prefix
-        part read through the permutation, both tabulated once.
+        k^(2m) codes of c.  A window's code is a suffix part, tabulated once,
+        plus the permuted prefixes, gathered once per permutation, divided
+        by the window's power of k.
         """
         k, N, m, B = self.k, self.N, self.N - 1, len(perms)
         if self._windows is None:
@@ -224,12 +227,13 @@ class _TableEngine:
             for a0 in range(1, N, w):
                 width = min(w, N - a0)
                 hi = (self.suf % k ** (a0 + width - 1)) * k ** (N - a0)
-                self._windows.append((width, hi, self.pre // k ** (a0 - 1)))
-        for width, hi, lo in self._windows:
-            size = k ** (N + width - 1)
-            h = np.empty((B, size), dtype=np.int64)
-            for i, perm in enumerate(perms):
-                h[i] = np.bincount(lo[perm] + hi, minlength=size)
+                self._windows.append((width, hi, k ** (a0 - 1)))
+        hists = [np.empty((B, k ** (N + width - 1)), dtype=np.int64) for width, _, _ in self._windows]
+        for i, perm in enumerate(perms):
+            pre = self.pre[perm]
+            for h, (_, hi, div) in zip(hists, self._windows):
+                h[i] = np.bincount((pre if div == 1 else pre // div) + hi, minlength=h.shape[1])
+        for h, (width, _, _) in zip(hists, self._windows):
             # J_{a0+j} drops the last j and the first width-1-j digits.
             for j in range(width):
                 yield h.reshape(B, k ** (width - 1 - j), k**N).sum(axis=1)
@@ -282,8 +286,9 @@ def _onehot(codes: np.ndarray, size: int):
 class WordProcessMeasure:
     """Stationary word-concatenation process pushed to the ambient shift.
 
-    ``words`` is the alphabet of n-blocks; the word sequence is drawn from a
-    stationary chain given by ``kind``:
+    ``words`` is the alphabet of n-blocks, a list of words or a (num, n)
+    integer array; the word sequence is drawn from a stationary chain given
+    by ``kind``:
 
     * ``("bernoulli", weights)`` - i.i.d. words,
     * ``("perm_mix", eps, perm)`` - uniform words, transition
@@ -298,12 +303,11 @@ class WordProcessMeasure:
 
     def __init__(self, sft: Sft, words, kind: tuple):
         self.sft = sft
-        self.words = list(words)
-        self.n = len(self.words[0])
-        self.kind = kind
+        self.words = words if isinstance(words, np.ndarray) else list(words)
         self._arr = np.asarray(self.words, dtype=np.int8)
+        num, self.n = self._arr.shape
+        self.kind = kind
         self._tables: dict = {}
-        num = len(self.words)
         tag = kind[0]
         if tag == "bernoulli":
             self._pi = np.asarray(kind[1], dtype=float)
@@ -350,7 +354,7 @@ class WordProcessMeasure:
             h = float(-(p * np.log(p)).sum())
         elif tag == "perm_mix":
             eps = self.kind[1]
-            num = len(self.words)
+            num = len(self._arr)
             a = (1.0 - eps) / num
             b = a + eps
             if eps == 0:
@@ -366,7 +370,7 @@ class WordProcessMeasure:
     def sample_path(self, num_words: int, rng) -> np.ndarray:
         """Concatenation of num_words sampled blocks, as a symbol array."""
         tag = self.kind[0]
-        num = len(self.words)
+        num = len(self._arr)
         if tag == "bernoulli":
             idx = rng.choice(num, size=num_words, p=self._pi)
         elif tag == "perm_mix":
@@ -393,6 +397,11 @@ class HorseshoePack:
 
     ``word_sets[i]`` spans the horseshoe for target ``measures[i]``; all
     words share the anchor first symbol and can be freely concatenated.
+    ``word_sets`` holds tuples of ints and is what ``to_json`` writes;
+    :attr:`word_arrays` holds the same sets as int8 arrays, which the table
+    engine, the lifts and the flow roots read.  The build hands the arrays
+    over with the pack; a pack made otherwise (``from_json``) converts its
+    word sets on first use.
     """
 
     sft: Sft
@@ -403,6 +412,14 @@ class HorseshoePack:
     word_sets: list
     measures: list
     meta: dict = field(default_factory=dict)
+    _arrays: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def word_arrays(self) -> list:
+        """``word_sets[i]`` as one (count, n) int8 array, rows in the same order."""
+        if self._arrays is None:
+            self._arrays = [np.asarray(ws, dtype=np.int8).reshape(len(ws), self.n) for ws in self.word_sets]
+        return self._arrays
 
     @property
     def union_words(self) -> list:
@@ -415,15 +432,15 @@ class HorseshoePack:
         return [float(np.log(len(ws))) / self.n for ws in self.word_sets]
 
     def uniform_lift(self, i: int) -> WordProcessMeasure:
-        ws = self.word_sets[i]
-        return WordProcessMeasure(self.sft, ws, ("bernoulli", np.full(len(ws), 1.0 / len(ws))))
+        arr = self.word_arrays[i]
+        return WordProcessMeasure(self.sft, arr, ("bernoulli", np.full(len(arr), 1.0 / len(arr))))
 
     def mixture_lift(self, theta) -> WordProcessMeasure:
         """Word-Bernoulli matching the target mixture sum(theta_i mu_i)."""
         weights = []
         for t, ws in zip(theta, self.word_sets):
             weights.extend([t / len(ws)] * len(ws))
-        return WordProcessMeasure(self.sft, self.union_words, ("bernoulli", np.asarray(weights)))
+        return WordProcessMeasure(self.sft, np.concatenate(self.word_arrays), ("bernoulli", np.asarray(weights)))
 
     def to_json(self) -> dict:
         return {
@@ -518,53 +535,78 @@ def _classify(sft: Sft, W: np.ndarray, tables: list, zeta: float, N: int = _DSTA
     return accepted
 
 
-def _necklace_chunks(sft: Sft, n: int, anchor: int):
-    """Yield (words, periods): the closable admissible n-words that start at
-    ``anchor`` and are least among their rotations, one per rotation class.
+class _Prenecklaces:
+    """The prenecklaces of one length that start at ``anchor``, grown a
+    symbol at a time.
 
-    Prefixes grow by the prenecklace rule of Fredricksen, Kessler and
+    Rows grow by the prenecklace rule of Fredricksen, Kessler and
     Maiorana: a row w with Lyndon-prefix length p takes the symbol s at
     position i only if s >= w[i-p], keeping p when equal and setting p = i+1
-    when larger; at length n the necklaces are the rows with p | n.  Prefix
-    blocks are walked depth first and split at the chunk size, so rows come
-    out in lexicographic order; the budget counts rows ever materialised.
+    when larger; at length n the necklaces are the rows with p | n.  The
+    walker keeps one level, as int8 rows with their periods in blocks in
+    lexicographic order, so a walk to n after a walk to n - 1 extends one
+    level (Cattell et al. 2000, J. Algorithms 37).  A block of at most
+    _CHUNK_ROWS // k rows is extended at a time.  ``spent`` counts the rows
+    ever materialised, the sum of the level sizes from length 2 on, which is
+    what a walk from length 1 costs; the budget is charged against it, so it
+    fires at the same length however the walk is split.  A walker that
+    raised is not walked again.
     """
-    A = sft.A > 0
-    syms = np.arange(sft.k, dtype=np.int8)
-    spent = 0
-    stack = [(np.full((1, 1), anchor, dtype=np.int8), np.ones(1, dtype=np.intp))]
-    while stack:
-        arr, p = stack.pop()
-        while arr.shape[0] and arr.shape[1] < n:
-            if arr.shape[0] > 1 and arr.shape[0] * sft.k > _CHUNK_ROWS:
-                mid = arr.shape[0] // 2
-                stack.append((arr[mid:], p[mid:]))
-                arr, p = arr[:mid], p[:mid]
-                continue
-            i = arr.shape[1]
-            ref = arr[np.arange(arr.shape[0]), i - p]
-            rows, s = np.nonzero(A[arr[:, -1]] & (syms >= ref[:, None]))
-            spent += rows.size
-            if spent > _BUILD_ROW_BUDGET:
-                raise DomainError(
-                    f"enumeration of anchored {n}-words exceeds the budget",
-                    name="enumeration_too_large",
-                )
-            p = np.where(s == ref[rows], p[rows], i + 1)
-            arr = np.concatenate([arr[rows], syms[s, None]], axis=1)
-        keep = (n % p == 0) & A[arr[:, -1], anchor]
-        if keep.any():
-            yield arr[keep], p[keep]
+
+    def __init__(self, sft: Sft, anchor: int):
+        self.sft, self.anchor = sft, anchor
+        self.length = 1
+        self.level = [(np.full((1, 1), anchor, dtype=np.int8), np.ones(1, dtype=np.int32))]
+        self.spent = 0
+
+    def necklaces(self, n: int):
+        """Grow the level to length n (at least the current length) and yield
+        (words, periods) of its closable necklaces, one chunk per block."""
+        A = self.sft.A > 0
+        step = max(1, _CHUNK_ROWS // self.sft.k)
+        syms = np.arange(self.sft.k, dtype=np.int8)
+        while self.length < n:
+            i = self.length
+            old, self.level = self.level[::-1], []
+            while old:
+                words, periods = old.pop()  # released once extended
+                for lo in range(0, len(words), step):
+                    arr, p = words[lo : lo + step], periods[lo : lo + step]
+                    ref = arr[np.arange(len(arr)), i - p]
+                    rows, s = np.nonzero(A[arr[:, -1]] & (syms >= ref[:, None]))
+                    self.spent += rows.size
+                    if self.spent > _BUILD_ROW_BUDGET:
+                        raise DomainError(
+                            f"enumeration of anchored {n}-words exceeds the budget",
+                            name="enumeration_too_large",
+                        )
+                    if rows.size:
+                        grown = np.empty((rows.size, i + 1), dtype=np.int8)
+                        grown[:, :i] = arr[rows]
+                        grown[:, i] = s
+                        self.level.append((grown, np.where(s == ref[rows], p[rows], i + 1)))
+            self.length = i + 1
+        for words, periods in self.level:
+            keep = (n % periods == 0) & A[words[:, -1], self.anchor]
+            if keep.any():
+                yield words[keep], periods[keep]
 
 
-def _anchored_rotations(classes: list, anchor: int) -> list:
+def _necklace_chunks(sft: Sft, n: int, anchor: int):
+    """Yield (words, periods): the closable admissible n-words that start at
+    ``anchor`` and are least among their rotations, one per rotation class,
+    in lexicographic order: a fresh :class:`_Prenecklaces` walked to n."""
+    return _Prenecklaces(sft, anchor).necklaces(n)
+
+
+def _anchored_rotations(classes: list, anchor: int) -> np.ndarray:
     """Sorted rotations, starting at ``anchor``, of (words, periods) classes."""
     W = np.concatenate([w for w, _ in classes])
     per = np.concatenate([p for _, p in classes])
     n = W.shape[1]
     r, j = np.nonzero((W == anchor) & (np.arange(n) < per[:, None]))
     rot = sliding_window_view(np.concatenate([W, W], axis=1), n, axis=1)[r, j]
-    return list(map(tuple, rot[np.lexsort(rot.T[::-1])].tolist()))
+    return rot[np.lexsort(rot.T[::-1])]
 
 
 def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: int, seed=None) -> HorseshoePack:
@@ -575,7 +617,8 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
     in d*, and counts at anchor a the rotations that start with a.  The
     pack is accepted once every count satisfies
     log|G_i|/n > h(mu_i) - eta/2, which leaves the certificate margin at
-    least eta/2.
+    least eta/2.  Each anchor's necklaces come from one
+    :class:`_Prenecklaces` walker that moves one level per n.
     """
     measures = list(measures)
     if not measures:
@@ -596,6 +639,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
     K = len(measures)
     best = None  # (deficit, n, anchor)
     exhausted = False
+    walkers = [_Prenecklaces(sft, anchor) for anchor in range(sft.k)]
     for n in range(n_start, n_max + 1):
         # A necklace starts with its least symbol, so by anchor a every class
         # through a is classified; counts[i, a] counts rotations starting at a.
@@ -603,7 +647,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
         counts = np.zeros((K, sft.k), dtype=np.int64)
         for anchor in range(sft.k):
             try:
-                for cand, per in _necklace_chunks(sft, n, anchor):
+                for cand, per in walkers[anchor].necklaces(n):
                     masks = _classify(sft, cand, tables, zeta)
                     for i in range(K):
                         for j in range(i + 1, K):
@@ -631,16 +675,19 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
                 best = (deficit, n, anchor)
             if not ok:
                 continue
-            return HorseshoePack(
+            arrays = [_anchored_rotations(classes, anchor) for classes in accepted]
+            pack = HorseshoePack(
                 sft=sft,
                 n=n,
                 anchor=anchor,
                 eta=eta,
                 zeta=zeta,
-                word_sets=[_anchored_rotations(classes, anchor) for classes in accepted],
+                word_sets=[list(map(tuple, arr.tolist())) for arr in arrays],
                 measures=measures,
                 meta={"seed": seed, "n_max": n_max},
             )
+            pack._arrays = arrays
+            return pack
         if exhausted:
             break
     if best is None:
@@ -778,6 +825,7 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     one crossing routine for all kinds), and the distance minima behind
     both estimates are exact although most (grid, sample) pairs are only
     bounded from below at the shallow depths (:func:`_nearest_pairs`).
+    The engine reads the union of the pack's :attr:`HorseshoePack.word_arrays`.
     ``samples`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
     _check_count("samples", samples, 1)
@@ -785,9 +833,8 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     K = len(pack.word_sets)
     N = min(_DSTAR_DEPTH, pack.n + 1)
     counts = [len(ws) for ws in pack.word_sets]
-    union = pack.union_words
-    numU = len(union)
-    disjoint = len(set(union)) == len(union)
+    numU = sum(counts)
+    disjoint = len(set().union(*pack.word_sets)) == numU
 
     entropies = [float(np.log(c)) / pack.n for c in counts]
     target_h = [mu.entropy() for mu in pack.measures]
@@ -797,7 +844,7 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     grid = _simplex_grid(K, 40 if K == 2 else 8)
     G = grid.shape[0]
 
-    engine = _TableEngine(pack.sft, np.asarray(union, dtype=np.int8), N)
+    engine = _TableEngine(pack.sft, np.concatenate(pack.word_arrays), N)
     starts = np.concatenate([[0], np.cumsum(counts)])
     TH_unif = np.zeros((numU, K))
     for i in range(K):
@@ -870,7 +917,8 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
 
 
 def _word_roof_root(system: SuspensionSystem, words) -> float:
-    """Bowen root for the free concatenation of ``words`` under the roof.
+    """Bowen root for the free concatenation of ``words`` (a list of words or
+    a (num, n) integer array) under the roof.
 
     The weighted word matrix B(s)[w,w'] = exp(-s * R(w,w')) uses the roof
     summed over the n block positions (the last windows cross into w').
@@ -951,7 +999,11 @@ def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: i
     entropies follow Abramov, and the entropy margins are re-expressed with
     eta divided by each target's roof integral (so a constant roof scales
     all margins by the same factor).  The mixture reweighting identity is
-    checked on seeded random mixtures and several probe observables.
+    checked on seeded random mixtures and several probe observables: the
+    left side is the flow integral of the mixed measure, the right side the
+    flow-reweighted sum of the targets' flow integrals.  Those target
+    integrals are computed once per call and each mixture's roof integral
+    once per mixture; the flow roots and lifts read the pack's word arrays.
     ``mixtures`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
     _check_count("mixtures", mixtures, 1)
@@ -963,7 +1015,7 @@ def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: i
     roof = system.roof
     roof_ints = [mu.integrate(roof) for mu in pack.measures]
     flow_target_h = [abramov_entropy(system, mu) for mu in pack.measures]
-    flow_horseshoe_h = [_word_roof_root(system, ws) for ws in pack.word_sets]
+    flow_horseshoe_h = [_word_roof_root(system, arr) for arr in pack.word_arrays]
     margins = [
         s - (h - pack.eta / z) for s, h, z in zip(flow_horseshoe_h, flow_target_h, roof_ints)
     ]
@@ -976,14 +1028,16 @@ def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: i
     probes = [roof]
     for a in range(pack.sft.k):
         probes.append(LocallyConstantFunction.indicator(pack.sft, (a,)))
+    target_flow = [[flow_integral(system, mu, phi) for mu in pack.measures] for phi in probes]
     worst = 0.0
     for _ in range(mixtures):
         theta = rng.dirichlet(np.ones(K))
         mix = InvariantMeasure.mix(list(zip(theta, pack.measures)))
         flow_theta = flow_mixture_weights(system, pack.measures, theta)
-        for phi in probes:
-            lhs = flow_integral(system, mix, phi)
-            rhs = sum(t * flow_integral(system, mu, phi) for t, mu in zip(flow_theta, pack.measures))
+        mix_roof = mix.integrate(roof)
+        for phi, flows in zip(probes, target_flow):
+            lhs = mix.integrate(phi) / mix_roof
+            rhs = sum(t * f for t, f in zip(flow_theta, flows))
             worst = max(worst, abs(lhs - rhs))
 
     return {

@@ -774,3 +774,70 @@ def test_witness_refuses_a_non_finite_level(files, tmp_path, c):
     reqfile.write_text(json.dumps(_intermediate_request(files, c=c)))
     code, _, err = run_cli("witness", "--request", reqfile, "--out", tmp_path / "w.json")
     assert code == 1 and err.startswith("error: input:"), err
+
+
+# the witness kind whose request carries each number field
+_NUMBER_FIELDS = {
+    "alpha": "intermediate",
+    "c": "intermediate",
+    "tol": "intermediate",
+    "tol_mean": "intermediate",
+    "zeta": "intermediate",
+    "h_cap": "low_entropy_mean",
+}
+
+
+def _full_request(files, kind: str) -> dict:
+    req = {"kind": kind, "sft": json.loads(files["full2"].read_text()), "g": json.loads(files["g"].read_text())}
+    if kind == "intermediate":
+        mu0 = json.loads(files["bern_half"].read_text())
+        return dict(req, alpha=0.3, c=0.4, mu0=mu0, zeta=0.5, tol=1e-7, tol_mean=1e-9)
+    if kind == "birkhoff_2d":
+        return dict(req, h=json.loads(files["h"].read_text()), alpha=[0.5, 0.3], tol=1e-9)
+    return dict(req, alpha=0.4, h_cap=0.05, tol=1e-9)
+
+
+def _witness_argv(files, tmp_path, command: str, req: dict) -> list:
+    """argv of ``witness`` on req, or of ``verify`` on a measure file that carries req."""
+    if command == "witness":
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(req))
+        return ["witness", "--request", path, "--out", tmp_path / "w.json"]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"sft": req["sft"], "measure": json.loads(files["bern_half"].read_text()), "request": req}))
+    return ["verify", "--measure", path]
+
+
+@pytest.mark.parametrize("command", ["witness", "verify"])
+@pytest.mark.parametrize("bad", ["x", None])
+@pytest.mark.parametrize("field", [*_NUMBER_FIELDS, "alpha_pair"])
+def test_witness_number_fields_refuse_strings_and_null(files, tmp_path, command, bad, field):
+    # witness and verify read a request's number fields through one
+    # conversion, which refuses anything but a JSON number.
+    if field == "alpha_pair":
+        req = _full_request(files, "birkhoff_2d")
+        req["alpha"] = [0.5, bad]
+    else:
+        req = dict(_full_request(files, _NUMBER_FIELDS[field]), **{field: bad})
+    code, _, err = run_cli(*_witness_argv(files, tmp_path, command, req))
+    assert code == 1 and err.startswith("error: input:"), err
+
+
+@pytest.mark.parametrize("command", ["witness", "verify"])
+def test_mu0_request_without_zeta_is_an_input_error(files, tmp_path, command):
+    req = _full_request(files, "intermediate")
+    del req["zeta"]
+    code, _, err = run_cli(*_witness_argv(files, tmp_path, command, req))
+    assert code == 1 and err.strip() == "error: input: mu0 requires a positive zeta", err
+
+
+@pytest.mark.parametrize("flag, value", [("--eta", "0"), ("--zeta", "nan")])
+def test_horseshoe_command_refuses_a_nonpositive_budget(files, tmp_path, flag, value):
+    # build_multi_horseshoe is the one check of eta and zeta
+    budget = {"--eta": "0.5", "--zeta": "0.4", flag: value}
+    code, _, err = run_cli(
+        "horseshoe", "--sft", files["full2"], "--targets", files["targets"],
+        "--eta", budget["--eta"], "--zeta", budget["--zeta"], "--n-max", "16", "--seed", "0", "--out", tmp_path / "pack.json",
+    )
+    assert code == 1 and err.startswith("error: input:"), err
+    assert not (tmp_path / "pack.json").exists()

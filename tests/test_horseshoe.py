@@ -206,6 +206,61 @@ def test_necklace_chunks_match_least_rotation_filter(shift, chunk, monkeypatch):
             assert np.array_equal(got_periods, periods), (n, anchor)
 
 
+@pytest.mark.parametrize("shift", sorted(SHIFTS))
+def test_walker_across_lengths_matches_fresh_walks(shift, monkeypatch):
+    # One walker per anchor, moved a level at a time, yields the chunks of a
+    # walk from length 1 and has spent the rows that walk materialises.
+    monkeypatch.setattr(horseshoe, "_CHUNK_ROWS", 64)
+    sft = Sft(SHIFTS[shift])
+    for anchor in range(sft.k):
+        walker = horseshoe._Prenecklaces(sft, anchor)
+        for n in range(1, 14):
+            got = list(walker.necklaces(n))
+            fresh = horseshoe._Prenecklaces(sft, anchor)
+            want = list(fresh.necklaces(n))
+            assert len(got) == len(want), (n, anchor)
+            for (gw, gp), (ww, wp) in zip(got, want):
+                assert gw.dtype == np.int8 and np.array_equal(gw, ww) and np.array_equal(gp, wp), (n, anchor)
+            assert walker.spent == fresh.spent, (n, anchor)
+
+
+def test_build_budget_fires_where_fresh_walks_do(monkeypatch):
+    # With a row budget that the full-2 shift's anchor-0 walk exceeds at
+    # n = 12, the build stops there as it does when each n walks from length 1.
+    sft = Sft(SHIFTS["full2"])
+    targets = _build_targets(sft, ("flip", 0.1))
+    walker = horseshoe._Prenecklaces(sft, 0)
+    list(walker.necklaces(11))
+    monkeypatch.setattr(horseshoe, "_BUILD_ROW_BUDGET", walker.spent + 1)
+    shapes = []
+
+    def spy(sft, W, *args, **kwargs):
+        shapes.append(W.shape)
+        return _classify(sft, W, *args, **kwargs)
+
+    monkeypatch.setattr(horseshoe, "_classify", spy)
+
+    def build() -> tuple:
+        shapes.clear()
+        with pytest.raises(DomainError) as exc:
+            build_multi_horseshoe(sft, targets, eta=0.05, zeta=0.1, n_max=14)
+        assert exc.value.name == "smb_depth"
+        return str(exc.value), list(shapes)
+
+    got = build()
+    assert max(n for _, n in got[1]) == 11
+
+    class FreshWalks:
+        def __init__(self, sft, anchor):
+            self.sft, self.anchor = sft, anchor
+
+        def necklaces(self, n):
+            return type(walker)(self.sft, self.anchor).necklaces(n)
+
+    monkeypatch.setattr(horseshoe, "_Prenecklaces", FreshWalks)
+    assert build() == got
+
+
 def _anchored_words(sft: Sft, n: int, anchor: int) -> np.ndarray:
     """Every closable admissible n-word starting at anchor, in lexicographic order."""
     words = np.full((1, 1), anchor, dtype=np.int8)
@@ -482,6 +537,61 @@ def test_pack_json_round_trip(small_pack):
     a = certify_pack(pack, samples=8, seed=1)
     b = certify_pack(again, samples=8, seed=1)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_pack_word_arrays_match_word_sets(small_pack):
+    # The build hands its sorted rotations over as the arrays; a pack read
+    # from JSON converts its word sets on first use.
+    again = HorseshoePack.from_json(json.loads(json.dumps(small_pack.to_json())))
+    assert small_pack._arrays is not None and again._arrays is None
+    for pack in (small_pack, again):
+        assert len(pack.word_arrays) == len(pack.word_sets)
+        for arr, ws in zip(pack.word_arrays, pack.word_sets):
+            assert arr.dtype == np.int8 and arr.shape == (len(ws), pack.n)
+            assert np.array_equal(arr, np.asarray(ws, dtype=np.int8))
+    assert again.word_arrays is again.word_arrays
+
+
+def test_lift_small_pack_reproduces_recorded_report(small_pack):
+    # Recorded before the lift cached its target integrals; pinned to 2 ulp.
+    roof = LocallyConstantFunction(small_pack.sft, 1, {(0,): 1.0, (1,): 2.0})
+    rep = lift_pack_to_flow(SuspensionSystem(small_pack.sft, roof), small_pack, mixtures=20, seed=0)
+    recorded = {
+        "flow_horseshoe_entropies": ["0x1.9ac31593475c0p-2", "0x1.17562be5bca8ep-2"],
+        "flow_target_entropies": ["0x1.ccaa3a31b187dp-2", "0x1.490be06ca3610p-2"],
+        "roof_integrals": ["0x1.4000000000000p+0", "0x1.c000000000000p+0"],
+        "margins": ["0x1.67b274fb2f6ddp-2", "0x1.e5b9293b57220p-3"],
+        "flow_push_distances": ["0x1.72d17fa42eb6fp-4", "0x1.8d4ca9d277a4ep-4"],
+        "max_identity_gap": ["0x1.0000000000000p-52"],
+    }
+    got = {**rep, "max_identity_gap": rep["reweighting"]["max_identity_gap"]}
+    for key, hexes in recorded.items():
+        values = np.atleast_1d(got[key])
+        assert len(values) == len(hexes), key
+        for value, want in zip(values, map(float.fromhex, hexes)):
+            assert abs(float(value) - want) <= 2 * math.ulp(want), (key, float(value).hex())
+    assert rep["reweighting"] == {"mixtures": 20, "seed": 0, "max_identity_gap": got["max_identity_gap"], "pass": True}
+    assert (rep["all_margins_positive"], rep["pass"]) == (True, True)
+
+
+def test_lift_builds_each_target_table_once_per_use(monkeypatch):
+    # On the bench pack: each target's flow integral under each probe once
+    # per call, each mixture's roof integral once per mixture.
+    full2 = Sft(SHIFTS["full2"])
+    targets = [bernoulli_measure(full2, [0.8, 0.2]), bernoulli_measure(full2, [0.2, 0.8])]
+    pack = build_multi_horseshoe(full2, targets, eta=0.15, zeta=0.22, n_max=40, seed=0)
+    system = SuspensionSystem(full2, LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}))
+    builds = []
+    tables = MarkovComponent.cylinder_tables
+
+    def count(self, *args, **kwargs):
+        builds.append(args)
+        return tables(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarkovComponent, "cylinder_tables", count)
+    rep = lift_pack_to_flow(system, pack, mixtures=50, seed=0)
+    assert rep["pass"]
+    assert len(builds) <= 520
 
 
 def brute_level_tables(k: int, words, pair_weight, depth: int) -> list:
