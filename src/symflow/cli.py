@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, InputError, SymflowError, _check_tol
-from .horseshoe import HorseshoePack, _check_count, build_multi_horseshoe, certify_pack, lift_pack_to_flow
+from .errors import DomainError, InputError, SymflowError, _check_count, _check_tol, _number, _numbers
+from .horseshoe import HorseshoePack, build_multi_horseshoe, certify_pack, lift_pack_to_flow
 from .jsonio import config_hash, csv_text, read_json, write_csv, write_json
 from .lorenz import LorenzModel, simulate_return_map, validate_lorenz
-from .measures import InvariantMeasure, d_star, support_is_full
+from .measures import InvariantMeasure
 from .sft import LocallyConstantFunction, Sft, topological_entropy
 from .spectrum import (
     conditional_entropy_spectrum,
@@ -31,7 +31,7 @@ from .spectrum import (
 )
 from .suspension import SuspensionSystem, abramov_entropy, flow_integral, flow_top_entropy
 from .thermo import pressure
-from .witness import birkhoff_witness_2d, intermediate_witness, low_entropy_mean_witness
+from .witness import _witness_checks, birkhoff_witness_2d, intermediate_witness, low_entropy_mean_witness
 
 __all__ = ["main", "build_parser"]
 
@@ -298,126 +298,61 @@ def _cmd_certify(args) -> None:
     print(f"certificate: {verdict}")
 
 
-# kind -> (required keys, optional keys) of a witness request
-_WITNESS_KEYS = {
-    "intermediate": ({"kind", "sft", "g", "alpha", "c"}, {"u", "mu0", "zeta", "tol", "tol_mean"}),
-    "birkhoff_2d": ({"kind", "sft", "g", "h", "alpha"}, {"tol"}),
-    "low_entropy_mean": ({"kind", "sft", "g", "alpha", "h_cap"}, {"tol"}),
+# kind -> (required keys besides kind, sft, g and alpha, optional keys, library
+# call, mean tolerance of its checks) of a witness request.  Every key but kind
+# and sft is a keyword of the call, whose own defaults stand for absent ones.
+_WITNESS_KINDS = {
+    "intermediate": ({"c"}, {"u", "mu0", "zeta", "tol", "tol_mean"}, intermediate_witness, 1e-6),
+    "birkhoff_2d": ({"h"}, {"tol"}, birkhoff_witness_2d, 1e-5),
+    "low_entropy_mean": ({"h_cap"}, {"tol"}, low_entropy_mean_witness, 1e-6),
 }
 
 
-def _witness_checks(sft: Sft, mu: InvariantMeasure, req: dict, nums: dict) -> list:
-    """Recompute the request's guarantees from the serialized measure alone;
-    ``nums`` holds the request's number fields (:func:`_parse_witness_request`)."""
-    checks = []
-
-    def add(name, value, target, tol, ok):
-        checks.append(
-            {"check": name, "value": value, "target": target, "tol": tol, "pass": bool(ok)}
-        )
-
-    kind = req["kind"]
-    g = LocallyConstantFunction.from_json(sft, req["g"])
-    add("ergodic", bool(mu.ergodic), True, 0.0, mu.ergodic)
-    if kind == "birkhoff_2d":
-        h = LocallyConstantFunction.from_json(sft, req["h"])
-        a0, a1 = nums["alpha"]
-        mg, mh = mu.integrate(g), mu.integrate(h)
-        add("mean g", mg, a0, 1e-5, abs(mg - a0) <= 1e-5)
-        add("mean h", mh, a1, 1e-5, abs(mh - a1) <= 1e-5)
-        full = support_is_full(mu)
-        add("full support", bool(full), True, 0.0, full)
-    elif kind == "intermediate":
-        alpha, c = nums["alpha"], nums["c"]
-        mg = mu.integrate(g)
-        add("mean g", mg, alpha, 1e-6, abs(mg - alpha) <= 1e-6)
-        value = mu.entropy()
-        label = "entropy"
-        if req.get("u") is not None:
-            value += mu.integrate(LocallyConstantFunction.from_json(sft, req["u"]))
-            label = "entropy plus integral u"
-        add(label, value, c, 1e-5, abs(value - c) <= 1e-5)
-        full = support_is_full(mu)
-        add("full support", bool(full), True, 0.0, full)
-        if req.get("mu0") is not None:
-            mu0 = InvariantMeasure.from_json(sft, req["mu0"])
-            zeta = nums["zeta"]
-            dist = d_star(mu, mu0)
-            add("d* to mu0", dist, zeta, 0.0, dist < zeta)
-    elif kind == "low_entropy_mean":
-        alpha, h_cap = nums["alpha"], nums["h_cap"]
-        mg = mu.integrate(g)
-        add("mean g", mg, alpha, 1e-6, abs(mg - alpha) <= 1e-6)
-        value = mu.entropy()
-        add("entropy cap", value, h_cap, 0.0, value <= h_cap + 1e-12)
-    else:
-        raise InputError(f"unknown witness kind {kind!r}")
-    return checks
-
-
-def _number(name: str, value) -> float:
-    """The float of a JSON number; InputError for a string, null, bool or other value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _parse_witness_request(req) -> tuple:
-    """(kind, sft, nums) of a witness request; nums maps each number field
-    present to its float (birkhoff_2d's alpha to a pair of them)."""
+    """(kind, sft, fields) of a witness request: fields maps g, h and u to
+    functions, mu0 to a measure (an optional u or mu0 may be null), alpha to
+    a float (birkhoff_2d: a pair of them) and each other number to its float."""
     if not isinstance(req, dict) or "kind" not in req:
         raise InputError("request must be an object with a 'kind' field")
     kind = req["kind"]
-    if kind not in _WITNESS_KEYS:
+    if kind not in _WITNESS_KINDS:
         raise InputError(f"unknown witness kind {kind!r}")
-    required, optional = _WITNESS_KEYS[kind]
-    extra = set(req) - required - optional
-    if extra:
+    own, optional, _, _ = _WITNESS_KINDS[kind]
+    required = {"kind", "sft", "g", "alpha"} | own
+    if extra := set(req) - required - optional:
         raise InputError(f"unknown request keys {sorted(extra)}")
-    missing = required - set(req)
-    if missing:
+    if missing := required - set(req):
         raise InputError(f"missing request keys {sorted(missing)}")
-    nums = {t: _number(t, req[t]) for t in ("c", "tol", "tol_mean", "zeta", "h_cap") if t in req}
-    a = req["alpha"]  # required by every kind
-    if kind != "birkhoff_2d":
-        nums["alpha"] = _number("alpha", a)
-    elif isinstance(a, (list, tuple)) and len(a) == 2:
-        nums["alpha"] = (_number("alpha", a[0]), _number("alpha", a[1]))
-    else:
-        raise InputError("birkhoff_2d alpha must be a pair")
-    _check_tol(**{t: nums[t] for t in ("tol", "tol_mean") if t in nums})
+    fields = {t: _number(t, req[t]) for t in ("c", "tol", "tol_mean", "zeta", "h_cap") if t in req}
+    alpha = _numbers("alpha", req["alpha"])  # a pair for the two functions g and h
+    if alpha.shape != ((2,) if "h" in own else ()):
+        raise InputError(f"{kind} alpha must be {'a pair' if 'h' in own else 'a number'}")
+    fields["alpha"] = tuple(alpha.tolist()) if alpha.ndim else float(alpha)
+    _check_tol(**{t: fields[t] for t in ("tol", "tol_mean") if t in fields})
     for tname in ("zeta", "h_cap"):
-        if tname in nums and not (nums[tname] > 0):
+        if tname in fields and not (fields[tname] > 0):
             raise InputError(f"{tname} must be positive")
-    if req.get("mu0") is not None and "zeta" not in nums:  # verify reads zeta with mu0
+    if req.get("mu0") is not None and "zeta" not in fields:  # verify reads zeta with mu0
         raise InputError("mu0 requires a positive zeta")
-    return kind, Sft.from_json(req["sft"]), nums
+    sft = Sft.from_json(req["sft"])
+    for key in ("g", "h", "u", "mu0"):
+        if key in req:
+            read = InvariantMeasure.from_json if key == "mu0" else LocallyConstantFunction.from_json
+            fields[key] = None if key in optional and req[key] is None else read(sft, req[key])
+    return kind, sft, fields
+
+
+def _checks(mu: InvariantMeasure, kind: str, fields: dict) -> list:
+    """``witness._witness_checks`` of a parsed request at the CLI's fixed tolerances."""
+    wants = {key: value for key, value in fields.items() if key not in ("tol", "tol_mean")}
+    return _witness_checks(mu, **wants, mean_tol=_WITNESS_KINDS[kind][3])
 
 
 def _cmd_witness(args) -> None:
     req = read_json(args.request)
-    kind, sft, nums = _parse_witness_request(req)
-    g = LocallyConstantFunction.from_json(sft, req["g"])
-    if kind == "intermediate":
-        u = None if req.get("u") is None else LocallyConstantFunction.from_json(sft, req["u"])
-        mu0 = None if req.get("mu0") is None else InvariantMeasure.from_json(sft, req["mu0"])
-        mu = intermediate_witness(
-            sft,
-            g,
-            nums["alpha"],
-            nums["c"],
-            u=u,
-            mu0=mu0,
-            zeta=nums.get("zeta"),
-            tol=nums.get("tol", 1e-7),
-            tol_mean=nums.get("tol_mean", 1e-9),
-        )
-    elif kind == "birkhoff_2d":
-        h = LocallyConstantFunction.from_json(sft, req["h"])
-        mu = birkhoff_witness_2d(sft, g, h, nums["alpha"], tol=nums.get("tol", 1e-9))
-    else:
-        mu = low_entropy_mean_witness(sft, g, nums["alpha"], nums["h_cap"], tol=nums.get("tol", 1e-9))
-    checks = _witness_checks(sft, mu, req, nums)
+    kind, sft, fields = _parse_witness_request(req)
+    mu = _WITNESS_KINDS[kind][2](sft, **fields)
+    checks = _checks(mu, kind, fields)
     write_json(
         args.out,
         {
@@ -439,9 +374,9 @@ def _cmd_verify(args) -> None:
     for key in ("sft", "measure", "request"):
         if key not in doc:
             raise InputError(f"measure file lacks the '{key}' field")
-    kind, sft, nums = _parse_witness_request(doc["request"])
+    kind, sft, fields = _parse_witness_request(doc["request"])
     mu = InvariantMeasure.from_json(sft, doc["measure"])
-    checks = _witness_checks(sft, mu, doc["request"], nums)
+    checks = _checks(mu, kind, fields)
     ok = all(c["pass"] for c in checks)
     if args.out:
         write_json(args.out, {"checks": checks, "pass": ok, "meta": _meta(args)})

@@ -4,11 +4,13 @@ Every failure the library raises on purpose carries a short machine-readable
 ``name`` (stable across releases, used by the CLI's stderr protocol and exit
 codes) next to the human-readable message.
 
-``_check_tol`` is the one check of a tolerance argument, for every public
-call that takes one and for the CLI.
+``_check_tol`` and ``_check_count`` check tolerance and count arguments, and
+``_number`` and ``_numbers`` read the numbers of every JSON document.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["SymflowError", "InputError", "DomainError"]
 
@@ -45,3 +47,26 @@ def _check_tol(**tols) -> None:
     for name, value in tols.items():
         if not 0.0 < value < float("inf"):
             raise InputError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise InputError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _number(name: str, value) -> float:
+    """The float of a JSON number; InputError for a string, null, bool or other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """The float array of a JSON number or nested list of numbers; InputError
+    for a ragged list or an entry that is not a number (``_number``)."""
+    arr = np.array(value, dtype=object)
+    if not {type(v) for v in arr.flat} <= {int, float}:  # then name the first non-number
+        for v in arr.flat:
+            _number(name, v)
+    return arr.astype(float)

@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_count, _check_tol, _number
 from .measures import InvariantMeasure, _entropy_rate, _integrate, d_star
 from .sft import (
     ENUMERATION_BUDGET,
@@ -457,14 +457,18 @@ class HorseshoePack:
     @classmethod
     def from_json(cls, data: dict) -> "HorseshoePack":
         sft = Sft.from_json(data["sft"])
-        word_sets = [[_parse_word_key(wk) for wk in ws] for ws in data["word_sets"]]
+        _check_count("n", data["n"], 1)
+        _check_count("anchor", data["anchor"], 0)
+        eta, zeta = _number("eta", data["eta"]), _number("zeta", data["zeta"])
+        _check_tol(eta=eta, zeta=zeta)
+        word_sets = [[_parse_word_key(wk, sft.k) for wk in ws] for ws in data["word_sets"]]
         measures = [InvariantMeasure.from_json(sft, d) for d in data["measures"]]
         return cls(
             sft=sft,
-            n=int(data["n"]),
-            anchor=int(data["anchor"]),
-            eta=float(data["eta"]),
-            zeta=float(data["zeta"]),
+            n=data["n"],
+            anchor=data["anchor"],
+            eta=eta,
+            zeta=zeta,
             word_sets=word_sets,
             measures=measures,
             meta=dict(data.get("meta", {})),
@@ -800,12 +804,6 @@ def _sample_perm_spec(union_size: int, seed: int, index: int) -> tuple:
     eps = float(g.uniform(0.0, 0.5))
     perm = g.permutation(union_size)
     return eps, perm
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise InputError unless value is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:

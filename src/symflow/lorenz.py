@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _number
 
 __all__ = [
     "LorenzModel",
@@ -80,7 +80,7 @@ class LorenzModel:
         if not isinstance(lam, (list, tuple)) or len(lam) != 3:
             raise InputError("model key 'lambda' must be a list of three entries")
         for key, v in (*fpart.items(), *hpart.items(), *((f"lambda[{i}]", v) for i, v in enumerate(lam))):
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            if not math.isfinite(_number(f"model parameter {key}", v)):
                 raise InputError(f"model parameter {key} must be a finite number, got {v!r}")
         return cls(
             c=float(fpart["c"]),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graphs
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_count, _number, _numbers
 from .sft import ENUMERATION_BUDGET, LocallyConstantFunction, Sft, _extend, _word_levels, admissible_words, block_recode
 
 __all__ = [
@@ -240,10 +240,10 @@ class MarkovComponent:
         fits &= (sft.A[S[:, :-1], S[:, 1:]] > 0).all(axis=1)
         if not fits.all():
             raise InputError(f"state {states[int(np.argmin(fits))]} is not an admissible {memory}-word")
-        if (Q < 0).any():
-            raise InputError("Q has negative entries")
+        if not (Q >= 0).all():
+            raise InputError("Q has negative or NaN entries")
         rows = Q.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-9:
+        if not np.abs(rows - 1.0).max() <= 1e-9:
             raise InputError("Q rows must sum to 1")
         index = {w: i for i, w in enumerate(states)}
         i, j = np.nonzero(Q > 0)
@@ -254,13 +254,13 @@ class MarkovComponent:
         if pi is None:
             pi = stationary(Q)
         pi = np.asarray(pi, dtype=float)
-        if pi.shape != (n,) or (pi < -1e-12).any():
+        if pi.shape != (n,) or not (pi >= -1e-12).all():
             raise InputError("pi must be a nonnegative vector over the states")
         pi = np.clip(pi, 0.0, None)
-        if abs(pi.sum() - 1.0) > 1e-9:
+        if not abs(pi.sum() - 1.0) <= 1e-9:
             raise InputError("pi must sum to 1")
         pi = pi / pi.sum()
-        if np.abs(pi @ Q - pi).sum() > _STAT_TOL:
+        if not np.abs(pi @ Q - pi).sum() <= _STAT_TOL:
             raise InputError("pi is not stationary for Q")
         self.sft = sft
         self.memory = memory
@@ -386,10 +386,10 @@ class InvariantMeasure:
         weights = np.asarray(weights, dtype=float)
         if len(components) == 0 or weights.shape != (len(components),):
             raise InputError("need one weight per component")
-        if (weights < -1e-12).any():
+        if not (weights >= -1e-12).all():
             raise InputError("weights must be nonnegative")
         weights = np.clip(weights, 0.0, None)
-        if abs(weights.sum() - 1.0) > 1e-9:
+        if not abs(weights.sum() - 1.0) <= 1e-9:
             raise InputError("weights must sum to 1")
         weights = weights / weights.sum()
         sft = components[0].sft
@@ -447,12 +447,12 @@ class InvariantMeasure:
         comps, weights = [], []
         for entry in doc["components"]:
             try:
-                m = int(entry["memory"])
-                Q = np.asarray(entry["Q"], dtype=float)
-                pi = np.asarray(entry["pi"], dtype=float)
-                weights.append(float(entry["weight"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                m, Q, pi, weight = entry["memory"], entry["Q"], entry["pi"], entry["weight"]
+            except (KeyError, TypeError) as exc:
                 raise InputError(f"bad measure component: {exc}") from exc
+            _check_count("memory", m, 1)
+            Q, pi = _numbers("Q entry", Q), _numbers("pi entry", pi)
+            weights.append(_number("weight", weight))
             words = admissible_words(sft, m)
             if Q.shape != (len(words), len(words)) or pi.shape != (len(words),):
                 raise InputError(

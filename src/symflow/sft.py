@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import graphs
-from .errors import DomainError, InputError, _check_tol
+from .errors import DomainError, InputError, _check_count, _check_tol, _number, _numbers
 
 __all__ = [
     "Sft",
@@ -87,9 +87,11 @@ class Sft:
     def from_json(cls, doc: dict) -> "Sft":
         if not isinstance(doc, dict) or "A" not in doc:
             raise InputError("SFT document must be an object with an 'A' matrix")
-        sft = cls(doc["A"])
-        if "k" in doc and int(doc["k"]) != sft.k:
-            raise InputError(f"declared k={doc['k']} does not match A of size {sft.k}")
+        sft = cls(_numbers("A entry", doc["A"]))
+        if "k" in doc:
+            _check_count("k", doc["k"], 1)
+            if doc["k"] != sft.k:
+                raise InputError(f"declared k={doc['k']} does not match A of size {sft.k}")
         return sft
 
 
@@ -358,10 +360,14 @@ def _word_key(word: Word, k: int) -> str:
     return ",".join(str(a) for a in word)
 
 
-def _parse_word_key(key: str) -> Word:
-    if "," in key:
-        return tuple(int(p) for p in key.split(","))
-    return tuple(int(ch) for ch in key)
+def _parse_word_key(key: str, k: int) -> Word:
+    """The word of a :func:`_word_key` key; on more than 10 symbols it is comma-separated."""
+    try:
+        if k > 10 or "," in key:
+            return tuple(int(p) for p in key.split(","))
+        return tuple(int(ch) for ch in key)
+    except ValueError:
+        raise InputError(f"word key {key!r} is not a word on {k} symbols") from None
 
 
 class LocallyConstantFunction:
@@ -460,7 +466,8 @@ class LocallyConstantFunction:
 
     @classmethod
     def from_json(cls, sft: Sft, doc: dict) -> "LocallyConstantFunction":
-        if not isinstance(doc, dict) or "memory" not in doc or "table" not in doc:
-            raise InputError("function document needs 'memory' and 'table'")
-        table = {_parse_word_key(key): float(v) for key, v in doc["table"].items()}
-        return cls(sft, int(doc["memory"]), table)
+        if not isinstance(doc, dict) or "memory" not in doc or not isinstance(doc.get("table"), dict):
+            raise InputError("function document needs 'memory' and a 'table' object")
+        _check_count("memory", doc["memory"], 1)
+        table = {key: _number(f"table value at {key!r}", v) for key, v in doc["table"].items()}
+        return cls(sft, doc["memory"], {_parse_word_key(key, sft.k): v for key, v in table.items()})

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError, _check_tol
-from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary
+from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary, support_is_full
 from .sft import LocallyConstantFunction, Sft
 from .spectrum import _brentq, _check_interior, _tilt, conditional_entropy_spectrum_2d
 from .thermo import _EdgeModel
@@ -144,6 +144,7 @@ def low_entropy_mean_witness(
     lies outside (1, 1e16).  That floor of q puts the floor of the entropy
     at about 1e-14.  Alpha passes ``spectrum._check_interior``, whose
     ``outside_range`` and ``boundary`` are reported as ``not_interior``.
+    The result passes ``_witness_checks``, the mean to max(tol, 1e-9).
     """
     _check_tol(tol=tol)
     model = _EdgeModel(sft, [g])
@@ -154,12 +155,13 @@ def low_entropy_mean_witness(
         if exc.name == "degenerate":
             raise
         raise DomainError(f"alpha not interior to L_g = [{lo:.12g}, {hi:.12g}]", name="not_interior") from None
-    return _low_entropy(model, alpha, h_cap, tol)
+    return _checked(_low_entropy(model, alpha, h_cap), g, alpha, h_cap=h_cap, mean_tol=max(tol, 1e-9))
 
 
-def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float, tol: float) -> InvariantMeasure:
+def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float) -> InvariantMeasure:
     """``low_entropy_mean_witness`` for g = model.funcs[0], whose extreme
-    cycles are read from ``model.ends``; alpha has passed ``_check_interior``."""
+    cycles are read from ``model.ends``, without its checks; alpha has
+    passed ``_check_interior``."""
     sft, g = model.sft, model.funcs[0]
     _, cyc_lo, _, cyc_hi = model.ends
     if not h_cap > 0.0:
@@ -207,10 +209,7 @@ def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float, tol: float) -> I
         comp = chain.component(p, 1.0 / x)
         achieved = comp.entropy()
         if achieved <= h_cap:
-            mu = InvariantMeasure.single(comp)
-            if not abs(mu.integrate(g) - alpha) <= max(tol, 1e-9):
-                raise DomainError("mean solve missed the target", name="no_convergence")
-            return mu
+            return InvariantMeasure.single(comp)
         p *= 0.25
     raise DomainError(f"h_cap below achievable floor: reached entropy {achieved:.6g}", name="h_cap")
 
@@ -253,15 +252,16 @@ def intermediate_witness(
     path is re-tilted by the same Newton iteration to keep the mean pinned,
     starting from the tilt last solved on the path, and the level c is
     located by Brent's method (``spectrum._brentq``) in the path parameter;
-    the evaluated chain closest to c is returned and must pass the level check.
+    the evaluated chain closest to c is returned.
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0:
     to the largest lam = 1 - 2^-j with j <= 14 whose tilted ends straddle c,
     bisected from lam = 0 (``_mu0_pull``).  A c above h + integral u of mu0
-    is out of band before the top end is considered, and a top end returned
-    as is must lie zeta-close to mu0 too.  A non-finite c, a tol or tol_mean
-    that is not finite and positive, or mu0 without a positive zeta, raises
-    ``InputError`` before any model is built.
+    is out of band before the top end is considered.  A non-finite c, a tol
+    or tol_mean that is not finite and positive, or mu0 without a positive
+    zeta, raises ``InputError`` before any model is built.  The result, top
+    end or path point, passes ``_witness_checks``, the mean to
+    max(tol_mean, 1e-8) and the level to max(tol, 1e-5).
     """
     _check_tol(tol=tol, tol_mean=tol_mean)
     if not np.isfinite(c):
@@ -283,21 +283,22 @@ def intermediate_witness(
         P_mu0 = mu0.entropy() + (mu0.integrate(u) if u is not None else 0.0)
         if c > P_mu0 + band_tol:
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
+    request = dict(c=c, u=u, mu0=mu0, zeta=zeta, mean_tol=max(tol_mean, 1e-8), level_tol=max(tol, 1e-5))
     if c >= P_top - band_tol:
-        return _near_mu0(InvariantMeasure.single(model.component(sol_top)), mu0, zeta)
+        return _checked(InvariantMeasure.single(model.component(sol_top)), g, alpha, **request)
 
     # low endpoint, with the cap shrunk until the tilted path starts below c;
     # its memory, set by g and its extreme cycles, is the same for every cap.
     # g is funcs[0] with or without u, so ``model.ends`` holds g's extreme cycles.
     h_cap = min(0.05, max(c / 4.0, 1e-6)) if u is None else 0.05
-    nu_low = _low_entropy(model, alpha, h_cap, 1e-9)
+    nu_low = _low_entropy(model, alpha, h_cap)
     work = _EdgeModel(sft, funcs, min_memory=nu_low.components[0].memory)
     Qtop = _markovize(model.component(sol_top), work.rec.m)
     achieved_min = None
     for _ in range(12):
         try:
             if achieved_min is not None:
-                nu_low = _low_entropy(model, alpha, h_cap, 1e-9)
+                nu_low = _low_entropy(model, alpha, h_cap)
             Qlow = _markovize(nu_low, work.rec.m)
             Qlow = np.where((Qtop > 0.0) & (Qlow == 0.0), 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
@@ -342,23 +343,8 @@ def intermediate_witness(
 
         _brentq(level, 0.0, 1.0, 1e-15, 8.9e-16, 300)  # a miss is caught by the level check
         best = min(evals.values(), key=lambda e: abs(e[3] - c))
-    Q, pi, _, value, _ = best
-    comp = MarkovComponent(sft, work.rec.m, work.rec.words, Q, pi)
-    nu = InvariantMeasure.single(comp)
-    if not abs(nu.integrate(g) - alpha) <= max(tol_mean, 1e-8):
-        raise DomainError("witness mean check failed", name="no_convergence")
-    if not abs(value - c) <= max(tol, 1e-5):
-        raise DomainError(f"witness level check failed: reached {value:.12g}", name="no_convergence")
-    return _near_mu0(nu, mu0, zeta)
-
-
-def _near_mu0(nu: InvariantMeasure, mu0: InvariantMeasure | None, zeta: float | None) -> InvariantMeasure:
-    """nu, if mu0 is None or d*(nu, mu0) < zeta; raises ``zeta`` otherwise."""
-    if mu0 is not None:
-        dist = d_star(nu, mu0)
-        if not dist < zeta:
-            raise DomainError(f"zeta unachievable along the path: d* = {dist:.6g}", name="zeta")
-    return nu
+    comp = MarkovComponent(sft, work.rec.m, work.rec.words, best[0], best[1])
+    return _checked(InvariantMeasure.single(comp), g, alpha, **request)
 
 
 def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, mu0: InvariantMeasure, alpha: float, level: float):
@@ -400,10 +386,58 @@ def birkhoff_witness_2d(sft: Sft, g: LocallyConstantFunction, h: LocallyConstant
 
     Requires alpha interior to the rotation set; the witness is the
     two-dimensional tilted equilibrium, which is fully supported and hits
-    both coordinates to solver precision.
+    both coordinates to solver precision.  It passes ``_witness_checks``,
+    both means to max(tol, 1e-9).
     """
     res = conditional_entropy_spectrum_2d(sft, g, h, alpha, tol=tol)
-    return InvariantMeasure.single(res.witness)
+    return _checked(InvariantMeasure.single(res.witness), g, alpha, h=h, mean_tol=max(tol, 1e-9))
+
+
+def _witness_checks(
+    mu: InvariantMeasure, g: LocallyConstantFunction, alpha, *, h=None, c=None, u=None, mu0=None, zeta=None,
+    h_cap=None, mean_tol: float, level_tol: float = 1e-5
+) -> list:
+    """What a witness guarantees, as records {check, value, target, tol, pass}
+    recomputed from mu alone: ergodic; mean g (and mean h, given h) within
+    mean_tol of alpha; given c, entropy (plus integral u) within level_tol of
+    c; given h_cap, entropy cap, else full support; given mu0, d* below zeta."""
+    checks = []
+
+    def add(name, value, target, tol, ok):
+        checks.append({"check": name, "value": value, "target": target, "tol": tol, "pass": bool(ok)})
+
+    ergodic = bool(mu.ergodic)
+    add("ergodic", ergodic, True, 0.0, ergodic)
+    for name, f, target in [("mean g", g, alpha)] if h is None else [("mean g", g, alpha[0]), ("mean h", h, alpha[1])]:
+        mean = mu.integrate(f)
+        add(name, mean, target, mean_tol, abs(mean - target) <= mean_tol)
+    if c is not None:
+        value, label = mu.entropy(), "entropy"
+        if u is not None:
+            value, label = value + mu.integrate(u), "entropy plus integral u"
+        add(label, value, c, level_tol, abs(value - c) <= level_tol)
+    if h_cap is not None:
+        value = mu.entropy()
+        add("entropy cap", value, h_cap, 0.0, value <= h_cap + 1e-12)
+    else:
+        full = support_is_full(mu)
+        add("full support", full, True, 0.0, full)
+    if mu0 is not None:
+        dist = d_star(mu, mu0)
+        add("d* to mu0", dist, zeta, 0.0, dist < zeta)
+    return checks
+
+
+def _checked(mu: InvariantMeasure, g: LocallyConstantFunction, alpha, **request) -> InvariantMeasure:
+    """mu, once it passes ``_witness_checks``, as the CLI's ``witness`` and
+    ``verify`` check it.  A failed check raises ``zeta`` (d* to mu0), ``verify``
+    (ergodic, full support, entropy cap) or ``no_convergence`` (mean, level)."""
+    for rec in _witness_checks(mu, g, alpha, **request):
+        if not rec["pass"]:
+            names = {"d* to mu0": "zeta", "ergodic": "verify", "full support": "verify", "entropy cap": "verify"}
+            msg = f"witness check '{rec['check']}' failed: {rec['value']:.12g} against {rec['target']:.12g}"
+            raise DomainError(msg, name=names.get(rec["check"], "no_convergence"))
+    return mu
 
 
 def orthant_combination(alpha, candidates) -> np.ndarray:

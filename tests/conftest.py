@@ -105,3 +105,21 @@ def spy_solves(monkeypatch):
     monkeypatch.setattr(thermo._EdgeModel, "weights", spy_weights)
     monkeypatch.setattr(thermo, "_equilibrium", spy_equilibrium)
     return solved, sols
+
+
+def count_checks(monkeypatch):
+    """Record the check names of every ``witness._witness_checks`` run.
+
+    ``cli`` holds its own name for the routine, so both are patched."""
+    from symflow import cli, witness
+
+    runs, checks = [], witness._witness_checks
+
+    def spy(*args, **kwargs):
+        out = checks(*args, **kwargs)
+        runs.append([c["check"] for c in out])
+        return out
+
+    monkeypatch.setattr(witness, "_witness_checks", spy)
+    monkeypatch.setattr(cli, "_witness_checks", spy)
+    return runs

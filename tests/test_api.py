@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import inspect
 
 import numpy as np
@@ -108,3 +109,63 @@ def test_every_public_tol_is_checked():
             for bad in (float("nan"), float("inf"), 0.0, -1.0):
                 with pytest.raises(symflow.InputError):
                     calls[name](**{param: bad})
+
+
+def _json_docs() -> dict:
+    """A valid document of every public class with a from_json, by name: the
+    reader, the document and the paths in it at which a number belongs."""
+    full2 = symflow.Sft(np.ones((2, 2), dtype=int))
+    g = symflow.LocallyConstantFunction.indicator(full2, (1,))
+    mu = symflow.InvariantMeasure.single(symflow.pressure(full2, g).equilibrium)
+    system = symflow.SuspensionSystem(full2, symflow.LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}))
+    pack = symflow.HorseshoePack(full2, 2, 0, 0.5, 0.5, [[(0, 0), (0, 1)]], [mu])
+    model = symflow.LorenzModel(c=1.9, gamma=0.78, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0))
+    component = ("components", 0)
+    return {
+        "Sft": (symflow.Sft.from_json, full2.to_json(), [("k",), ("A", 0, 1)]),
+        "LocallyConstantFunction": (
+            lambda doc: symflow.LocallyConstantFunction.from_json(full2, doc),
+            g.to_json(),
+            [("memory",), ("table", "1")],
+        ),
+        "InvariantMeasure": (
+            lambda doc: symflow.InvariantMeasure.from_json(full2, doc),
+            mu.to_json(),
+            [(*component, "weight"), (*component, "memory"), (*component, "Q", 0, 0), (*component, "pi", 1)],
+        ),
+        "SuspensionSystem": (
+            symflow.SuspensionSystem.from_json,
+            system.to_json(),
+            [("base", "k"), ("base", "A", 1, 0), ("roof", "memory"), ("roof", "table", "0")],
+        ),
+        "HorseshoePack": (
+            symflow.HorseshoePack.from_json,
+            pack.to_json(),
+            [("n",), ("anchor",), ("eta",), ("zeta",), ("sft", "k"), ("measures", 0, *component, "weight")],
+        ),
+        "LorenzModel": (
+            symflow.LorenzModel.from_json,
+            model.to_json(),
+            [("f", "c"), ("f", "gamma"), ("H", "a"), ("H", "b"), ("lambda", 2)],
+        ),
+    }
+
+
+def test_every_public_from_json_refuses_a_non_number():
+    # Every public class with a from_json is listed in _json_docs, reads its
+    # document there, and refuses a string, a NaN, a bool or a list at each
+    # place where a number belongs with InputError.
+    readers = {name for name in symflow.__all__ if hasattr(getattr(symflow, name), "from_json")}
+    docs = _json_docs()
+    assert readers == set(docs)
+    for name, (read, doc, paths) in docs.items():
+        read(doc)
+        for *head, last in paths:
+            for bad in ("x", float("nan"), True, [1.0]):
+                broken = copy.deepcopy(doc)
+                part = broken
+                for key in head:
+                    part = part[key]
+                part[last] = bad
+                with pytest.raises(symflow.InputError):
+                    read(broken)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure, binary_entropy
+from conftest import bernoulli_measure, binary_entropy, count_checks
 import symflow
 from symflow.cli import main
 from symflow.lorenz import LorenzModel
@@ -841,3 +841,66 @@ def test_horseshoe_command_refuses_a_nonpositive_budget(files, tmp_path, flag, v
     )
     assert code == 1 and err.startswith("error: input:"), err
     assert not (tmp_path / "pack.json").exists()
+
+
+# case -> (the part of a system it stands for, a malformed document of that part)
+_MALFORMED = {
+    "table_value": ("fn", {"memory": 1, "table": {"0": 0.5, "1": "abc"}}),
+    "memory": ("fn", {"memory": "x", "table": {"0": 0.5, "1": 0.5}}),
+    "table_list": ("fn", {"memory": 1, "table": [0.5, 0.5]}),
+    "k": ("sft", {"k": "x", "A": [[1, 1], [1, 1]]}),
+    "ragged_A": ("sft", {"A": [[1, 1], [1]]}),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_sft_and_function_documents_are_input_errors(files, tmp_path, case):
+    # Each reaches spectrum, flow-entropy and a witness request's sft or g,
+    # and entropy when it is the SFT; each is `input`, never a traceback.
+    part, bad = _MALFORMED[case]
+    sft, g = json.loads(files["full2"].read_text()), json.loads(files["g"].read_text())
+    roof = json.loads(files["system"].read_text())["roof"]
+    if part == "sft":
+        sft = bad
+    else:
+        g = roof = bad
+    docs = {
+        "sft": sft,
+        "g": g,
+        "system": {"base": sft, "roof": roof},
+        "req": {"kind": "intermediate", "sft": sft, "g": g, "alpha": 0.3, "c": 0.3},
+    }
+    path = {}
+    for name, doc in docs.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(doc))
+    runs = [
+        ["spectrum", "--sft", path["sft"], "--g", path["g"], "--alpha", "0.3"],
+        ["flow-entropy", "--system", path["system"]],
+        ["witness", "--request", path["req"], "--out", tmp_path / "w.json"],
+    ] + ([["entropy", "--sft", path["sft"]]] if part == "sft" else [])
+    for argv in runs:
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: input:"), (argv, err)
+
+
+def test_a_nan_in_mu0_is_an_input_error(files, tmp_path):
+    # The NaN fails mu0's measure validation; it must not reach d* as `zeta: d* = nan`.
+    req = _full_request(files, "intermediate")
+    req["mu0"]["components"][0]["Q"][0][1] = float("nan")
+    code, _, err = run_cli(*_witness_argv(files, tmp_path, "witness", req))
+    assert code == 1 and err.startswith("error: input:"), err
+
+
+def test_witness_and_verify_run_the_checks_once_each(files, tmp_path, monkeypatch):
+    # witness: the library call's own run, then one at the CLI's tolerances;
+    # verify: one run, on the measure read back from the file.
+    runs = count_checks(monkeypatch)
+    argv = _witness_argv(files, tmp_path, "witness", _full_request(files, "intermediate"))
+    assert run_cli(*argv)[0] == 0
+    names = ["ergodic", "mean g", "entropy", "full support", "d* to mu0"]
+    assert runs == [names, names]
+    runs.clear()
+    assert run_cli("verify", "--measure", tmp_path / "w.json")[0] == 0
+    assert runs == [names]

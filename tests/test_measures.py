@@ -510,3 +510,17 @@ def test_d_star_of_a_long_orbit_on_a_sparse_shift():
     nu = InvariantMeasure.single(random_markov_component(sft, 3, np.random.default_rng(9)))
     assert mu.components[0].memory == 22
     assert d_star(mu, nu, N=22) == _d_star_per_word(mu, nu, 22) > 0.0
+
+
+def test_nan_entries_fail_measure_validation(full2):
+    # A NaN fails every check written as `not err <= bound`: rows, signs,
+    # stationarity and weights.
+    states = [(0,), (1,)]
+    nan = float("nan")
+    with pytest.raises(InputError):
+        MarkovComponent(full2, 1, states, [[0.5, nan], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(InputError):
+        MarkovComponent(full2, 1, states, [[0.5, 0.5], [0.5, 0.5]], [nan, 0.5])
+    comp = MarkovComponent(full2, 1, states, [[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(InputError):
+        InvariantMeasure([comp, comp], [nan, 1.0])

@@ -249,3 +249,15 @@ def test_locally_constant_json_round_trip(golden):
 def test_indicator_rejects_inadmissible(golden):
     with pytest.raises(InputError):
         LocallyConstantFunction.indicator(golden, (1, 1))
+
+
+@pytest.mark.parametrize("memory", [1, 2])
+def test_word_keys_round_trip_on_twelve_symbols(memory):
+    # Keys on more than 10 symbols are comma-separated, so the one-symbol
+    # key "10" is the word (10,), not (1, 0).
+    full12 = Sft(np.ones((12, 12), dtype=int))
+    g = LocallyConstantFunction.from_callable(full12, memory, lambda w: float(sum(a * 12**i for i, a in enumerate(w))))
+    doc = g.to_json()
+    assert ("10" in doc["table"]) if memory == 1 else ("10,11" in doc["table"])
+    again = LocallyConstantFunction.from_json(full12, doc)
+    assert again.table == g.table

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure, binary_entropy, count_karp, count_models, count_solves, sign_change_bracket
+from conftest import bernoulli_measure, binary_entropy, count_checks, count_karp, count_models, count_solves, sign_change_bracket
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
@@ -610,3 +610,39 @@ def test_witness_model_counts_without_u(full2, monkeypatch, use_mu0):
     models = count_models(monkeypatch)
     intermediate_witness(full2, g, 0.3, 0.4, mu0=mu0, zeta=0.5 if use_mu0 else None)
     assert models == [1, 2]
+
+
+def test_every_witness_call_runs_the_checks_once(full2, monkeypatch):
+    # The top end, a path point, a low-entropy witness and a 2-D witness
+    # each pass one run of the routine verify runs.
+    g, h = ind1(full2), LocallyConstantFunction.indicator(full2, (1, 1))
+    H = conditional_entropy_spectrum(full2, g, 0.3).entropy
+    mu0 = bernoulli_measure(full2, [0.7, 0.3])
+    runs = count_checks(monkeypatch)
+    intermediate_witness(full2, g, 0.3, H)
+    intermediate_witness(full2, g, 0.3, 0.4, mu0=mu0, zeta=0.5)
+    low_entropy_mean_witness(full2, g, 0.3, 0.05)
+    birkhoff_witness_2d(full2, g, h, (0.5, 0.3))
+    assert runs == [
+        ["ergodic", "mean g", "entropy", "full support"],
+        ["ergodic", "mean g", "entropy", "full support", "d* to mu0"],
+        ["ergodic", "mean g", "entropy cap"],
+        ["ergodic", "mean g", "mean h", "full support"],
+    ]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_top_end_witness_meets_the_level(full2, sign):
+    # With u = 200, the top end is taken for c within 1e-7 (1 + |c|) of its
+    # level, wider than the level check's 1e-5: at 0.9 of that band the top
+    # end misses c by 1.8e-5.  The call refuses it, or returns a witness
+    # that meets the level.
+    g, u = ind1(full2), 200.0 * LocallyConstantFunction.constant(full2, 1.0)
+    top = conditional_entropy_spectrum(full2, g, 0.3).entropy + 200.0
+    c = (top + sign * 0.9e-7) / (1.0 - sign * 0.9e-7)
+    try:
+        nu = intermediate_witness(full2, g, 0.3, c, u=u)
+    except DomainError as e:
+        assert e.name == "no_convergence"
+    else:
+        assert abs(nu.entropy() + nu.integrate(u) - c) <= 1e-5
