@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, InputError, SymflowError, _check_count, _check_tol, _number, _numbers
+from .errors import DomainError, InputError, SymflowError, _check_count, _check_tol, _number, _numbers, _text_number
 from .horseshoe import HorseshoePack, build_multi_horseshoe, certify_pack, lift_pack_to_flow
 from .jsonio import config_hash, csv_text, read_json, write_csv, write_json
 from .lorenz import LorenzModel, simulate_return_map, validate_lorenz
@@ -64,25 +64,36 @@ def _load_fn(sft: Sft, path: str) -> LocallyConstantFunction:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """The points of ``lo:hi:count``: finite ends and an integer count >= 1."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError("grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise InputError("grid needs at least one point")
-    return np.linspace(lo, hi, count)
+    lo, hi, count = (_text_number(f"grid {part}", p) for part, p in zip(("lo", "hi", "count"), parts))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InputError(f"grid ends must be finite, got {text!r}")
+    if not (count >= 1 and count.is_integer()):
+        raise InputError(f"grid count must be an integer >= 1, got {parts[2]!r}")
+    return np.linspace(lo, hi, int(count))
 
 
-def _parse_pair(text: str) -> tuple:
+def _parse_pair(name: str, text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError("expected a comma-separated pair")
-    return (float(parts[0]), float(parts[1]))
+        raise InputError(f"{name} must be a comma-separated pair")
+    return tuple(_text_number(f"{name} entry", p) for p in parts)
 
 
-def _emit_csv(out, header, rows, comments) -> None:
-    if out:
-        write_csv(out, header, rows, comments)
+def _emit(args, doc: dict, headline: str) -> None:
+    """Print the headline and, with ``--out``, write doc followed by the run's meta."""
+    print(headline)
+    if args.out:
+        write_json(args.out, {**doc, "meta": _meta(args)})
+
+
+def _emit_csv(args, header, rows, *comments) -> None:
+    comments = [f"symflow {__version__} config={config_hash(_config_dict(args))}", *comments]
+    if args.out:
+        write_csv(args.out, header, rows, comments)
     else:
         sys.stdout.write(csv_text(header, rows, comments))
 
@@ -100,98 +111,71 @@ def _run_grid(fn, payloads, jobs: int) -> list:
 
 
 def _cmd_entropy(args) -> None:
-    sft = _load_sft(args.sft)
-    value = topological_entropy(sft)
-    print(f"{value:.7f}")
-    if args.out:
-        write_json(args.out, {"entropy": value, "meta": _meta(args)})
+    value = topological_entropy(_load_sft(args.sft))
+    _emit(args, {"entropy": value}, f"{value:.7f}")
 
 
-def _pressure_point(payload):
+def _pressure_row(payload) -> tuple:
     sft, g, beta, tol = payload
     res = pressure(sft, g * beta, tol=tol)
     return (beta, res.value, res.equilibrium.integrate(g), res.equilibrium.entropy())
 
 
-def _cmd_pressure(args) -> None:
-    _check_tol(tol=args.tol)
+def _spectrum_row(payload) -> tuple:
+    sft, g, alpha, tol = payload
+    res = conditional_entropy_spectrum(sft, g, alpha, tol=tol)
+    return (alpha, res.entropy, res.beta, res.witness.entropy(), res.witness.integrate(g), res.status)
+
+
+def _spectrum_grid_row(payload) -> tuple:
+    """A spectrum grid row; a point that raises a domain error keeps its name as status."""
+    try:
+        return _spectrum_row(payload)
+    except DomainError as exc:
+        return (payload[2], None, None, None, None, exc.name)
+
+
+# command -> (row of a point, row of a grid point, JSON names of a row, CSV header)
+_SCANS = {
+    "pressure": (_pressure_row, _pressure_row, ["beta", "pressure", "mean", "entropy"], ["beta", "P", "mean", "entropy"]),
+    "spectrum": (
+        _spectrum_row,
+        _spectrum_grid_row,
+        ["alpha", "entropy", "beta", "witness_entropy", "witness_mean", "status"],
+        ["alpha", "H", "beta", "witness_entropy", "witness_mean", "status"],
+    ),
+}
+
+
+def _scan(args, point, grid) -> None:
+    """A grid is a CSV of rows; a single point is the same row as JSON,
+    headed by its second field."""
+    row, grid_row, names, header = _SCANS[args.command]
     sft = _load_sft(args.sft)
     g = _load_fn(sft, args.g)
-    if args.beta_grid is not None:
-        betas = _parse_grid(args.beta_grid)
-        payloads = [(sft, g, float(b), args.tol) for b in betas]
-        rows = _run_grid(_pressure_point, payloads, args.jobs)
-        comments = [f"symflow {__version__} config={config_hash(_config_dict(args))}"]
-        _emit_csv(args.out, ["beta", "P", "mean", "entropy"], rows, comments)
-        return
-    beta = 1.0 if args.beta is None else args.beta
-    res = pressure(sft, g * beta, tol=args.tol)
-    print(f"{res.value:.12g}")
-    if args.out:
-        write_json(
-            args.out,
-            {
-                "beta": beta,
-                "pressure": res.value,
-                "mean": res.equilibrium.integrate(g),
-                "entropy": res.equilibrium.entropy(),
-                "meta": _meta(args),
-            },
-        )
+    if grid is not None:
+        payloads = [(sft, g, float(x), args.tol) for x in _parse_grid(grid)]
+        _emit_csv(args, header, _run_grid(grid_row, payloads, args.jobs))
+    else:
+        doc = dict(zip(names, row((sft, g, point, args.tol))))
+        _emit(args, doc, f"{doc[names[1]]:.12g}")
 
 
-def _spectrum_point(payload):
-    sft, g, alpha, tol = payload
-    try:
-        res = conditional_entropy_spectrum(sft, g, alpha, tol=tol)
-    except DomainError as exc:
-        return (alpha, None, None, None, None, exc.name)
-    comp = res.witness
-    return (alpha, res.entropy, res.beta, comp.entropy(), comp.integrate(g), res.status)
+def _cmd_pressure(args) -> None:
+    _scan(args, 1.0 if args.beta is None else args.beta, args.beta_grid)
 
 
 def _cmd_spectrum(args) -> None:
-    _check_tol(tol=args.tol)
-    sft = _load_sft(args.sft)
-    g = _load_fn(sft, args.g)
-    if args.alpha_grid is not None:
-        alphas = _parse_grid(args.alpha_grid)
-        payloads = [(sft, g, float(a), args.tol) for a in alphas]
-        rows = _run_grid(_spectrum_point, payloads, args.jobs)
-        comments = [f"symflow {__version__} config={config_hash(_config_dict(args))}"]
-        _emit_csv(
-            args.out,
-            ["alpha", "H", "beta", "witness_entropy", "witness_mean", "status"],
-            rows,
-            comments,
-        )
-        return
-    if args.alpha is None:
+    if args.alpha is None and args.alpha_grid is None:
         raise InputError("either --alpha or --alpha-grid is required")
-    res = conditional_entropy_spectrum(sft, g, args.alpha, tol=args.tol)
-    print(f"{res.entropy:.12g}")
-    if args.out:
-        comp = res.witness
-        write_json(
-            args.out,
-            {
-                "alpha": res.alpha,
-                "entropy": res.entropy,
-                "beta": res.beta,
-                "witness_entropy": comp.entropy(),
-                "witness_mean": comp.integrate(g),
-                "status": res.status,
-                "meta": _meta(args),
-            },
-        )
+    _scan(args, args.alpha, args.alpha_grid)
 
 
 def _cmd_spectrum2d(args) -> None:
-    _check_tol(tol=args.tol)
     sft = _load_sft(args.sft)
     g = _load_fn(sft, args.g)
     h = _load_fn(sft, args.h)
-    alpha = _parse_pair(args.alpha)
+    alpha = _parse_pair("alpha", args.alpha)
     res = conditional_entropy_spectrum_2d(sft, g, h, alpha, tol=args.tol, directions=args.directions)
     comp = res.witness
     doc = {
@@ -201,11 +185,8 @@ def _cmd_spectrum2d(args) -> None:
         "witness_mean": [comp.integrate(g), comp.integrate(h)],
         "witness_entropy": comp.entropy(),
         "status": res.status,
-        "meta": _meta(args),
     }
-    print(f"{res.entropy:.12g}")
-    if args.out:
-        write_json(args.out, doc)
+    _emit(args, doc, f"{res.entropy:.12g}")
 
 
 def _cmd_rotation_set(args) -> None:
@@ -220,24 +201,16 @@ def _cmd_rotation_set(args) -> None:
         "points": rset.points,
         "hull": rset.hull,
         "words": [list(w) for w in rset.words],
-        "meta": _meta(args),
     }
-    print(f"rank {rset.rank}, {len(rset.hull)} hull vertices")
-    if args.out:
-        write_json(args.out, doc)
+    _emit(args, doc, f"rank {rset.rank}, {len(rset.hull)} hull vertices")
 
 
 def _cmd_flow_entropy(args) -> None:
-    _check_tol(tol=args.tol)
-    system = SuspensionSystem.from_json(read_json(args.system))
-    value = flow_top_entropy(system, tol=args.tol)
-    print(f"{value:.12g}")
-    if args.out:
-        write_json(args.out, {"flow_entropy": value, "meta": _meta(args)})
+    value = flow_top_entropy(SuspensionSystem.from_json(read_json(args.system)), tol=args.tol)
+    _emit(args, {"flow_entropy": value}, f"{value:.12g}")
 
 
 def _cmd_flow_spectrum(args) -> None:
-    _check_tol(tol=args.tol)
     system = SuspensionSystem.from_json(read_json(args.system))
     phi = LocallyConstantFunction.from_json(system.base, read_json(args.phi))
     res = flow_conditional_spectrum(system, phi, args.alpha, tol=args.tol)
@@ -249,11 +222,8 @@ def _cmd_flow_spectrum(args) -> None:
         "witness_ratio": flow_integral(system, mu, phi),
         "witness_flow_entropy": abramov_entropy(system, mu),
         "status": res.status,
-        "meta": _meta(args),
     }
-    print(f"{res.s:.12g}")
-    if args.out:
-        write_json(args.out, doc)
+    _emit(args, doc, f"{res.s:.12g}")
 
 
 def _load_targets(sft: Sft, path: str) -> list:
@@ -271,9 +241,8 @@ def _cmd_horseshoe(args) -> None:
     sft = _load_sft(args.sft)
     targets = _load_targets(sft, args.targets)
     pack = build_multi_horseshoe(sft, targets, args.eta, args.zeta, args.n_max, seed=args.seed)
-    write_json(args.out, {"pack": pack.to_json(), "meta": _meta(args)})
     sizes = ",".join(str(len(ws)) for ws in pack.word_sets)
-    print(f"n={pack.n} anchor={pack.anchor} sizes={sizes}")
+    _emit(args, {"pack": pack.to_json()}, f"n={pack.n} anchor={pack.anchor} sizes={sizes}")
 
 
 def _cmd_certify(args) -> None:
@@ -283,7 +252,7 @@ def _cmd_certify(args) -> None:
     if args.system:
         _check_count("mixtures", args.mixtures, 1)
     doc = read_json(args.pack)
-    if "pack" not in doc:
+    if not isinstance(doc, dict) or "pack" not in doc:
         raise InputError("pack file must hold a 'pack' object")
     pack = HorseshoePack.from_json(doc["pack"])
     report = certify_pack(pack, args.samples, args.seed)
@@ -291,11 +260,8 @@ def _cmd_certify(args) -> None:
     if args.system:
         system = SuspensionSystem.from_json(read_json(args.system))
         flow_report = lift_pack_to_flow(system, pack, mixtures=args.mixtures, seed=args.seed)
-    out_doc = {"report": report, "flow": flow_report, "meta": _meta(args)}
-    if args.out:
-        write_json(args.out, out_doc)
     verdict = "PASS" if report["pass"] and (flow_report is None or flow_report["pass"]) else "FAIL"
-    print(f"certificate: {verdict}")
+    _emit(args, {"report": report, "flow": flow_report}, f"certificate: {verdict}")
 
 
 # kind -> (required keys besides kind, sft, g and alpha, optional keys, library
@@ -348,23 +314,17 @@ def _checks(mu: InvariantMeasure, kind: str, fields: dict) -> list:
     return _witness_checks(mu, **wants, mean_tol=_WITNESS_KINDS[kind][3])
 
 
+def _check_lines(checks: list) -> str:
+    return "\n".join(("pass " if c["pass"] else "FAIL ") + c["check"] for c in checks)
+
+
 def _cmd_witness(args) -> None:
     req = read_json(args.request)
     kind, sft, fields = _parse_witness_request(req)
     mu = _WITNESS_KINDS[kind][2](sft, **fields)
     checks = _checks(mu, kind, fields)
-    write_json(
-        args.out,
-        {
-            "sft": sft.to_json(),
-            "measure": mu.to_json(),
-            "request": req,
-            "checks": checks,
-            "meta": _meta(args),
-        },
-    )
-    for c in checks:
-        print(("pass " if c["pass"] else "FAIL ") + c["check"])
+    doc = {"sft": sft.to_json(), "measure": mu.to_json(), "request": req, "checks": checks}
+    _emit(args, doc, _check_lines(checks))
     if not all(c["pass"] for c in checks):
         raise DomainError("witness failed its own verification", name="verify")
 
@@ -378,23 +338,15 @@ def _cmd_verify(args) -> None:
     mu = InvariantMeasure.from_json(sft, doc["measure"])
     checks = _checks(mu, kind, fields)
     ok = all(c["pass"] for c in checks)
-    if args.out:
-        write_json(args.out, {"checks": checks, "pass": ok, "meta": _meta(args)})
-    for c in checks:
-        print(("pass " if c["pass"] else "FAIL ") + c["check"])
+    _emit(args, {"checks": checks, "pass": ok}, _check_lines(checks))
     if not ok:
         raise DomainError("verification failed", name="verify")
 
 
 def _cmd_lorenz_validate(args) -> None:
-    model = LorenzModel.from_json(read_json(args.model))
-    report = validate_lorenz(model, grid=args.grid)
-    for e in report["entries"]:
-        mark = "pass" if e["pass"] else "FAIL"
-        print(f"{mark} {e['constraint']} margin={e['margin']:.6g}")
-    print("overall: " + ("pass" if report["pass"] else "FAIL"))
-    if args.out:
-        write_json(args.out, {"report": report, "meta": _meta(args)})
+    report = validate_lorenz(LorenzModel.from_json(read_json(args.model)), grid=args.grid)
+    lines = [f"{'pass' if e['pass'] else 'FAIL'} {e['constraint']} margin={e['margin']:.6g}" for e in report["entries"]]
+    _emit(args, {"report": report}, "\n".join(lines + ["overall: " + ("pass" if report["pass"] else "FAIL")]))
 
 
 def _cmd_lorenz_simulate(args) -> None:
@@ -406,11 +358,7 @@ def _cmd_lorenz_simulate(args) -> None:
         (k, traj.xs[k], traj.ys[k], int(traj.itinerary[k]))
         for k in range(len(traj))
     ]
-    comments = [
-        f"symflow {__version__} config={config_hash(_config_dict(args))}",
-        f"halted={str(traj.halted).lower()}",
-    ]
-    _emit_csv(args.out, ["step", "x", "y", "s"], rows, comments)
+    _emit_csv(args, ["step", "x", "y", "s"], rows, f"halted={str(traj.halted).lower()}")
     print(f"{len(traj)} points halted={str(traj.halted).lower()}")
 
 

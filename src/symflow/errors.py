@@ -5,7 +5,8 @@ Every failure the library raises on purpose carries a short machine-readable
 codes) next to the human-readable message.
 
 ``_check_tol`` and ``_check_count`` check tolerance and count arguments, and
-``_number`` and ``_numbers`` read the numbers of every JSON document.
+``_number`` and ``_numbers`` read the numbers of every JSON document and
+``_text_number`` those of the CLI's grid and pair flags.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _text_number(name: str, text: str) -> float:
+    """The float of a number written in a command-line flag; InputError for other text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{name} must be a number, got {text!r}") from None
 
 
 def _numbers(name: str, value) -> np.ndarray:

@@ -456,13 +456,21 @@ class HorseshoePack:
 
     @classmethod
     def from_json(cls, data: dict) -> "HorseshoePack":
+        if not isinstance(data, dict):
+            raise InputError("pack document must be an object")
+        if missing := sorted({"sft", "n", "anchor", "eta", "zeta", "word_sets", "measures"} - set(data)):
+            raise InputError(f"missing pack keys {missing}")
+        word_sets, measures, meta = data["word_sets"], data["measures"], data.get("meta", {})
+        if not (isinstance(word_sets, list) and all(isinstance(ws, list) for ws in word_sets)
+                and isinstance(measures, list) and isinstance(meta, dict)):
+            raise InputError("pack word_sets must be a list of lists, measures a list and meta an object")
         sft = Sft.from_json(data["sft"])
         _check_count("n", data["n"], 1)
         _check_count("anchor", data["anchor"], 0)
         eta, zeta = _number("eta", data["eta"]), _number("zeta", data["zeta"])
         _check_tol(eta=eta, zeta=zeta)
-        word_sets = [[_parse_word_key(wk, sft.k) for wk in ws] for ws in data["word_sets"]]
-        measures = [InvariantMeasure.from_json(sft, d) for d in data["measures"]]
+        word_sets = [[_parse_word_key(wk, sft.k) for wk in ws] for ws in word_sets]
+        measures = [InvariantMeasure.from_json(sft, d) for d in measures]
         return cls(
             sft=sft,
             n=data["n"],
@@ -471,7 +479,7 @@ class HorseshoePack:
             zeta=zeta,
             word_sets=word_sets,
             measures=measures,
-            meta=dict(data.get("meta", {})),
+            meta=dict(meta),
         )
 
 
@@ -627,8 +635,7 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
     measures = list(measures)
     if not measures:
         raise InputError("need at least one target measure")
-    if not (eta > 0.0 and zeta > 0.0):
-        raise InputError("eta and zeta must be positive")
+    _check_tol(eta=eta, zeta=zeta)
     for i in range(len(measures)):
         for j in range(i + 1, len(measures)):
             if d_star(measures[i], measures[j]) < zeta:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, _check_tol
+from .errors import DomainError, InputError, _check_count, _check_tol
 from .measures import MarkovComponent
 from .sft import LocallyConstantFunction, Sft
 from .thermo import _covariance, _EdgeModel
@@ -243,7 +243,7 @@ class RotationSet:
     def classify(self, point, margin: float = 1e-6) -> str:
         p = np.asarray(point, dtype=float)
         scale = max(1.0, float(np.abs(self.support).max()))
-        if np.any(self.directions @ p > self.support + 1e-10 * scale):
+        if not np.isfinite(p).all() or np.any(self.directions @ p > self.support + 1e-10 * scale):
             return "exterior"
         if self.rank < 2:
             return "boundary"
@@ -287,6 +287,7 @@ def _hull(points: np.ndarray) -> np.ndarray:
 
 
 def _rotation_set(model: _EdgeModel, directions: int) -> RotationSet:
+    _check_count("directions", directions, 1)
     thetas = 2.0 * np.pi * np.arange(directions) / directions
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     support = np.empty(directions)

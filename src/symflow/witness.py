@@ -246,7 +246,8 @@ def intermediate_witness(
     h + integral u = c (entropy alone when u is omitted).
 
     The top end is the equilibrium of u + beta*g with mean alpha, found by
-    the Newton tilt ``spectrum._tilt``.  The path runs from a
+    the Newton tilt ``spectrum._tilt``; it is returned for a c below its
+    level only within the level check's tolerance.  The path runs from a
     near-deterministic chain with mean alpha to the constrained
     equilibrium, entrywise in the transition matrices; every point of the
     path is re-tilted by the same Newton iteration to keep the mean pinned,
@@ -284,7 +285,7 @@ def intermediate_witness(
         if c > P_mu0 + band_tol:
             raise DomainError(f"c outside admissible band: mu0 pressure is {P_mu0:.12g}", name="band")
     request = dict(c=c, u=u, mu0=mu0, zeta=zeta, mean_tol=max(tol_mean, 1e-8), level_tol=max(tol, 1e-5))
-    if c >= P_top - band_tol:
+    if c >= P_top - min(band_tol, request["level_tol"]):
         return _checked(InvariantMeasure.single(model.component(sol_top)), g, alpha, **request)
 
     # low endpoint, with the cap shrunk until the tilted path starts below c;

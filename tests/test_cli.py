@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +17,10 @@ import pytest
 
 from conftest import bernoulli_measure, binary_entropy, count_checks
 import symflow
-from symflow.cli import main
+from symflow.cli import build_parser, main
 from symflow.lorenz import LorenzModel
 from symflow.sft import LocallyConstantFunction, Sft
+from symflow.spectrum import conditional_entropy_spectrum
 from symflow.suspension import SuspensionSystem
 
 
@@ -904,3 +908,142 @@ def test_witness_and_verify_run_the_checks_once_each(files, tmp_path, monkeypatc
     runs.clear()
     assert run_cli("verify", "--measure", tmp_path / "w.json")[0] == 0
     assert runs == [names]
+
+
+@pytest.mark.parametrize(
+    "command, point, grid",
+    [("spectrum", "--alpha=0.3", "--alpha-grid=0.3:0.3:1"), ("pressure", "--beta=-0.7", "--beta-grid=-0.7:-0.7:1")],
+)
+def test_a_single_point_writes_its_one_point_grids_row(files, tmp_path, command, point, grid):
+    single, table = tmp_path / "point.json", tmp_path / "grid.csv"
+    base = [command, "--sft", files["full2"], "--g", files["g"]]
+    assert run_cli(*base, point, "--out", single)[0] == 0
+    assert run_cli(*base, grid, "--out", table)[0] == 0
+    doc = json.loads(single.read_text())
+    _, header, (row,) = read_csv(table)
+    names = {"H": "entropy", "P": "pressure"}  # the JSON names of the CSV columns
+    assert set(doc) - {"meta"} == {names.get(col, col) for col in header}
+    for col, cell in zip(header, row):
+        want = doc[names.get(col, col)]
+        assert cell == want if isinstance(want, str) else float(cell) == want, col
+
+
+def _fresh_cli(*argv) -> tuple:
+    """(exit code, stdout, stderr) of symflow run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(symflow.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "symflow.cli", *map(str, argv)], capture_output=True, text=True, env=env)
+    return fresh.returncode, fresh.stdout, fresh.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--sft", "full2", "--g", "g", "--alpha-grid", "x:1:3"],
+        ["spectrum", "--sft", "full2", "--g", "g", "--alpha-grid", "0.2:inf:3"],
+        ["pressure", "--sft", "full2", "--g", "g", "--beta-grid", "0:1:2.5"],
+        ["spectrum2d", "--sft", "full2", "--g", "g", "--h", "h", "--alpha", "a,b"],
+        ["rotation-set", "--sft", "full2", "--g", "g", "--h", "h", "--directions", "0"],
+        ["rotation-set", "--sft", "full2", "--g", "g", "--h", "h", "--directions", "-5"],
+        ["spectrum2d", "--sft", "full2", "--g", "g", "--h", "h", "--alpha", "0.5,0.25", "--directions", "0"],
+        ["certify", "--pack", "pack_without_n", "--seed", "0", "--out", "out"],
+        ["horseshoe", "--sft", "full2", "--targets", "targets", "--eta", "inf", "--zeta", "0.4",
+         "--n-max", "16", "--seed", "0", "--out", "out"],
+    ],
+)
+def test_out_of_domain_flags_and_packs_are_input_errors(files, pack_file, tmp_path, argv):
+    # one `error: input:` line, before any numpy warning, and no artifact
+    doc = json.loads(pack_file.read_text())
+    del doc["pack"]["n"]
+    paths = dict(files, pack_without_n=tmp_path / "pack.json", out=tmp_path / "out.json")
+    paths["pack_without_n"].write_text(json.dumps(doc))
+    code, out, err = _fresh_cli(*[paths.get(a, a) for a in argv])
+    assert code == 1 and out == "", err
+    assert re.fullmatch(r"error: input: [^\n]*\n", err), err
+    assert not paths["out"].exists()
+
+
+# command -> valid flags of a run; the flag under test comes after them, and
+# argparse keeps the last value a flag is given.  Words that name a file of
+# the ``files`` fixture, ``pack`` and ``out`` stand for those paths.
+_WALK_BASE = {
+    "pressure": ["--sft", "full2", "--g", "g"],
+    "spectrum": ["--sft", "full2", "--g", "g", "--alpha", "0.3"],
+    "spectrum2d": ["--sft", "full2", "--g", "g", "--h", "h", "--alpha", "0.5,0.25", "--directions", "16"],
+    "rotation-set": ["--sft", "full2", "--g", "g", "--h", "h", "--directions", "16"],
+    "flow-entropy": ["--system", "system"],
+    "flow-spectrum": ["--system", "system", "--phi", "g", "--alpha", "0.25"],
+    "horseshoe": ["--sft", "full2", "--targets", "targets", "--eta", "0.5", "--zeta", "0.4",
+                  "--n-max", "12", "--seed", "0", "--out", "out"],
+    "certify": ["--pack", "pack", "--samples", "4", "--seed", "0", "--system", "system", "--mixtures", "2"],
+    "lorenz-validate": ["--model", "model", "--grid", "10"],
+    "lorenz-simulate": ["--model", "model", "--x0", "0.3", "--y0", "0.1", "--n", "10"],
+}
+_WALK_VALUES = ["abc", "nan", "inf", "0", "-1", "1.5"]
+
+
+def _number_flags() -> list:
+    """(command, flag, kind) of every flag whose value is a number, a grid or a pair."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = []
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[-1]
+            if action.type in (int, float):
+                flags.append((command, flag, "number"))
+            elif flag.endswith("-grid") or "pair" in (action.help or ""):
+                flags.append((command, flag, "grid" if flag.endswith("-grid") else "pair"))
+    return flags
+
+
+def _walk_text(kind: str, value: str) -> list:
+    """The flag texts that put value into each place of a valid number, grid or pair."""
+    if kind == "grid":
+        return [f"{value}:1:3", f"0:{value}:3", f"0:1:{value}"]
+    return [f"{value},0.25", f"0.5,{value}"] if kind == "pair" else [value]
+
+
+def test_every_number_grid_and_pair_flag_fails_cleanly(files, pack_file, tmp_path):
+    # Each run exits 0, 1 or 2, and a failed one writes one `error: <name>:`
+    # line, with no escaped exception and no warning.  None of the values
+    # reads as a --jobs above 1, so no run starts a process pool.
+    flags = _number_flags()
+    assert {command for command, _, _ in flags} == set(_WALK_BASE)
+    paths = dict(files, pack=pack_file, out=tmp_path / "out.json")
+    faults = []
+    for command, flag, kind in flags:
+        for value in _WALK_VALUES:
+            for text in _walk_text(kind, value):
+                assert not (flag == "--jobs" and text.isdigit() and int(text) > 1)
+                argv = [command, *(paths.get(a, a) for a in _WALK_BASE[command]), f"{flag}={text}"]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code, _, err = run_cli(*argv)
+                    except Exception as exc:  # what a fresh process prints as a traceback
+                        faults.append((command, flag, text, f"{type(exc).__name__}: {exc}"))
+                        continue
+                if caught:
+                    faults.append((command, flag, text, f"{caught[0].category.__name__}: {caught[0].message}"))
+                elif code not in (0, 1, 2) or code and not re.fullmatch(r"error: \w+: [^\n]*\n", err):
+                    faults.append((command, flag, text, f"exit {code}: {err!r}"))
+    assert not faults, faults
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_a_level_inside_a_wide_top_band_passes_verify_or_is_refused(files, tmp_path, sign):
+    # With u = 200 the top band 1e-7 (1 + |c|) is wider than the level
+    # check's 1e-5.  At 0.9 of it below the top end the path reaches c and
+    # verify passes the level; above the top end the request is refused.
+    full2 = Sft(np.ones((2, 2), dtype=int))
+    g = LocallyConstantFunction.indicator(full2, (1,))
+    u = 200.0 * LocallyConstantFunction.constant(full2, 1.0)
+    top = conditional_entropy_spectrum(full2, g, 0.3).entropy + 200.0
+    c = (top + sign * 0.9e-7) / (1.0 - sign * 0.9e-7)
+    req = {"kind": "intermediate", "sft": full2.to_json(), "g": g.to_json(), "alpha": 0.3, "c": c, "u": u.to_json()}
+    code, _, err = run_cli(*_witness_argv(files, tmp_path, "witness", req))
+    if sign > 0:
+        assert code == 2 and err.startswith("error: no_convergence:"), err
+        return
+    assert code == 0, err
+    code, out, _ = run_cli("verify", "--measure", tmp_path / "w.json")
+    assert code == 0 and "pass entropy plus integral u" in out.splitlines()

@@ -899,3 +899,25 @@ def test_word_process_entropy_of_each_kind():
     wp = WordProcessMeasure(sft, words, ("markov", pi, Q))
     assert abs(wp.entropy() - _entropy_rate(pi, Q) / n) < 1e-15
     assert abs(wp.entropy() + (pi[:, None] * Q * np.log(Q)).sum() / n) < 1e-14
+
+
+@pytest.mark.parametrize("key", ["sft", "n", "anchor", "eta", "zeta", "word_sets", "measures"])
+def test_a_pack_document_missing_a_key_is_an_input_error(small_pack, key):
+    doc = small_pack.to_json()
+    del doc[key]
+    with pytest.raises(InputError, match=f"missing pack keys \\['{key}'\\]"):
+        HorseshoePack.from_json(doc)
+
+
+@pytest.mark.parametrize("part", [{"word_sets": "01"}, {"word_sets": [5]}, {"measures": {}}, {"meta": "x"}])
+def test_pack_word_sets_measures_and_meta_must_be_of_their_types(small_pack, part):
+    with pytest.raises(InputError):
+        HorseshoePack.from_json({**small_pack.to_json(), **part})
+
+
+@pytest.mark.parametrize("budget", [{"eta": float("inf")}, {"zeta": float("inf")}, {"eta": float("nan")}])
+def test_build_refuses_a_budget_that_is_not_finite_and_positive(small_pack, budget):
+    # the rule HorseshoePack.from_json applies, so a built pack always reads back
+    args = {"eta": 0.5, "zeta": 0.4, **budget}
+    with pytest.raises(InputError, match="must be finite and positive"):
+        build_multi_horseshoe(small_pack.sft, small_pack.measures, n_max=16, seed=0, **args)

@@ -751,3 +751,20 @@ def test_rotation_set_low_rank_hulls(full2):
     dot = rotation_set_2d(full2, const, const, directions=16)
     assert dot.rank == 0
     assert dot.hull.shape == (1, 2) and tuple(dot.hull[0]) == (0.25, 0.25)
+
+
+@pytest.mark.parametrize("directions", [0, -5, 2.5, True])
+def test_directions_must_be_a_count_of_at_least_one(full2, directions):
+    # 0 once gave rank 0 after "Mean of empty slice"; -5 a ValueError from numpy
+    g, h = ind1(full2), LocallyConstantFunction.indicator(full2, (1, 1))
+    with pytest.raises(InputError, match="directions must be an integer >= 1"):
+        rotation_set_2d(full2, g, h, directions=directions)
+    with pytest.raises(InputError, match="directions must be an integer >= 1"):
+        conditional_entropy_spectrum_2d(full2, g, h, (0.5, 0.25), directions=directions)
+
+
+def test_a_non_finite_point_is_exterior(full2):
+    # (0.5, inf) once met 0 * inf in the support test: a RuntimeWarning
+    rset = rotation_set_2d(full2, ind1(full2), LocallyConstantFunction.indicator(full2, (1, 1)), directions=16)
+    for point in [(0.5, np.inf), (-np.inf, 0.25), (np.nan, 0.25)]:
+        assert rset.classify(point) == "exterior"
