@@ -264,13 +264,16 @@ def _cmd_certify(args) -> None:
     _emit(args, {"report": report, "flow": flow_report}, f"certificate: {verdict}")
 
 
-# kind -> (required keys besides kind, sft, g and alpha, optional keys, library
-# call, mean tolerance of its checks) of a witness request.  Every key but kind
-# and sft is a keyword of the call, whose own defaults stand for absent ones.
+# kind -> (required keys besides kind, sft, g and alpha, optional keys, name of
+# the library call in this module, mean tolerance of its checks) of a witness
+# request.  Every key but kind and sft is a keyword of the call, whose own
+# defaults stand for absent ones.  The call is looked up by name when the
+# request runs, so a rebinding of the module's name (a tracer's, a test's spy)
+# reaches it.
 _WITNESS_KINDS = {
-    "intermediate": ({"c"}, {"u", "mu0", "zeta", "tol", "tol_mean"}, intermediate_witness, 1e-6),
-    "birkhoff_2d": ({"h"}, {"tol"}, birkhoff_witness_2d, 1e-5),
-    "low_entropy_mean": ({"h_cap"}, {"tol"}, low_entropy_mean_witness, 1e-6),
+    "intermediate": ({"c"}, {"u", "mu0", "zeta", "tol", "tol_mean"}, "intermediate_witness", 1e-6),
+    "birkhoff_2d": ({"h"}, {"tol"}, "birkhoff_witness_2d", 1e-5),
+    "low_entropy_mean": ({"h_cap"}, {"tol"}, "low_entropy_mean_witness", 1e-6),
 }
 
 
@@ -321,7 +324,7 @@ def _check_lines(checks: list) -> str:
 def _cmd_witness(args) -> None:
     req = read_json(args.request)
     kind, sft, fields = _parse_witness_request(req)
-    mu = _WITNESS_KINDS[kind][2](sft, **fields)
+    mu = globals()[_WITNESS_KINDS[kind][2]](sft, **fields)
     checks = _checks(mu, kind, fields)
     doc = {"sft": sft.to_json(), "measure": mu.to_json(), "request": req, "checks": checks}
     _emit(args, doc, _check_lines(checks))

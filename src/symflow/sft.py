@@ -146,9 +146,12 @@ def _perron_right(B, tol: float = 1e-12, maxiter: int = 10**6, rng=None, r0=None
     If that stalls, the cold start runs after all (``start`` is
     ``"fallback"``, which ``thermo._Solve.start`` records, so fallbacks can be
     counted).  Either way the root carries the same certificate.
-    ``thermo._EdgeModel.solve`` passes the vector of its previous solve on
-    recodings of at least ``thermo._WARM_START_MIN_STATES`` states; below
-    that the dense ``eig`` is the cheaper start.
+    ``thermo._EdgeModel.solve`` passes a warm start on recodings of at least
+    ``thermo._WARM_START_MIN_STATES`` states: the vector ``spectrum._tilt``
+    predicts at its next beta, the recoding's closed-form right vector at
+    coefficient 0 (certified after the one polish step), or the vector of
+    the model's previous solve.  Below that size the dense ``eig`` is the
+    cheaper start.
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]

@@ -91,20 +91,22 @@ def birkhoff_range(sft: Sft, g: LocallyConstantFunction) -> BirkhoffRange:
     return BirkhoffRange(lo=lo, hi=hi, argmin=model.project(cyc_lo), argmax=model.project(cyc_hi))
 
 
-def _check_interior(lo: float, hi: float, alpha: float, spread: float = 1e-12) -> None:
+def _check_interior(lo: float, hi: float, alpha: float, spread: float = 1e-12, what: str = "L_g") -> None:
     """Raise unless alpha lies strictly inside [lo, hi], the ends of a request's
-    model: NaN is ``input``; a spread of at most ``spread`` (1e-12 for L_g, 1e-10
-    for flow ratios) ``degenerate``; beyond an end by more than 1e-9*max(1, |lo|,
-    |hi|) ``outside_range`` (so is +-inf), and within that of an end ``boundary``."""
+    model, named ``what`` in the messages: NaN is ``input``; a spread of at most
+    ``spread`` (1e-12 for L_g, 1e-10 for flow ratios) ``degenerate``; beyond an
+    end by more than 1e-9*max(1, |lo|, |hi|) ``outside_range`` (so is +-inf),
+    and within that of an end ``boundary``."""
     if math.isnan(alpha):
         raise InputError("alpha is NaN")
+    ends = f"{what} = [{lo:.12g}, {hi:.12g}]"
     if hi - lo <= spread:
-        raise DomainError(f"degenerate: the range [{lo:.12g}, {hi:.12g}] is a single point", name="degenerate")
+        raise DomainError(f"{ends} is a single point", name="degenerate")
     edge = 1e-9 * max(1.0, abs(lo), abs(hi))
     if alpha < lo - edge or alpha > hi + edge:
-        raise DomainError(f"alpha outside L_g = [{lo:.12g}, {hi:.12g}]", name="outside_range")
+        raise DomainError(f"alpha outside {ends}", name="outside_range")
     if alpha <= lo + edge or alpha >= hi - edge:
-        raise DomainError("boundary: spectrum not computed", name="boundary")
+        raise DomainError(f"alpha on the boundary of {ends}: spectrum not computed", name="boundary")
 
 
 def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None, d=None, chain: np.ndarray | None = None):
@@ -123,15 +125,18 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
     bisection.  A Newton step that leaves (lo, hi), or a variance that is
     not positive and finite, is replaced by the midpoint when both ends are
     finite, and otherwise by a move of max(1, |beta|) toward the root.
-    Each beta is solved once.  |beta| beyond 2^40 raises ``iteration_cap``
-    and 200 steps raise ``no_convergence``; both messages give the steps,
-    the bracket, the last beta and |mean - alpha|.
+    Each beta is solved once.  On a model that warm-starts its Perron solves
+    (``model.warm``), the next solve starts from the right vector predicted
+    at the next beta, r * exp(step * d log r / d beta), the slope read from
+    the same ``_covariance`` solve as the variance.  |beta| beyond 2^40
+    raises ``iteration_cap`` and 200 steps raise ``no_convergence``; both
+    messages give the steps, the bracket, the last beta and |mean - alpha|.
     """
     d = (1.0,) + (0.0,) * (len(model.funcs) - 1) if d is None else d
     base = (0.0,) * len(d) if base is None else base
     E = model._combined(d)
     beta = 0.0 if beta0 is None else float(beta0)
-    lo, hi, f = -np.inf, np.inf, np.nan
+    lo, hi, f, r0 = -np.inf, np.inf, np.nan, None
 
     def failed(what: str, steps: int, name: str) -> DomainError:
         return DomainError(
@@ -143,16 +148,17 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
     for steps in range(200):
         if abs(beta) > _BETA_CAP:
             raise failed("tilt parameter diverged", steps, "iteration_cap")
-        sol = model.solve([b + beta * e for b, e in zip(base, d)], chain=chain)
+        sol = model.solve([b + beta * e for b, e in zip(base, d)], chain=chain, r0=r0)
         f = sum(e * m for e, m in zip(d, sol.means)) - alpha
         if f > 0.0:
             hi = beta
         elif f < 0.0:
             lo = beta
         try:
-            var = float(_covariance(sol, [E])[0, 0])
+            cov, ahead = _covariance(sol, [E], slopes=True)
+            var = float(cov[0, 0])
         except np.linalg.LinAlgError:  # the chain has gone deterministic
-            var = np.nan
+            var, ahead = np.nan, None
         step = -f / var if 0.0 < var < np.inf else np.nan
         tol = 1e-13 + 8.9e-16 * abs(beta)
         if f == 0.0 or abs(step) <= tol or hi - lo < tol:
@@ -163,6 +169,9 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
                 nxt = 0.5 * (lo + hi)
             else:
                 nxt = beta - math.copysign(max(1.0, abs(beta)), f)
+        if model.warm and ahead is not None:  # the next solve starts from r predicted at nxt
+            z = (nxt - beta) * ahead[:, 0]
+            r0 = sol.right * np.exp(z - z.max()) if np.isfinite(z).all() else None
         beta = nxt
     raise failed("tilt solve did not converge", 200, "no_convergence")
 
@@ -293,8 +302,7 @@ def _rotation_set(model: _EdgeModel, directions: int) -> RotationSet:
     support = np.empty(directions)
     points = np.empty((directions, 2))
     words = []
-    for j, u in enumerate(dirs):
-        support[j], cyc = model.max_cycle((u[0], u[1]))
+    for j, (support[j], cyc) in enumerate(model.max_cycles([(u[0], u[1]) for u in dirs])):
         points[j] = model.cycle_sums(cyc, 0) / len(cyc), model.cycle_sums(cyc, 1) / len(cyc)
         words.append(model.project(cyc))
     centered = points - points.mean(axis=0)
@@ -337,11 +345,11 @@ def conditional_entropy_spectrum_2d(
     rset = _rotation_set(model, directions)
     cls = rset.classify(alpha)
     if cls == "exterior":
-        raise DomainError("exterior: alpha outside the rotation set", name="exterior")
+        raise DomainError("alpha is exterior to the rotation set", name="exterior")
     if rset.rank < 2:
-        raise DomainError("degenerate direction: rotation set has empty interior", name="degenerate")
+        raise DomainError("the rotation set has empty interior", name="degenerate")
     if cls == "boundary":
-        raise DomainError("boundary: spectrum not computed", name="boundary")
+        raise DomainError("alpha on the boundary of the rotation set: spectrum not computed", name="boundary")
 
     def dual(beta: np.ndarray):
         sol = model.solve((beta[0], beta[1]))
@@ -443,7 +451,7 @@ def flow_conditional_spectrum(system, phi: LocallyConstantFunction, alpha: float
     _check_tol(tol=tol)
     model = _EdgeModel(system.base, [phi, system.roof])
     lo, _, hi, _ = _ratio_ends(model)
-    _check_interior(lo, hi, alpha, spread=1e-10)
+    _check_interior(lo, hi, alpha, spread=1e-10, what="the flow ratio range")
     beta = None
 
     def level(s: float) -> tuple:

@@ -23,13 +23,19 @@ enough to invent a heavy cycle.
 
 Root-finders walk the tilt in small steps, so on a recoding of at least
 ``_WARM_START_MIN_STATES`` states ``_EdgeModel.solve`` warm-starts each
-Perron solve from the right vector of the model's previous solve instead of
-a dense ``eig``; smaller recodings, and the first solve of every model, start
-cold.  A warm start that stalls falls back to the cold start, and each
-``_Solve`` records which of "cold", "warm" and "fallback" found its root.
+Perron solve instead of running a dense ``eig``: from the vector its caller
+predicts (``spectrum._tilt`` extrapolates along the tilt), else from the
+right vector of the model's previous solve.  A solve at coefficient 0 with
+no chain, such as the first of every 1-D spectrum tilt, has the recoded
+adjacency as its matrix, and starts from that matrix's right vector in
+closed form (``_EdgeModel.parry``).  Smaller recodings, and any other first
+solve, start cold.  A warm start that
+stalls falls back to the cold start, and each ``_Solve`` records which of
+"cold", "warm" and "fallback" found its root.
 
 ``_EdgeModel.ends`` holds the ends of L_g, the Birkhoff range of the model's
-first function, and their cycles: one Karp pair per model.
+first function, and their cycles: one Karp table, of two weight rows, per
+model.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, _check_tol
-from .graphs import max_mean_cycle, min_mean_cycle
+from .graphs import max_mean_cycle, mean_cycles, min_mean_cycle
 from .measures import InvariantMeasure, MarkovComponent, _entropy_rate, _gth, _stationary_inverse, stationary
 from .sft import (
     LocallyConstantFunction,
@@ -152,7 +158,7 @@ def _equilibrium(
     )
 
 
-def _covariance(sol: _Solve, edges) -> np.ndarray:
+def _covariance(sol: _Solve, edges, slopes: bool = False):
     """Asymptotic covariance matrix of the edge tables under the chain of ``sol``.
 
     This is the Hessian of P in the tilt coefficients (Parry & Pollicott
@@ -160,6 +166,11 @@ def _covariance(sol: _Solve, edges) -> np.ndarray:
     ``_equilibrium``) and the fundamental matrix Z = (I - Q + 1 pi)^-1 (Kemeny &
     Snell 1960), entry (a, b) is sum F C_a C_b plus the lag terms (F C_a summed
     into each state) . Z (Q C_b summed over each row), and a and b swapped.
+
+    Column k of Z (Q C_k summed over each row), the ``ahead`` term, solves
+    (I - Q) h = sum_j Q_ij C_ij with pi . h = 0: it is d log r / d coeff_k, the
+    slope of the log right Perron vector along the table k.  With ``slopes``
+    the pair (covariance, ahead) comes back.
     """
     Q, pi = sol.Q, sol.pi
     flux = pi[:, None] * Q
@@ -167,7 +178,8 @@ def _covariance(sol: _Solve, edges) -> np.ndarray:
     into = np.array([(flux * c).sum(axis=0) for c in C])
     ahead = np.linalg.solve(np.eye(len(pi)) - Q + pi[None, :], np.array([(Q * c).sum(axis=1) for c in C]).T)
     lag = into @ ahead
-    return np.array([[float((flux * a * b).sum()) for b in C] for a in C]) + lag + lag.T
+    cov = np.array([[float((flux * a * b).sum()) for b in C] for a in C]) + lag + lag.T
+    return (cov, ahead) if slopes else cov
 
 
 class _EdgeModel:
@@ -191,6 +203,7 @@ class _EdgeModel:
         self.edges = [np.zeros_like(A, dtype=float) for _ in self.funcs]
         for E, f in zip(self.edges, self.funcs):
             E[self.mask] = f.values(words)
+        self.warm = len(A) >= _WARM_START_MIN_STATES  # whether solves skip the dense eig
         self._last: _Solve | None = None
 
     def _combined(self, coeffs) -> np.ndarray:
@@ -226,22 +239,37 @@ class _EdgeModel:
                 name="tilt_range",
             )
 
-    def solve(self, coeffs, tol: float = 1e-12, rng=None, chain: np.ndarray | None = None) -> _Solve:
+    def solve(self, coeffs, tol: float = 1e-12, rng=None, chain: np.ndarray | None = None, r0=None) -> _Solve:
         """Equilibrium of the potential sum(coeffs[k] * funcs[k]), or of
         ``chain`` (positive on every edge) tilted by it: weights chain * e^potential.
 
-        On a recoding of at least ``_WARM_START_MIN_STATES`` states the
-        Perron solve is warm-started from the right vector of the model's
-        last solve, since root-finders move the coefficients in small steps."""
+        On a recoding of at least ``_WARM_START_MIN_STATES`` states (``warm``)
+        the Perron solve is warm-started, since root-finders move the
+        coefficients in small steps: from ``r0`` when given, else from the
+        closed-form ``parry`` vector at coefficient 0 with no chain and no
+        ``rng``, else from the right vector of the model's last solve."""
         W, offset, clamped = self.weights(coeffs)
         W = W if chain is None else chain * W
-        r0 = self._last.right if self._last is not None and len(W) >= _WARM_START_MIN_STATES else None
+        if not self.warm:
+            r0 = None
+        elif r0 is None and chain is None and rng is None and not any(coeffs):
+            r0 = self.parry
+        elif r0 is None and self._last is not None:
+            r0 = self._last.right
         sol = _equilibrium(W, self.mask, self.edges, offset, tol=tol, rng=rng, r0=r0)
         if clamped:  # the edge potential of chain * e^E is E + log chain
             log_chain = 0.0 if chain is None else np.log(np.where(self.mask, chain, 1.0))
             self.check_bracket(self._combined(coeffs) + log_chain, sol.P)
         self._last = sol
         return sol
+
+    @cached_property
+    def parry(self) -> np.ndarray:
+        """Right Perron vector of the recoded adjacency (sum 1): the base
+        SFT's, read at each word's last symbol, since the successors of a
+        word are its shifts by the successors of that symbol."""
+        right = _perron_right(self.sft.A)[1][[w[-1] for w in self.rec.words]]
+        return right / right.sum()
 
     def component(self, sol: _Solve) -> MarkovComponent:
         return MarkovComponent(self.sft, self.rec.m, self.rec.words, sol.Q, sol.pi)
@@ -250,14 +278,20 @@ class _EdgeModel:
         """(value, recoded cycle) of the maximum mean-weight cycle."""
         return max_mean_cycle(self.rec.sft.A, self._combined(coeffs))
 
+    def max_cycles(self, rows) -> list:
+        """``max_cycle`` of every coefficient tuple in ``rows``, from one Karp table."""
+        return [(-v, cyc) for v, cyc in mean_cycles(self.rec.sft.A, [-self._combined(c) for c in rows])]
+
     def min_cycle(self, coeffs):
         return min_mean_cycle(self.rec.sft.A, self._combined(coeffs))
 
     @cached_property
     def ends(self) -> tuple:
         """(lo, cycle_lo, hi, cycle_hi): the extreme cycle means of funcs[0]
-        (the ends of L_g) and their recoded cycles."""
-        return (*self.min_cycle((1.0,)), *self.max_cycle((1.0,)))
+        (the ends of L_g) and their recoded cycles, from one Karp table."""
+        E = self._combined((1.0,))
+        (lo, cyc_lo), (neg_hi, cyc_hi) = mean_cycles(self.rec.sft.A, [E, -E])
+        return lo, cyc_lo, -neg_hi, cyc_hi
 
     def cycle_sums(self, cycle, which) -> float:
         """Sum of edge weights of funcs[which] along a recoded cycle."""

@@ -47,20 +47,20 @@ def sign_change_bracket(f) -> tuple[float, float]:
 
 
 def count_karp(monkeypatch):
-    """Record the size of the graph of every Karp mean-cycle table.
+    """Record the size of the graph once per weight row of every Karp table.
 
-    ``thermo`` holds its own name for ``min_mean_cycle``, and
-    ``max_mean_cycle`` calls the one in ``graphs``, so both are patched."""
+    ``thermo`` holds its own name for ``mean_cycles``, and ``min_mean_cycle``
+    and ``max_mean_cycle`` call the one in ``graphs``, so both are patched."""
     from symflow import graphs, thermo
 
-    calls, karp = [], graphs.min_mean_cycle
+    calls, karp = [], graphs.mean_cycles
 
-    def spy(adj, weight):
-        calls.append(len(adj))
-        return karp(adj, weight)
+    def spy(adj, weights):
+        calls.extend([len(adj)] * len(weights))
+        return karp(adj, weights)
 
-    monkeypatch.setattr(graphs, "min_mean_cycle", spy)
-    monkeypatch.setattr(thermo, "min_mean_cycle", spy)
+    monkeypatch.setattr(graphs, "mean_cycles", spy)
+    monkeypatch.setattr(thermo, "mean_cycles", spy)
     return calls
 
 

@@ -910,6 +910,46 @@ def test_witness_and_verify_run_the_checks_once_each(files, tmp_path, monkeypatc
     assert runs == [names]
 
 
+def test_domain_errors_print_their_name_once(files):
+    # stderr is `error: <name>: <message>`, and the message does not start
+    # with the name again; a flow request names the flow ratio range.
+    runs = [
+        (("spectrum", "--sft", files["full2"], "--g", files["g"], "--alpha", "0"), "boundary"),
+        (("spectrum2d", "--sft", files["full2"], "--g", files["g"], "--h", files["h"], "--alpha", "0,0.25"), "exterior"),
+        (("flow-spectrum", "--system", files["system"], "--phi", files["g"], "--alpha", "1.5"), "outside_range"),
+    ]
+    for argv, name in runs:
+        code, _, err = run_cli(*argv)
+        assert code == 2 and err.startswith(f"error: {name}: "), err
+        assert not err.startswith(f"error: {name}: {name}"), err
+    assert err.strip() == "error: outside_range: alpha outside the flow ratio range = [0, 0.5]", err
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("intermediate", "intermediate_witness"),
+        ("birkhoff_2d", "birkhoff_witness_2d"),
+        ("low_entropy_mean", "low_entropy_mean_witness"),
+    ],
+)
+def test_witness_calls_the_library_function_bound_at_run_time(files, tmp_path, monkeypatch, kind, name):
+    # The kind table names its call, so a spy (or a tracer's wrapper) bound
+    # to symflow.cli after import is the function that runs.
+    from symflow import cli
+
+    calls, call = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["alpha"])
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    req = _full_request(files, kind)
+    assert run_cli(*_witness_argv(files, tmp_path, "witness", req))[0] == 0
+    assert calls == [req["alpha"] if kind != "birkhoff_2d" else tuple(req["alpha"])]
+
+
 @pytest.mark.parametrize(
     "command, point, grid",
     [("spectrum", "--alpha=0.3", "--alpha-grid=0.3:0.3:1"), ("pressure", "--beta=-0.7", "--beta-grid=-0.7:-0.7:1")],

@@ -14,10 +14,12 @@ from symflow.graphs import (
     closed_classes,
     is_strongly_connected,
     max_mean_cycle,
+    mean_cycles,
     min_mean_cycle,
     strong_components,
 )
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
+from symflow.spectrum import _rotation_set
 from symflow.thermo import _EdgeModel
 
 
@@ -181,3 +183,79 @@ def test_mean_cycle_on_a_256_state_recoding():
     assert abs(lo + _cycle_mean_lp(adj, weight, -1.0)) < 1e-9
     for val, cyc in ((hi, cyc_hi), (lo, cyc_lo)):
         assert model.cycle_sums(cyc, 0) / len(cyc) == val
+
+
+def _strongly_connected_graphs(rng, count: int, most: int):
+    """``count`` random strongly connected 0/1 matrices on 1..most vertices."""
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(1, most + 1))
+        adj = (rng.random((n, n)) < rng.uniform(0.15, 0.7)).astype(np.int8)
+        if is_strongly_connected(adj) and adj.any(axis=1).all():
+            graphs.append(adj)
+    return graphs
+
+
+def test_mean_cycles_match_simple_cycles_with_ties():
+    # Several integer tables, many tied cycles, one Karp table: each row's
+    # mean is the least simple-cycle mean, and its witness a cycle of adj
+    # whose mean is exactly that value.
+    rng = np.random.default_rng(31)
+    for adj in _strongly_connected_graphs(rng, 80, 8):
+        n = len(adj)
+        tables = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), n, n)).astype(float)
+        cycles = list(nx.simple_cycles(nx.DiGraph(adj)))
+        for weight, (val, cyc) in zip(tables, mean_cycles(adj, tables)):
+            means = [sum(weight[c[i], c[(i + 1) % len(c)]] for i in range(len(c))) / len(c) for c in cycles]
+            assert abs(val - min(means)) < 1e-12
+            assert len(set(cyc)) == len(cyc)
+            assert all(adj[cyc[i], cyc[(i + 1) % len(cyc)]] for i in range(len(cyc)))
+            assert sum(weight[cyc[i], cyc[(i + 1) % len(cyc)]] for i in range(len(cyc))) / len(cyc) == val
+
+
+def test_a_multi_row_table_equals_its_one_row_calls(monkeypatch):
+    # The table of R rows runs the same float operations per row as R
+    # one-row tables, so means and cycles agree exactly, also where the rows
+    # are split to hold the table to the budget.
+    from symflow import sft
+
+    rng = np.random.default_rng(32)
+    for i, adj in enumerate(_strongly_connected_graphs(rng, 60, 12)):
+        n = len(adj)
+        tables = rng.normal(size=(5, n, n)) if i % 2 else rng.integers(-2, 3, size=(5, n, n)).astype(float)
+        rows = mean_cycles(adj, tables)
+        assert rows == [min_mean_cycle(adj, w) for w in tables]
+        assert [(-v, c) for v, c in mean_cycles(adj, -tables)] == [max_mean_cycle(adj, w) for w in tables]
+        with monkeypatch.context() as m:
+            m.setattr(sft, "ENUMERATION_BUDGET", 2 * (n + 1) * n)  # two rows a table
+            assert mean_cycles(adj, tables) == rows
+            m.setattr(sft, "ENUMERATION_BUDGET", 1)  # never fewer than two
+            assert mean_cycles(adj, tables) == rows
+
+
+def test_the_ends_of_l_g_are_the_one_row_calls():
+    full2 = Sft(np.ones((2, 2), dtype=int))
+    for memory in range(1, 8):
+        words = admissible_words(full2, memory)
+        for seed in range(3):
+            vals = np.random.default_rng(seed).normal(size=len(words))
+            g = LocallyConstantFunction(full2, memory, dict(zip(words, np.round(vals) if seed else vals)))
+            model = _EdgeModel(full2, [g])
+            assert model.ends == (*model.min_cycle((1.0,)), *model.max_cycle((1.0,)))
+
+
+@pytest.mark.parametrize("memory", [1, 3, 6])
+def test_rotation_set_from_one_table_equals_its_directions(memory):
+    # Every direction's support value and cycle are those of its own
+    # one-row max_cycle call.
+    full2 = Sft(np.ones((2, 2), dtype=int))
+    words = admissible_words(full2, memory)
+    vals = np.random.default_rng(memory).normal(size=2 * len(words))
+    g = LocallyConstantFunction(full2, memory, dict(zip(words, vals[: len(words)])))
+    h = LocallyConstantFunction(full2, memory, dict(zip(words, vals[len(words) :])))
+    model = _EdgeModel(full2, [g, h])
+    rset = _rotation_set(model, 48)
+    for u, support, point, word in zip(rset.directions, rset.support, rset.points, rset.words):
+        val, cyc = model.max_cycle((u[0], u[1]))
+        assert support == val and word == model.project(cyc)
+        assert tuple(point) == (model.cycle_sums(cyc, 0) / len(cyc), model.cycle_sums(cyc, 1) / len(cyc))

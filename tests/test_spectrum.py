@@ -151,6 +151,28 @@ def test_check_interior_names_each_case():
     _check_interior(1e12, 1e12 + 1e4, 1e12 + 5e3)  # the edge tolerance scales with the ends
 
 
+def test_interior_errors_name_their_range_once(full2):
+    # Each message names the range that was tested, and none repeats the
+    # error's name, which the CLI prints before it.
+    g, h = ind1(full2), LocallyConstantFunction.indicator(full2, (1, 1))
+    system = SuspensionSystem(full2, LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}))
+    calls = [
+        (lambda: flow_conditional_spectrum(system, g, 1.5), "outside_range", "alpha outside the flow ratio range = [0, 0.5]"),
+        (lambda: flow_conditional_spectrum(system, g, 0.5), "boundary", "the flow ratio range = [0, 0.5]"),
+        (lambda: conditional_entropy_spectrum(full2, g, 1.5), "outside_range", "alpha outside L_g = [0, 1]"),
+        (lambda: conditional_entropy_spectrum(full2, g, 0.0), "boundary", "boundary of L_g = [0, 1]"),
+        (lambda: conditional_entropy_spectrum(full2, LocallyConstantFunction.constant(full2, 0.7), 0.7), "degenerate", "L_g"),
+        (lambda: conditional_entropy_spectrum_2d(full2, g, h, (0.0, 0.25)), "exterior", "rotation set"),
+        (lambda: conditional_entropy_spectrum_2d(full2, g, h, (0.5, 0.5)), "boundary", "rotation set"),
+        (lambda: conditional_entropy_spectrum_2d(full2, g, g, (0.5, 0.5)), "degenerate", "rotation set"),
+    ]
+    for call, name, text in calls:
+        with pytest.raises(DomainError) as e:
+            call()
+        assert e.value.name == name and text in str(e.value), (name, str(e.value))
+        assert not str(e.value).startswith(name), str(e.value)
+
+
 def test_spectrum_refuses_a_nan_alpha(full2, golden):
     with pytest.raises(InputError):
         conditional_entropy_spectrum(full2, ind1(full2), float("nan"))
@@ -438,8 +460,10 @@ def _memory7_table(full2, seed: int) -> LocallyConstantFunction:
 
 
 def test_a_64_state_spectrum_point_makes_one_eig_call(full2, golden, monkeypatch):
-    # The first solve of a path starts from eig; every later one is warm-started
-    # from the vector before it.  Below the size crossover every solve is cold.
+    # The first solve of a path, at beta = 0, starts from the recoding's Parry
+    # vector (one eig of the 2-state base, none of the 64-state recoding);
+    # every later one is warm-started from the vector predicted at its beta.
+    # Below the size crossover every solve is cold.
     from symflow import sft as sft_module
     from symflow import thermo
 
@@ -460,14 +484,30 @@ def test_a_64_state_spectrum_point_makes_one_eig_call(full2, golden, monkeypatch
     g = _memory7_table(full2, 7)
     rng = birkhoff_range(full2, g)
     conditional_entropy_spectrum(full2, g, rng.lo + 0.4 * (rng.hi - rng.lo))
-    assert calls == [(64, 64)]
-    assert starts[0] == "cold" and 3 <= len(starts) <= 5 and set(starts[1:]) == {"warm"}
+    assert calls == [(2, 2)]
+    assert 3 <= len(starts) <= 5 and set(starts) == {"warm"}
 
     calls.clear()
     starts.clear()
     g = ind1(golden) + (-0.3) * LocallyConstantFunction.indicator(golden, (1, 0, 1))
     conditional_entropy_spectrum(golden, g, 0.3)
     assert len(calls) == len(starts) > 5 and set(starts) == {"cold"}
+
+
+@pytest.mark.parametrize("seed, eps", [(2, 1e-5), (5, 1e-3)])
+def test_near_edge_tilts_need_no_eig_fallback(full2, seed, eps, monkeypatch):
+    # Near an end of L_g the spectral gap closes.  Started from the previous
+    # beta's vector, 5 (seed 2) and 1 (seed 5) of these warm Perron solves
+    # stalled and fell back to eig; started from the vector predicted at the
+    # next beta, none does.
+    _, sols = spy_solves(monkeypatch)
+    words = admissible_words(full2, 6)
+    g = LocallyConstantFunction(full2, 6, dict(zip(words, np.random.default_rng(seed).normal(size=len(words)))))
+    rng = birkhoff_range(full2, g)
+    alpha = rng.lo + eps * (rng.hi - rng.lo)
+    res = conditional_entropy_spectrum(full2, g, alpha)
+    assert abs(InvariantMeasure.single(res.witness).integrate(g) - alpha) <= 1e-9
+    assert sols and {sol.start for sol in sols} == {"warm"}
 
 
 def test_a_64_state_interior_point_finds_every_pi_by_inverse_iteration(full2, monkeypatch):

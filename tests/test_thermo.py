@@ -318,3 +318,54 @@ def test_clamped_chain_tilt_lands_in_its_bracket_or_is_named(full2, beta):
         assert s not in _CHAIN_CLAMP_WRONG[beta], s
         slack = 1e-9 * max(1.0, abs(P))
         assert lam - np.log(2.0) - slack <= P <= lam + slack, s
+
+
+@pytest.mark.parametrize("name, memory, states", [("full2", 6, 64), ("full2", 7, 128), ("golden", 6, 21), ("golden", 8, 55)])
+def test_the_first_plain_solve_starts_from_the_parry_vector(name, memory, states, request, monkeypatch):
+    # At coefficient 0 the recoded adjacency is the matrix; the base SFT's
+    # right vector read at each word's last symbol certifies its root at
+    # once, the root of the cold start from eig, with no eig of the recoding.
+    from symflow import sft as sft_module
+
+    sft = request.getfixturevalue(name)
+    words = admissible_words(sft, memory + 1)
+    g = LocallyConstantFunction(sft, memory + 1, dict(zip(words, np.random.default_rng(memory).normal(size=len(words)))))
+    model = _EdgeModel(sft, [g])
+    A = model.rec.sft.A.astype(float)
+    assert A.shape == (states, states)
+    eig, shapes = sft_module.np.linalg.eig, []
+    root, _, start = sft_module._perron_right(A)
+    assert start == "cold"
+    assert np.abs(A @ model.parry - root * model.parry).max() <= 1e-15
+
+    def spy(B):
+        shapes.append(B.shape)
+        return eig(B)
+
+    monkeypatch.setattr(sft_module.np.linalg, "eig", spy)
+    sol = model.solve((0.0,))
+    assert sol.start == "warm" and (states, states) not in shapes
+    assert abs(np.exp(sol.P) - root) <= 1e-15 * root
+    assert model.solve((0.0,), chain=np.where(A > 0, 0.5, 0.0)).start == "warm"  # the last solve's vector
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covariance_slopes_are_the_log_right_vector_derivative(full2, seed):
+    # ahead[:, k] solves (I - Q) h = sum_j Q_ij C_ij with pi . h = 0: the
+    # derivative of log r in coefficient k, up to the constant that pi fixes.
+    rng = np.random.default_rng(seed)
+    words = admissible_words(full2, 3)
+    g = LocallyConstantFunction(full2, 3, dict(zip(words, rng.normal(size=8))))
+    h = LocallyConstantFunction(full2, 3, dict(zip(words, rng.normal(size=8))))
+    model = _EdgeModel(full2, [g, h])
+    beta = rng.normal(size=2)
+    sol = model.solve(tuple(beta))
+    cov, ahead = _covariance(sol, model.edges, slopes=True)
+    assert np.array_equal(cov, _covariance(sol, model.edges))
+    step = 1e-5
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = step
+        diff = (np.log(model.solve(tuple(beta + e)).right) - np.log(model.solve(tuple(beta - e)).right)) / (2 * step)
+        diff -= sol.pi @ diff
+        assert np.abs(diff - ahead[:, k]).max() <= 1e-7 * max(1.0, np.abs(ahead[:, k]).max())

@@ -252,8 +252,9 @@ def _memory6_table(full2, seed: int) -> LocallyConstantFunction:
 
 def test_witness_paths_warm_start_on_large_recodings(full2, monkeypatch):
     # The top tilt (32 states) and every chain tilt of the work recoding (64
-    # states) go through _EdgeModel.solve: one cold Perron start per model,
-    # every later solve warm-started from the one before.
+    # states) go through _EdgeModel.solve.  The top tilt starts at beta = 0
+    # from the Parry vector, so its path is all warm; the work model's first
+    # chain tilt is its one cold Perron start, every later solve warm.
     g = _memory6_table(full2, 0)
     rng = birkhoff_range(full2, g)
     alpha = rng.lo + 0.4 * (rng.hi - rng.lo)
@@ -268,8 +269,9 @@ def test_witness_paths_warm_start_on_large_recodings(full2, monkeypatch):
     monkeypatch.setattr(thermo._EdgeModel, "solve", spy)
     nu = intermediate_witness(full2, g, alpha, c)
     assert len(starts) == 2
-    for path in starts.values():
-        assert path[0] == "cold" and len(path) > 1 and set(path[1:]) == {"warm"}, path
+    top, work = starts.values()
+    assert set(top) == {"warm"}, top
+    assert work[0] == "cold" and len(work) > 1 and set(work[1:]) == {"warm"}, work
     assert abs(nu.integrate(g) - alpha) < 1e-8
     assert abs(nu.entropy() - c) < 1e-5
 
