@@ -35,6 +35,11 @@ __all__ = [
 ENUMERATION_BUDGET = 2**24
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# Steps ``_inverse_iteration`` takes without halving its best bracket width
+# before it gives up.  The most seen on a certified solve is 12 (the 4,334
+# Perron solves of a near-edge spectrum sweep: full2 memory-6 and 7 tables,
+# default_rng(0..11), alpha at 1e-2..1e-7 of |L_g| from each end).
+_STALL_STEPS = 30
 
 Word = tuple  # words are plain tuples of ints throughout
 
@@ -198,17 +203,19 @@ def _inverse_iteration(B: np.ndarray, r: np.ndarray, tol: float, maxiter: int, p
     quadratically; the 1e-6 cap lets entries that start orders of magnitude
     too large fall by a factor up to 1e-6 per step.  If for three steps
     neither the relative width halves nor an entry of r moves by a factor 2,
-    the bracket has stalled and ``iteration_cap`` is raised with it.
+    or for ``_STALL_STEPS`` steps no finite width has halved the best one,
+    whatever the entries do (lo = 0 makes the width infinite), the bracket has
+    stalled and ``iteration_cap`` is raised with it.
     """
     n = B.shape[0]
     balanced, lo, hi = _balanced(B, r)
-    best, stalled = np.inf, 0
+    best, stalled, since = np.inf, 0, 0
     for _ in range(maxiter + 1):
         certified = hi - lo <= tol * lo
         if certified and not (polish and hi > lo):
             return 0.5 * (lo + hi), r / r.sum()
         width = (hi - lo) / lo if lo > 0.0 else np.inf
-        if stalled >= 3:
+        if stalled >= 3 or since >= _STALL_STEPS:
             break
         sigma = hi + min(hi - lo, 1e-6 * hi)
         x = np.linalg.solve(sigma * np.eye(n) - balanced, np.ones(n))
@@ -216,6 +223,7 @@ def _inverse_iteration(B: np.ndarray, r: np.ndarray, tol: float, maxiter: int, p
             break
         x = np.maximum(x / x.max(), _EPS)
         stalled = 0 if (width <= 0.5 * best or x.min() < 0.5) else stalled + 1
+        since = 0 if width < np.inf and width <= 0.5 * best else since + 1
         best = min(best, width)
         r = r * x
         r /= r.max()

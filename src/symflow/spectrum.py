@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _BETA_CAP = 2.0**40
+# Failures of a trial solve that make it a bracket end of ``_tilt`` (also the
+# re-pins of ``witness._path_newton``), and how many failed trials one tilt
+# steps back from before it raises.
+_FAILED_TRIAL = ("iteration_cap", "stationary_range", "tilt_range")
+_HALVINGS = 10
 
 
 @dataclass
@@ -128,15 +133,23 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
     Each beta is solved once.  On a model that warm-starts its Perron solves
     (``model.warm``), the next solve starts from the right vector predicted
     at the next beta, r * exp(step * d log r / d beta), the slope read from
-    the same ``_covariance`` solve as the variance.  |beta| beyond 2^40
-    raises ``iteration_cap`` and 200 steps raise ``no_convergence``; both
-    messages give the steps, the bracket, the last beta and |mean - alpha|.
+    the same ``_covariance`` solve as the variance.
+
+    A trial after the first that fails by a name in ``_FAILED_TRIAL``, gives
+    a non-finite mean, or would start from a predicted vector with an entry
+    that underflows to 0 (it is not solved) becomes a bracket end: the next
+    trial moves from the last good beta toward it by half the failed step,
+    and by no more than max(1, |beta|), as above.  After ``_HALVINGS`` such
+    moves the next failure is raised under its own name.  |beta| beyond 2^40
+    raises ``iteration_cap`` and 200 steps raise ``no_convergence``.  Every
+    message gives the steps, the bracket, the last beta and |mean - alpha|.
     """
     d = (1.0,) + (0.0,) * (len(model.funcs) - 1) if d is None else d
     base = (0.0,) * len(d) if base is None else base
     E = model._combined(d)
     beta = 0.0 if beta0 is None else float(beta0)
     lo, hi, f, r0 = -np.inf, np.inf, np.nan, None
+    good, halvings = None, 0  # (beta, sol, ahead) of the last solve that succeeded
 
     def failed(what: str, steps: int, name: str) -> DomainError:
         return DomainError(
@@ -145,11 +158,33 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
             name=name,
         )
 
+    def start(nxt: float):
+        """The right vector predicted at nxt from the last good solve."""
+        z = (nxt - good[0]) * good[2][:, 0]
+        return good[1].right * np.exp(z - z.max()) if np.isfinite(z).all() else None
+
     for steps in range(200):
         if abs(beta) > _BETA_CAP:
             raise failed("tilt parameter diverged", steps, "iteration_cap")
-        sol = model.solve([b + beta * e for b, e in zip(base, d)], chain=chain, r0=r0)
-        f = sum(e * m for e, m in zip(d, sol.means)) - alpha
+        trial, name = np.nan, "iteration_cap"
+        if r0 is None or (r0 > 0.0).all():  # a predicted start that underflows is not solved
+            try:
+                sol = model.solve([b + beta * e for b, e in zip(base, d)], chain=chain, r0=r0)
+                trial, name = sum(e * m for e, m in zip(d, sol.means)) - alpha, "no_convergence"
+            except DomainError as exc:
+                if good is None or exc.name not in _FAILED_TRIAL:
+                    raise
+                name = exc.name
+        if good is not None and not np.isfinite(trial):  # a bracket end: shorten the step toward good
+            halvings += 1
+            if halvings > _HALVINGS:
+                raise failed(f"trial solve failed ({name}) {halvings} times", steps, name)
+            lo, hi = (lo, beta) if beta > good[0] else (beta, hi)
+            step = 0.5 * (beta - good[0])
+            beta = good[0] + math.copysign(min(abs(step), max(1.0, abs(good[0]))), step)
+            r0 = start(beta) if model.warm and good[2] is not None else None
+            continue
+        f = trial
         if f > 0.0:
             hi = beta
         elif f < 0.0:
@@ -159,6 +194,7 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
             var = float(cov[0, 0])
         except np.linalg.LinAlgError:  # the chain has gone deterministic
             var, ahead = np.nan, None
+        good = (beta, sol, ahead)
         step = -f / var if 0.0 < var < np.inf else np.nan
         tol = 1e-13 + 8.9e-16 * abs(beta)
         if f == 0.0 or abs(step) <= tol or hi - lo < tol:
@@ -170,8 +206,7 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
             else:
                 nxt = beta - math.copysign(max(1.0, abs(beta)), f)
         if model.warm and ahead is not None:  # the next solve starts from r predicted at nxt
-            z = (nxt - beta) * ahead[:, 0]
-            r0 = sol.right * np.exp(z - z.max()) if np.isfinite(z).all() else None
+            r0 = start(nxt)
         beta = nxt
     raise failed("tilt solve did not converge", 200, "no_convergence")
 

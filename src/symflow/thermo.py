@@ -133,12 +133,18 @@ def _equilibrium(
     the chain's entropy rate, and P = offset + log(lambda).  pi comes from
     ``_stationary_inverse`` when Q charges every edge, has at least
     ``_INVERSE_MIN_STATES`` states and passes that step's residual and
-    convergence checks, and from GTH otherwise.
+    convergence checks, and from GTH otherwise.  A row of Q that underflows
+    to 0, where r spans more than the double range, raises
+    ``stationary_range``.
     """
     lam, right, start = _perron_right(W, tol=tol, rng=rng, r0=r0)
     Q = W * right[None, :] / (lam * right[:, None])
     Q[~mask] = 0.0
-    Q /= Q.sum(axis=1, keepdims=True)  # absorb the O(tol) Perron residue
+    rows = Q.sum(axis=1, keepdims=True)
+    if not (rows > 0.0).all():  # r spans more than the double range
+        msg = "equilibrium chain out of floating-point range: a row underflowed to 0"
+        raise DomainError(msg, name="stationary_range")
+    Q /= rows  # absorb the O(tol) Perron residue
     # The mask is the edge set of an irreducible recoding, so a Q that charges
     # all of it needs no closed-class search.  Entries that underflowed to 0
     # at an extreme tilt can leave transient states: ``stationary`` finds the
@@ -171,6 +177,13 @@ def _covariance(sol: _Solve, edges, slopes: bool = False):
     (I - Q) h = sum_j Q_ij C_ij with pi . h = 0: it is d log r / d coeff_k, the
     slope of the log right Perron vector along the table k.  With ``slopes``
     the pair (covariance, ahead) comes back.
+
+    The tables need not be the model's functions.  Entry (a, b) is also the
+    derivative of the equilibrium mean of table a as the potential moves
+    along table b (Ruelle 1978), and the entropy moves by -cov(phi, b) for the
+    potential phi solved; so ``witness._path_newton`` reads the derivatives
+    of its mean and level, along the tilt and along a path of chains, from
+    one call.
     """
     Q, pi = sol.Q, sol.pi
     flux = pi[:, None] * Q

@@ -8,11 +8,14 @@ Three constructions:
   The switch-back probability comes in closed form, so entropies down to
   about 1e-14 are reachable.
 * ``intermediate_witness`` interpolates between that low-complexity chain
-  and the fully supported equilibrium chain, re-tilting along the way so
-  the mean stays at alpha, and root-finds along the path (Brent's method in
-  the path parameter; each tilt a Newton iteration on the mean, warm-started
-  from the last) until h + integral(u) hits the requested level c.  Its
-  ends and mu0's chain are Markov projections (``measures._markovize``).
+  and the fully supported equilibrium chain, entrywise in the transition
+  matrices, and tilts the path's chains by beta*g.  One Newton iteration on
+  (beta, t) drives the mean to alpha and h + integral(u) to the requested
+  level c together (``_path_newton``): both derivatives are asymptotic
+  covariances of edge tables, so one covariance solve per iterate gives the
+  2x2 Jacobian.  A trial that fails, or leaves the mean far from alpha, is
+  re-pinned to alpha by the Newton tilt ``spectrum._tilt``.  Its ends and
+  mu0's chain are Markov projections (``measures._markovize``).
   L_g is solved once a request, on the request's own [g] or [g, u] model
   (``model.ends``), and alpha is tested once against it
   (``spectrum._check_interior``).  With mu0, both ends are
@@ -28,8 +31,8 @@ import numpy as np
 from .errors import DomainError, InputError, _check_tol
 from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary, support_is_full
 from .sft import LocallyConstantFunction, Sft
-from .spectrum import _brentq, _check_interior, _tilt, conditional_entropy_spectrum_2d
-from .thermo import _EdgeModel
+from .spectrum import _FAILED_TRIAL, _check_interior, _tilt, conditional_entropy_spectrum_2d
+from .thermo import _covariance, _EdgeModel
 
 __all__ = [
     "low_entropy_mean_witness",
@@ -37,6 +40,9 @@ __all__ = [
     "birkhoff_witness_2d",
     "orthant_combination",
 ]
+
+# Cap on the Newton iterates of one path root-find (``_path_newton``).
+_PATH_STEPS = 60
 
 
 def _least_period(word: tuple) -> tuple:
@@ -249,10 +255,11 @@ def intermediate_witness(
     the Newton tilt ``spectrum._tilt``; it is returned for a c below its
     level only within the level check's tolerance.  The path runs from a
     near-deterministic chain with mean alpha to the constrained
-    equilibrium, entrywise in the transition matrices; every point of the
-    path is re-tilted by the same Newton iteration to keep the mean pinned,
-    starting from the tilt last solved on the path, and the level c is
-    located by Brent's method (``spectrum._brentq``) in the path parameter;
+    equilibrium, entrywise in the transition matrices, each chain Q_t on it
+    tilted by beta*g; one Newton iteration on (beta, t) puts the mean on
+    alpha and the level on c together, its Jacobian from one covariance
+    solve per iterate, with re-pins by ``spectrum._tilt`` where a trial
+    fails, and stops once both residuals are at 1e-13 (``_path_newton``);
     the evaluated chain closest to c is returned.
     With mu0 and zeta the endpoints are first pulled toward mu0 as far as
     the requested level allows, so the result also lands zeta-close to mu0:
@@ -331,21 +338,90 @@ def intermediate_witness(
         raise DomainError("path does not bracket the requested level", name="band")
     best = end1  # taken as is when it lies at most 10 band_tol below c
     if f1 > 0.0:
-        # Root-find the level in the path parameter; each tilt starts from
-        # the last one solved on the path.
-        evals = {0.0: end0, 1.0: end1}
-        last = end1
-
-        def level(t: float) -> float:
-            nonlocal last
-            if t not in evals:
-                evals[t] = last = _tilted_chain(work, (1.0 - t) * Q0 + t * Q1, alpha, last[4])
-            return evals[t][3] - c
-
-        _brentq(level, 0.0, 1.0, 1e-15, 8.9e-16, 300)  # a miss is caught by the level check
-        best = min(evals.values(), key=lambda e: abs(e[3] - c))
+        best = _path_newton(work, Q0, Q1, end0, end1, alpha, c, hi - lo, max(1.0, abs(lo), abs(hi)))
     comp = MarkovComponent(sft, work.rec.m, work.rec.words, best[0], best[1])
     return _checked(InvariantMeasure.single(comp), g, alpha, **request)
+
+
+def _path_newton(
+    work: _EdgeModel, Q0: np.ndarray, Q1: np.ndarray, end0: tuple, end1: tuple, alpha: float, c: float,
+    width: float, scale: float,
+) -> tuple:
+    """(Q, pi, mean, level, beta) of the chain on the path Q_t = (1 - t) Q0 + t Q1,
+    tilted to mean alpha, whose level h + integral u is closest to c; the ends
+    end0 (t = 0) and end1 (t = 1) are ``_tilted_chain`` tuples below and above c.
+
+    One Newton iteration on the residuals r_m = mean - alpha and r_L = level - c
+    in (beta, t), each iterate one ``work.solve((beta, 0...), chain=Q_t)``.  The
+    potential solved is phi = log Q_t + beta g, and along any change of it d mean
+    = sigma(g, d phi) and d level = sigma(u - phi, d phi), sigma the asymptotic
+    covariance (Ruelle 1978).  So one ``_covariance`` of the edge tables g,
+    f = u - log Q_t - beta g and psi = (Q1 - Q0) / Q_t = d phi / dt gives the
+    Jacobian [[s_gg, s_gpsi], [s_fg, s_fpsi]].
+
+    * Start: beta interpolated between the ends' betas, at the t where the
+      ends' levels meet c on a parabola in t with slope 0 at t = 1, where the
+      level of the top end is a maximum: t = 1 - sqrt((L1 - c) / (L1 - L0)).
+    * Bracket: [a, b] starts at [0, 1] and moves by the sign of the level
+      corrected to mean alpha, r_L - s_fg / s_gg r_m.  A Newton t outside
+      (a, b) becomes the midpoint, and beta moves along the mean-preserving
+      tangent, -(r_m + s_gpsi dt) / s_gg.
+    * Re-pin: a trial solve that fails by a name in ``spectrum._FAILED_TRIAL``,
+      or lands with |r_m| above 0.05 |L_g| (``width``), is tilted back to mean
+      alpha by ``spectrum._tilt`` from the last good beta.
+    * Stop: once |r_m| <= 1e-13 scale and |r_L| <= 1e-13 (1 + |c|), once a step
+      no longer moves the iterate, or after ``_PATH_STEPS`` iterates.  Of the
+      ends and the iterates with |r_m| <= 1e-9 scale, the one closest to c comes
+      back; ``_checked`` catches a miss.
+    """
+    mask, D, g = work.mask, Q1 - Q0, work.edges[0]
+    u = work.edges[1] if len(work.funcs) > 1 else 0.0
+    zeros = (0.0,) * (len(work.funcs) - 1)
+    best = min((end0, end1), key=lambda e: abs(e[3] - c))
+    a, b = 0.0, 1.0
+    t = 1.0 - np.sqrt((end1[3] - c) / (end1[3] - end0[3]))
+    beta = (1.0 - t) * end0[4] + t * end1[4]
+    good, r0 = (end1 if t > 0.5 else end0)[4], None
+    for _ in range(_PATH_STEPS):
+        Qt = Q0 + t * D
+        try:
+            sol = work.solve((beta,) + zeros, chain=Qt, r0=r0)
+        except DomainError as exc:
+            if exc.name not in _FAILED_TRIAL:
+                raise
+            sol = None
+        if sol is None or not abs(sol.means[0] - alpha) <= 0.05 * width:  # NaN re-pins too
+            beta, sol = _tilt(work, alpha, good, chain=Qt)
+        good = beta
+        r_m, r_L = sol.means[0] - alpha, sol.entropy + sum(sol.means[1:]) - c
+        if abs(r_m) <= 1e-9 * scale and abs(r_L) < abs(best[3] - c):
+            best = (sol.Q, sol.pi, sol.means[0], r_L + c, beta)
+        if abs(r_m) <= 1e-13 * scale and abs(r_L) <= 1e-13 * (1.0 + abs(c)):
+            break
+        on_edges = np.where(mask, Qt, 1.0)  # D is 0 off the edges
+        try:
+            cov, ahead = _covariance(sol, [g, u - np.log(on_edges) - beta * g, D / on_edges], slopes=True)
+        except np.linalg.LinAlgError:  # no Jacobian: bisect t and keep beta
+            cov, ahead = np.full((3, 3), np.nan), None
+        s_gg, s_fg, s_gp, s_fp = cov[0, 0], cov[0, 1], cov[0, 2], cov[1, 2]
+        level = r_L - s_fg / s_gg * r_m
+        if level > 0.0:
+            b = t
+        elif level < 0.0:
+            a = t
+        det = s_gg * s_fp - s_gp * s_fg
+        dt, dbeta = -s_gg * level / det, -(r_m * s_fp - s_gp * r_L) / det
+        if not a < t + dt < b:  # also when dt is nan
+            dt = 0.5 * (a + b) - t
+            dbeta = -(r_m + s_gp * dt) / s_gg
+        dbeta = dbeta if np.isfinite(dbeta) else 0.0
+        if t + dt == t and beta + dbeta == beta:
+            break
+        if work.warm and ahead is not None:  # the next solve starts from r predicted at (beta + dbeta, t + dt)
+            z = dbeta * ahead[:, 0] + dt * ahead[:, 2]
+            r0 = sol.right * np.exp(z - z.max()) if np.isfinite(z).all() else None
+        t, beta = t + dt, beta + dbeta
+    return best
 
 
 def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, mu0: InvariantMeasure, alpha: float, level: float):

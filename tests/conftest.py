@@ -64,6 +64,22 @@ def count_karp(monkeypatch):
     return calls
 
 
+def count_perron_steps(monkeypatch):
+    """Record the size of the matrix at every Collatz-Wielandt bracket of a
+    Perron solve (``sft._balanced``): one per inverse-iteration step, plus
+    the bracket of each start."""
+    from symflow import sft
+
+    steps, balanced = [], sft._balanced
+
+    def spy(B, r):
+        steps.append(len(B))
+        return balanced(B, r)
+
+    monkeypatch.setattr(sft, "_balanced", spy)
+    return steps
+
+
 def count_models(monkeypatch):
     """Record the recoding memory of every ``_EdgeModel`` built."""
     from symflow import thermo

@@ -771,6 +771,32 @@ def test_witness_verify_checks_u_and_mu0(files, tmp_path, extra, check, break_it
     assert f"FAIL {check}" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "extra, check",
+    [
+        ({"c": 0.4, "u": 0.3 * LocallyConstantFunction.indicator(Sft(np.ones((2, 2), dtype=int)), (0, 0))},
+         "entropy plus integral u"),
+        ({"c": 0.4, "mu0": bernoulli_measure(Sft(np.ones((2, 2), dtype=int)), [0.7, 0.3]), "zeta": 0.1},
+         "d* to mu0"),
+    ],
+)
+def test_path_witnesses_with_u_and_mu0_pass_verify(files, tmp_path, extra, check):
+    # Both levels lie strictly between the path's ends, so the witness is a
+    # point of the Newton iteration on (beta, t); the mu0 request is the
+    # witness benchmark's (0.30, 0.4).  verify passes it, and its mean and
+    # level records meet their targets to roundoff.
+    req = _intermediate_request(files, **{k: v if isinstance(v, float) else v.to_json() for k, v in extra.items()})
+    reqfile, wfile, vfile = tmp_path / "req.json", tmp_path / "w.json", tmp_path / "v.json"
+    reqfile.write_text(json.dumps(req))
+    assert run_cli("witness", "--request", reqfile, "--out", wfile)[0] == 0
+    code, out, _ = run_cli("verify", "--measure", wfile, "--out", vfile)
+    assert code == 0 and f"pass {check}" in out.splitlines()
+    records = {c["check"]: c for c in json.loads(vfile.read_text())["checks"]}
+    assert all(c["pass"] for c in records.values())
+    level = records.get("entropy plus integral u", records.get("entropy"))
+    assert abs(records["mean g"]["value"] - 0.3) <= 1e-12 and abs(level["value"] - 0.4) <= 1e-12
+
+
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
 def test_witness_refuses_a_non_finite_level(files, tmp_path, c):
     # json writes these as the NaN, Infinity and -Infinity literals

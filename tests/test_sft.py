@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import count_perron_steps
 from symflow.errors import DomainError, InputError
 from symflow.sft import (
     LocallyConstantFunction,
     Sft,
+    _STALL_STEPS,
     _perron_right,
     admissible_words,
     block_recode,
@@ -18,6 +20,7 @@ from symflow.sft import (
     topological_entropy,
     validate_and_trim,
 )
+from symflow.thermo import _EdgeModel
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -110,6 +113,28 @@ def test_stalled_warm_start_falls_back_to_the_cold_solve():
     cold, cold_right, _ = _perron_right(B)
     assert start == "fallback"
     assert lam == cold and np.array_equal(right, cold_right)
+
+
+@pytest.mark.parametrize("beta", [240.0, 1e3, 1e8])
+@pytest.mark.parametrize("tiny", [False, True])
+def test_a_stalled_bracket_gives_up_within_a_bounded_number_of_steps(beta, tiny, monkeypatch):
+    # An 81-state chain tilted far into its tail (full3, memory-3 table
+    # default_rng(1032), recoded at memory 4): every Collatz-Wielandt ratio
+    # but one underflows, lo = 0 and the bracket never halves.  The stall
+    # counter reset whenever an entry of r moved by 2x, so the warm start and
+    # its cold fall-back ran 165-2,481 steps before the bracket turned NaN;
+    # each now gives up once _STALL_STEPS steps pass without a halving.
+    full3 = Sft(np.ones((3, 3), dtype=int))
+    words = admissible_words(full3, 3)
+    g = LocallyConstantFunction(full3, 3, dict(zip(words, np.random.default_rng(1032).normal(size=27))))
+    model = _EdgeModel(full3, [g], min_memory=4)
+    W = model.mask / model.mask.sum(axis=1, keepdims=True) * model.weights((beta,))[0]
+    r0 = np.where(np.arange(len(W)) % 2, 1.0, np.finfo(float).tiny) if tiny else np.ones(len(W))
+    steps = count_perron_steps(monkeypatch)
+    with pytest.raises(DomainError) as e:
+        _perron_right(W, r0=r0)
+    assert e.value.name == "iteration_cap"
+    assert len(steps) <= 2 * _STALL_STEPS + 4, len(steps)
 
 
 def test_entropy_values_and_runtime(full2, golden):

@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
 
-from conftest import bernoulli_measure, binary_entropy, count_karp, count_models, count_solves, sign_change_bracket, spy_solves
+from conftest import (
+    bernoulli_measure,
+    binary_entropy,
+    count_karp,
+    count_models,
+    count_perron_steps,
+    count_solves,
+    sign_change_bracket,
+    spy_solves,
+)
 from symflow.errors import DomainError, InputError
 from symflow.measures import InvariantMeasure, periodic_orbit_measure, support_is_full
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
@@ -12,6 +23,7 @@ from symflow.spectrum import (
     BirkhoffRange,
     FlowRatioRange,
     _check_interior,
+    _tilt,
     birkhoff_range,
     conditional_entropy_spectrum,
     conditional_entropy_spectrum_2d,
@@ -20,7 +32,7 @@ from symflow.spectrum import (
     rotation_set_2d,
 )
 from symflow.suspension import SuspensionSystem, abramov_entropy, flow_integral
-from symflow.thermo import pressure
+from symflow.thermo import _EdgeModel, pressure
 
 
 def ind1(sft: Sft) -> LocallyConstantFunction:
@@ -808,3 +820,39 @@ def test_a_non_finite_point_is_exterior(full2):
     rset = rotation_set_2d(full2, ind1(full2), LocallyConstantFunction.indicator(full2, (1, 1)), directions=16)
     for point in [(0.5, np.inf), (-np.inf, 0.25), (np.nan, 0.25)]:
         assert rset.classify(point) == "exterior"
+
+
+def _far_start_case(case: int):
+    """(model, alpha, beta0, chain): a tilt of the uniform chain on a large
+    recoding to alpha = lo + 0.25 |L_g| from a beta0 deep in the low tail,
+    where the variance is so small that the first Newton step lands far
+    beyond the root (beta = 1.28e8 in cases 1 and 2).  Cases 1 and 2: full3, memory-3 table default_rng(1032),
+    recoded at memory 6 (729 states) and 4 (81); case 3: full2, memory-3
+    table default_rng(0), memory 7 (128 states)."""
+    k, seed, memory, beta0 = {1: (3, 1032, 6, -5.0), 2: (3, 1032, 4, -5.0), 3: (2, 0, 7, -20.0)}[case]
+    sft = Sft(np.ones((k, k), dtype=int))
+    words = admissible_words(sft, 3)
+    g = LocallyConstantFunction(sft, 3, dict(zip(words, np.random.default_rng(seed).normal(size=len(words)))))
+    model = _EdgeModel(sft, [g], min_memory=memory)
+    lo, _, hi, _ = model.ends
+    return model, lo + 0.25 * (hi - lo), beta0, model.mask / model.mask.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_a_failed_trial_solve_is_a_bracket_end(case, monkeypatch):
+    # The first Newton trial fails; it ended the tilt with iteration_cap
+    # after 3,904 (case 1, 86.6 s), 2,182 and 2,037 Perron steps.  As a
+    # bracket end it sends the next trial to the last good beta moved by
+    # max(1, |beta|), and the tilt lands on the answer from beta0 = 0, in
+    # 31, 31 and 27 steps (2.1, 0.02 and 0.04 s on an idle 2-core host).
+    # The steps are the pin: with another process on the second core the
+    # wall time of case 1 reached 11 s, so the time bound is a backstop.
+    model, alpha, beta0, chain = _far_start_case(case)
+    want, _ = _tilt(_far_start_case(case)[0], alpha, 0.0, chain=chain)
+    steps = count_perron_steps(monkeypatch)
+    start = time.perf_counter()
+    beta, sol = _tilt(model, alpha, beta0, chain=chain)
+    assert time.perf_counter() - start < 30.0
+    assert abs(beta - want) <= 1e-9 and abs(sol.means[0] - alpha) <= 1e-9
+    assert len(steps) <= 300, len(steps)
+

@@ -648,3 +648,89 @@ def test_a_top_end_witness_meets_the_level(full2, sign):
         assert e.name == "no_convergence"
     else:
         assert abs(nu.entropy() + nu.integrate(u) - c) <= 1e-5
+
+
+def _golden_g3(golden: Sft) -> LocallyConstantFunction:
+    """The witness benchmark's golden table, 1_[1] + 0.5 1_[11] - 0.3 1_[101]."""
+    return LocallyConstantFunction.from_callable(
+        golden, 3, lambda w: (w[0] == 1) + 0.5 * (w[:2] == (1, 1)) - 0.3 * (w == (1, 0, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "shift, alpha, c",
+    [  # the first two seed-0 requests of the benchmark's full2 (g = 1_[1]) and golden (g3) families
+        ("full2", 0.5821770123928727, 0.24592084316617221),
+        ("full2", 0.22458411436171682, 0.1118118556022891),
+        ("golden", 0.19923087341106333, 0.19927677279351436),
+        ("golden", 0.27941408651573435, 0.36876066283742964),
+    ],
+)
+def test_a_path_witness_is_one_newton_iteration(full2, golden, monkeypatch, shift, alpha, c):
+    # Brent's method in the path parameter, each point a Newton tilt back to
+    # mean alpha, took 24-36 solves a full2 request and 31-39 a golden one.
+    # One Newton iteration on (beta, t), its Jacobian from the covariance
+    # solve, takes fewer than the least of those and meets both targets to
+    # roundoff.
+    sft = {"full2": full2, "golden": golden}[shift]
+    g = ind1(sft) if shift == "full2" else _golden_g3(sft)
+    calls = count_solves(monkeypatch)
+    nu = intermediate_witness(sft, g, alpha, c)
+    assert len(calls) < {"full2": 24, "golden": 31}[shift], len(calls)
+    assert abs(nu.integrate(g) - alpha) <= 1e-12 and abs(nu.entropy() - c) <= 1e-12
+
+
+def _sweep_request(s: int) -> tuple:
+    """(sft, g, u, alpha, c): the first request of table s of the seeded witness
+    sweep.  rng = default_rng(1000 + s) draws a memory-(1 + s % 3) table of
+    normals on [full2, golden, full3][s % 3], then, when s % 4 == 3, a memory-1
+    u of 0.3 normals; alpha = lo + U(0.05, 0.95) |L_g| and c = U(0.05, 0.95)
+    H(alpha), or U(-0.5, 0.9) H(alpha) with u."""
+    rng = np.random.default_rng(1000 + s)
+    sft = [Sft(np.ones((2, 2), dtype=int)), Sft([[1, 1], [1, 0]]), Sft(np.ones((3, 3), dtype=int))][s % 3]
+    words = admissible_words(sft, 1 + s % 3)
+    g = LocallyConstantFunction(sft, 1 + s % 3, dict(zip(words, rng.normal(size=len(words)))))
+    u = None
+    if s % 4 == 3:
+        u = LocallyConstantFunction(sft, 1, dict(zip(admissible_words(sft, 1), 0.3 * rng.normal(size=sft.k))))
+    lg = birkhoff_range(sft, g)
+    alpha = lg.lo + rng.uniform(0.05, 0.95) * (lg.hi - lg.lo)
+    H = conditional_entropy_spectrum(sft, g, alpha).entropy
+    c = (rng.uniform(0.05, 0.95) if u is None else rng.uniform(-0.5, 0.9)) * H
+    return sft, g, u, alpha, c
+
+
+@pytest.mark.parametrize("s", range(12))
+def test_sweep_witnesses_meet_mean_and_level_to_roundoff(s):
+    # Both residuals are driven to 1e-13 before the loop stops; the witness
+    # meets them to 1e-12.  The u requests of tables 7 and 11 ask for a level
+    # below the lowest the glued path reaches, and are refused as before.
+    sft, g, u, alpha, c = _sweep_request(s)
+    if s in (7, 11):
+        with pytest.raises(DomainError) as e:
+            intermediate_witness(sft, g, alpha, c, u=u)
+        assert e.value.name == "band"
+        return
+    nu = intermediate_witness(sft, g, alpha, c, u=u)
+    lg = birkhoff_range(sft, g)
+    level = nu.entropy() + (nu.integrate(u) if u is not None else 0.0)
+    assert abs(nu.integrate(g) - alpha) <= 1e-12 * max(1.0, abs(lg.lo), abs(lg.hi))
+    assert abs(level - c) <= 1e-12 * (1.0 + abs(c))
+
+
+def test_a_tilt_from_deep_in_the_tail_steps_back_and_solves(full2):
+    # The glued low end of (alpha, c) = (0.2, 0.2) on 4 states, re-tilted
+    # from beta0 = -0.498: its mean there is 5e-5 with a tiny variance, the
+    # Newton step went to beta = 852, whose Perron bracket is NaN, and
+    # iteration_cap ended the tilt.  That trial is a bracket end now, and the
+    # tilt lands on the answer from beta0 = 0.
+    g = ind1(full2)
+    nu_low = witness._low_entropy(_EdgeModel(full2, [g]), 0.2, 0.05)
+    work = _EdgeModel(full2, [g], min_memory=nu_low.components[0].memory)
+    Qlow = witness._markovize(nu_low, work.rec.m)
+    Qlow = np.where(work.mask & (Qlow == 0.0), 1e-9, Qlow)
+    Qlow /= Qlow.sum(axis=1, keepdims=True)
+    *_, want = witness._tilted_chain(work, Qlow, 0.2, 0.0)
+    _, _, mean, _, beta = witness._tilted_chain(work, Qlow, 0.2, -0.498)
+    assert len(Qlow) == 4
+    assert abs(mean - 0.2) <= 1e-12 and abs(beta - want) <= 1e-9
