@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InputError, _check_count, _check_tol, _number
-from .measures import InvariantMeasure, _entropy_rate, _integrate, d_star
+from .measures import InvariantMeasure, _check_stationary, _check_stochastic, _entropy_rate, _integrate, d_star
 from .sft import (
     ENUMERATION_BUDGET,
     LocallyConstantFunction,
@@ -290,10 +290,15 @@ class WordProcessMeasure:
     integer array; the word sequence is drawn from a stationary chain given
     by ``kind``:
 
-    * ``("bernoulli", weights)`` - i.i.d. words,
+    * ``("bernoulli", weights)`` - i.i.d. words, weights nonnegative and
+      summing to 1 within 1e-9,
     * ``("perm_mix", eps, perm)`` - uniform words, transition
-      (1-eps)*uniform + eps*permutation (doubly stochastic),
-    * ``("markov", pi, Q)`` - an explicit small chain.
+      (1-eps)*uniform + eps*permutation (doubly stochastic), eps in [0, 1]
+      and perm a permutation of 0..num-1,
+    * ``("markov", pi, Q)`` - an explicit small chain, checked as
+      ``MarkovComponent`` checks its Q and pi.
+
+    A kind that is not a measure raises ``InputError``.
 
     Ambient cylinder probabilities are phase averages over the n positions
     of the block and are served from per-depth tables, all depths up to the
@@ -311,11 +316,23 @@ class WordProcessMeasure:
         tag = kind[0]
         if tag == "bernoulli":
             self._pi = np.asarray(kind[1], dtype=float)
+            if self._pi.shape != (num,) or not (self._pi >= 0.0).all() or not abs(self._pi.sum() - 1.0) <= 1e-9:
+                raise InputError(f"bernoulli weights must be {num} nonnegative numbers that sum to 1")
         elif tag == "perm_mix":
+            perm = np.asarray(kind[2])
+            if not 0.0 <= kind[1] <= 1.0:
+                raise InputError(f"perm_mix eps must lie in [0, 1], got {kind[1]}")
+            if perm.shape != (num,) or perm.dtype.kind not in "iu" or not (np.sort(perm) == np.arange(num)).all():
+                raise InputError(f"perm_mix perm must be a permutation of 0..{num - 1}")
             self._pi = np.full(num, 1.0 / num)
         elif tag == "markov":
             if num > 4096:
                 raise InputError("markov word chains are limited to small alphabets")
+            Q = np.asarray(kind[2], dtype=float)
+            if Q.shape != (num, num):
+                raise InputError(f"markov Q must be {num}x{num} to match the words")
+            _check_stochastic(Q)
+            _check_stationary(Q, kind[1])
             self._pi = np.asarray(kind[1], dtype=float)
         else:
             raise InputError(f"unknown word process kind {tag!r}")
@@ -462,19 +479,29 @@ class HorseshoePack:
             raise InputError(f"missing pack keys {missing}")
         word_sets, measures, meta = data["word_sets"], data["measures"], data.get("meta", {})
         if not (isinstance(word_sets, list) and all(isinstance(ws, list) for ws in word_sets)
+                and all(isinstance(wk, str) for ws in word_sets for wk in ws)
                 and isinstance(measures, list) and isinstance(meta, dict)):
-            raise InputError("pack word_sets must be a list of lists, measures a list and meta an object")
+            raise InputError("pack word_sets must be a list of lists of word keys, measures a list and meta an object")
         sft = Sft.from_json(data["sft"])
-        _check_count("n", data["n"], 1)
-        _check_count("anchor", data["anchor"], 0)
+        n, anchor = data["n"], data["anchor"]
+        _check_count("n", n, 1)
+        _check_count("anchor", anchor, 0)
+        if anchor >= sft.k:
+            raise InputError(f"pack anchor {anchor} is not a symbol of the {sft.k}-symbol shift")
         eta, zeta = _number("eta", data["eta"]), _number("zeta", data["zeta"])
         _check_tol(eta=eta, zeta=zeta)
         word_sets = [[_parse_word_key(wk, sft.k) for wk in ws] for ws in word_sets]
+        if not (word_sets and all(word_sets)):
+            raise InputError("a pack needs at least one word set, and every word set a word")
+        if any(len(w) != n for ws in word_sets for w in ws):
+            raise InputError(f"every pack word must have length n = {n}")
+        if len(measures) != len(word_sets):
+            raise InputError(f"a pack needs one measure per word set: {len(word_sets)} sets, {len(measures)} measures")
         measures = [InvariantMeasure.from_json(sft, d) for d in measures]
         return cls(
             sft=sft,
-            n=data["n"],
-            anchor=data["anchor"],
+            n=n,
+            anchor=anchor,
             eta=eta,
             zeta=zeta,
             word_sets=word_sets,
@@ -573,7 +600,10 @@ class _Prenecklaces:
 
     def necklaces(self, n: int):
         """Grow the level to length n (at least the current length) and yield
-        (words, periods) of its closable necklaces, one chunk per block."""
+        (words, periods) of its closable necklaces, one chunk per block: the
+        admissible n-words that start at ``anchor``, may be followed by it and
+        are least among their rotations, one per rotation class, in
+        lexicographic order, each with its least period."""
         A = self.sft.A > 0
         step = max(1, _CHUNK_ROWS // self.sft.k)
         syms = np.arange(self.sft.k, dtype=np.int8)
@@ -602,13 +632,6 @@ class _Prenecklaces:
             keep = (n % periods == 0) & A[words[:, -1], self.anchor]
             if keep.any():
                 yield words[keep], periods[keep]
-
-
-def _necklace_chunks(sft: Sft, n: int, anchor: int):
-    """Yield (words, periods): the closable admissible n-words that start at
-    ``anchor`` and are least among their rotations, one per rotation class,
-    in lexicographic order: a fresh :class:`_Prenecklaces` walked to n."""
-    return _Prenecklaces(sft, anchor).necklaces(n)
 
 
 def _anchored_rotations(classes: list, anchor: int) -> np.ndarray:
@@ -817,7 +840,9 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     """Re-derive the pack's certificate from scratch.
 
     Conditions 1 and 2 are exact: the horseshoes are full shifts on
-    disjoint word alphabets, and their entropies are recomputed as
+    disjoint word alphabets whose words are admissible, start at the anchor
+    and end in a symbol that may precede it, so that they concatenate freely
+    (``free_concatenation``), and their entropies are recomputed as
     log(count) / n for block length n: free concatenation makes each word
     graph complete, so its Perron root is the word count.  Condition 3 is
     a statistical certificate: a theta-grid of target mixtures is
@@ -849,7 +874,12 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     grid = _simplex_grid(K, 40 if K == 2 else 8)
     G = grid.shape[0]
 
-    engine = _TableEngine(pack.sft, np.concatenate(pack.word_arrays), N)
+    W, A, k = np.concatenate(pack.word_arrays), pack.sft.A > 0, pack.sft.k
+    free = bool(  # the symbol range first, so the rest may index A
+        ((W >= 0) & (W < k)).all() and 0 <= pack.anchor < k and A[W[:, :-1], W[:, 1:]].all()
+        and (W[:, 0] == pack.anchor).all() and A[W[:, -1], pack.anchor].all()
+    )
+    engine = _TableEngine(pack.sft, W, N)
     starts = np.concatenate([[0], np.cumsum(counts)])
     TH_unif = np.zeros((numU, K))
     for i in range(K):
@@ -898,6 +928,7 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
         "alphabet_sizes": counts,
         "transitive": all(c >= 1 for c in counts),
         "disjoint": bool(disjoint),
+        "free_concatenation": free,
     }
     cond2 = {
         "horseshoe_entropies": entropies,
@@ -917,7 +948,7 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
         "zeta": pack.zeta,
         "pass": bool(est < pack.zeta and all(d < pack.zeta for d in push_dist)),
     }
-    ok = bool(cond1["transitive"] and cond1["disjoint"] and cond2["all_positive"] and cond3["pass"])
+    ok = bool(cond1["transitive"] and cond1["disjoint"] and free and cond2["all_positive"] and cond3["pass"])
     return {"condition1": cond1, "condition2": cond2, "condition3": cond3, "pass": ok}
 
 

@@ -210,6 +210,30 @@ def _integrate(mu, g: LocallyConstantFunction) -> float:
     return float(sum(mu.cylinder_tables(g.memory)[g.memory] * g.values(admissible_words(mu.sft, g.memory))))
 
 
+def _check_stochastic(Q: np.ndarray) -> None:
+    """``InputError`` unless Q is nonnegative with rows that sum to 1 within 1e-9."""
+    if not (Q >= 0).all():
+        raise InputError("Q has negative or NaN entries")
+    if not np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-9:
+        raise InputError("Q rows must sum to 1")
+
+
+def _check_stationary(Q: np.ndarray, pi) -> np.ndarray:
+    """pi, clipped at 0 and renormalised, once it is a vector over the states of
+    the stochastic Q with entries at least -1e-12 that sums to 1 within 1e-9 and
+    is stationary for Q within ``_STAT_TOL``; ``InputError`` otherwise."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (len(Q),) or not (pi >= -1e-12).all():
+        raise InputError("pi must be a nonnegative vector over the states")
+    pi = np.clip(pi, 0.0, None)
+    if not abs(pi.sum() - 1.0) <= 1e-9:
+        raise InputError("pi must sum to 1")
+    pi = pi / pi.sum()
+    if not np.abs(pi @ Q - pi).sum() <= _STAT_TOL:
+        raise InputError("pi is not stationary for Q")
+    return pi
+
+
 class MarkovComponent:
     """Stationary Markov chain on a subset of the admissible m-words.
 
@@ -240,28 +264,14 @@ class MarkovComponent:
         fits &= (sft.A[S[:, :-1], S[:, 1:]] > 0).all(axis=1)
         if not fits.all():
             raise InputError(f"state {states[int(np.argmin(fits))]} is not an admissible {memory}-word")
-        if not (Q >= 0).all():
-            raise InputError("Q has negative or NaN entries")
-        rows = Q.sum(axis=1)
-        if not np.abs(rows - 1.0).max() <= 1e-9:
-            raise InputError("Q rows must sum to 1")
+        _check_stochastic(Q)
         index = {w: i for i, w in enumerate(states)}
         i, j = np.nonzero(Q > 0)
         edge = (S[i, 1:] == S[j, :-1]).all(axis=1) & (sft.A[S[i, -1], S[j, -1]] > 0)
         if not edge.all():
             e = int(np.argmin(edge))
             raise InputError(f"Q charges a non-edge {states[i[e]]} -> {states[j[e]]}")
-        if pi is None:
-            pi = stationary(Q)
-        pi = np.asarray(pi, dtype=float)
-        if pi.shape != (n,) or not (pi >= -1e-12).all():
-            raise InputError("pi must be a nonnegative vector over the states")
-        pi = np.clip(pi, 0.0, None)
-        if not abs(pi.sum() - 1.0) <= 1e-9:
-            raise InputError("pi must sum to 1")
-        pi = pi / pi.sum()
-        if not np.abs(pi @ Q - pi).sum() <= _STAT_TOL:
-            raise InputError("pi is not stationary for Q")
+        pi = _check_stationary(Q, stationary(Q) if pi is None else pi)
         self.sft = sft
         self.memory = memory
         self.states = states

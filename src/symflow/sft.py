@@ -372,13 +372,15 @@ def _word_key(word: Word, k: int) -> str:
 
 
 def _parse_word_key(key: str, k: int) -> Word:
-    """The word of a :func:`_word_key` key; on more than 10 symbols it is comma-separated."""
+    """The word of a :func:`_word_key` key; on more than 10 symbols it is comma-separated.
+    A key that is not a sequence of symbols 0..k-1 raises ``InputError``."""
     try:
-        if k > 10 or "," in key:
-            return tuple(int(p) for p in key.split(","))
-        return tuple(int(ch) for ch in key)
+        word = tuple(int(p) for p in key.split(",")) if k > 10 or "," in key else tuple(int(ch) for ch in key)
     except ValueError:
-        raise InputError(f"word key {key!r} is not a word on {k} symbols") from None
+        word = None
+    if word is None or not all(0 <= s < k for s in word):
+        raise InputError(f"word key {key!r} is not a word on {k} symbols")
+    return word
 
 
 class LocallyConstantFunction:

@@ -190,7 +190,7 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
         elif f < 0.0:
             lo = beta
         try:
-            cov, ahead = _covariance(sol, [E], slopes=True)
+            cov, ahead = _covariance(sol, [E])
             var = float(cov[0, 0])
         except np.linalg.LinAlgError:  # the chain has gone deterministic
             var, ahead = np.nan, None
@@ -397,7 +397,7 @@ def conditional_entropy_spectrum_2d(
         if np.abs(grad).max() <= tol:
             return SpectrumResult(alpha=tuple(alpha), entropy=D, beta=beta, witness=model.component(sol))
         try:
-            step = np.linalg.solve(_covariance(sol, model.edges), -grad)
+            step = np.linalg.solve(_covariance(sol, model.edges)[0], -grad)
         except np.linalg.LinAlgError:  # the chain has gone deterministic
             break
         # move beta at most tenfold a step: along a nearly flat direction

@@ -164,8 +164,9 @@ def _equilibrium(
     )
 
 
-def _covariance(sol: _Solve, edges, slopes: bool = False):
-    """Asymptotic covariance matrix of the edge tables under the chain of ``sol``.
+def _covariance(sol: _Solve, edges) -> tuple:
+    """(cov, ahead): the asymptotic covariance matrix of the edge tables under
+    the chain of ``sol``, and the slopes of its log right Perron vector.
 
     This is the Hessian of P in the tilt coefficients (Parry & Pollicott
     1990).  With flux F = pi_i Q_ij, C_k = E_k - sum F E_k (the flux mean, as in
@@ -175,8 +176,8 @@ def _covariance(sol: _Solve, edges, slopes: bool = False):
 
     Column k of Z (Q C_k summed over each row), the ``ahead`` term, solves
     (I - Q) h = sum_j Q_ij C_ij with pi . h = 0: it is d log r / d coeff_k, the
-    slope of the log right Perron vector along the table k.  With ``slopes``
-    the pair (covariance, ahead) comes back.
+    slope of the log right Perron vector along the table k.  Both come from
+    the one solve, so every caller gets both.
 
     The tables need not be the model's functions.  Entry (a, b) is also the
     derivative of the equilibrium mean of table a as the potential moves
@@ -192,7 +193,7 @@ def _covariance(sol: _Solve, edges, slopes: bool = False):
     ahead = np.linalg.solve(np.eye(len(pi)) - Q + pi[None, :], np.array([(Q * c).sum(axis=1) for c in C]).T)
     lag = into @ ahead
     cov = np.array([[float((flux * a * b).sum()) for b in C] for a in C]) + lag + lag.T
-    return (cov, ahead) if slopes else cov
+    return cov, ahead
 
 
 class _EdgeModel:

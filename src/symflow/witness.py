@@ -220,21 +220,9 @@ def _low_entropy(model: _EdgeModel, alpha: float, h_cap: float) -> InvariantMeas
     raise DomainError(f"h_cap below achievable floor: reached entropy {achieved:.6g}", name="h_cap")
 
 
-def _tilted_chain(model: _EdgeModel, Qt: np.ndarray, alpha: float, beta0: float | None = None):
-    """Tilt the stochastic matrix Qt by beta*g so its mean lands on alpha.
-
-    Returns (Q, pi, mean_g, value, beta) where value = entropy + mean of u
-    (just the entropy when the model has no u) and beta is the tilt found
-    by the Newton iteration of ``spectrum._tilt`` (slope: the asymptotic
-    variance of g under the tilted chain), from beta0 when given (such as
-    the tilt of a nearby matrix on the same path), each step a
-    ``model.solve(..., chain=Qt)`` with the model's warm start and clamp
-    guard.  Near the deterministic end of the path the spectral gap of the
-    tilted matrix vanishes; ``thermo._equilibrium`` certifies its Perron
-    root by a Collatz-Wielandt bracket and needs no gap.
-    """
-    beta, sol = _tilt(model, alpha, beta0, chain=Qt)
-    return sol.Q, sol.pi, sol.means[0], sol.entropy + sum(sol.means[1:]), beta
+def _level(sol) -> float:
+    """h + integral u of a solve (the entropy alone when the model has no u)."""
+    return sol.entropy + sum(sol.means[1:])
 
 
 def intermediate_witness(
@@ -253,10 +241,12 @@ def intermediate_witness(
 
     The top end is the equilibrium of u + beta*g with mean alpha, found by
     the Newton tilt ``spectrum._tilt``; it is returned for a c below its
-    level only within the level check's tolerance.  The path runs from a
-    near-deterministic chain with mean alpha to the constrained
+    level (``_level``) only within the level check's tolerance.  The path
+    runs from a near-deterministic chain with mean alpha to the constrained
     equilibrium, entrywise in the transition matrices, each chain Q_t on it
-    tilted by beta*g; one Newton iteration on (beta, t) puts the mean on
+    tilted by beta*g.  Its ends are (chain, beta, solve) triples, the chain
+    with ``_tilt``'s answer for it; the top chain is tilted once, from the
+    low end's beta.  One Newton iteration on (beta, t) puts the mean on
     alpha and the level on c together, its Jacobian from one covariance
     solve per iterate, with re-pins by ``spectrum._tilt`` where a trial
     fails, and stops once both residuals are at 1e-13 (``_path_newton``);
@@ -283,7 +273,7 @@ def intermediate_witness(
 
     # top endpoint: maximize h + int(u) at mean alpha via the tilt u + beta*g
     _, sol_top = _tilt(model, alpha, base=(0.0, 1.0) if u is not None else None)
-    P_top = sol_top.entropy + sum(sol_top.means[1:])
+    P_top = _level(sol_top)
     band_tol = max(tol, 1e-9) * (1.0 + abs(c))
     if c > P_top + band_tol:
         raise DomainError(f"c outside admissible band: maximum {P_top:.12g}", name="band")
@@ -311,45 +301,39 @@ def intermediate_witness(
             Qlow = np.where((Qtop > 0.0) & (Qlow == 0.0), 1e-9, Qlow)
             Qlow /= Qlow.sum(axis=1, keepdims=True)
             # Qlow has mean alpha up to the 1e-9 fill, so its tilt is near 0.
-            low = _tilted_chain(work, Qlow, alpha, 0.0)
+            low = (Qlow, *_tilt(work, alpha, 0.0, chain=Qlow))
         except DomainError:
             if achieved_min is None:
                 raise
             break  # numerical floor of the glue-and-tilt construction
-        achieved_min = low[3] if achieved_min is None else min(achieved_min, low[3])
-        if low[3] <= c - band_tol:
+        low_level = _level(low[2])
+        achieved_min = low_level if achieved_min is None else min(achieved_min, low_level)
+        if low_level <= c - band_tol:
             break
         h_cap *= 0.1
-    if low[3] > c - band_tol:
+    if low_level > c - band_tol:
         raise DomainError(
             f"c outside admissible band: achieved minimum {achieved_min:.12g}", name="band"
         )
 
     # The path's ends, tilted: end0 lies below the level by construction.
-    if mu0 is None:
-        Q0, Q1 = Qlow, Qtop
-        end0 = low
-        end1 = _tilted_chain(work, Qtop, alpha, low[4])
-    else:
-        _, (Q0, end0), (Q1, end1) = _mu0_pull(work, Qlow, Qtop, low, mu0, alpha, c - band_tol)
+    end0, end1 = low, (Qtop, *_tilt(work, alpha, low[1], chain=Qtop))
+    if mu0 is not None:
+        _, end0, end1 = _mu0_pull(work, end0, end1, mu0, alpha, c - band_tol)
 
-    f1 = end1[3] - c
+    f1 = _level(end1[2]) - c
     if f1 < -10.0 * band_tol:
         raise DomainError("path does not bracket the requested level", name="band")
     best = end1  # taken as is when it lies at most 10 band_tol below c
     if f1 > 0.0:
-        best = _path_newton(work, Q0, Q1, end0, end1, alpha, c, hi - lo, max(1.0, abs(lo), abs(hi)))
-    comp = MarkovComponent(sft, work.rec.m, work.rec.words, best[0], best[1])
-    return _checked(InvariantMeasure.single(comp), g, alpha, **request)
+        best = _path_newton(work, end0, end1, alpha, c, hi - lo, max(1.0, abs(lo), abs(hi)))
+    return _checked(InvariantMeasure.single(work.component(best[2])), g, alpha, **request)
 
 
-def _path_newton(
-    work: _EdgeModel, Q0: np.ndarray, Q1: np.ndarray, end0: tuple, end1: tuple, alpha: float, c: float,
-    width: float, scale: float,
-) -> tuple:
-    """(Q, pi, mean, level, beta) of the chain on the path Q_t = (1 - t) Q0 + t Q1,
-    tilted to mean alpha, whose level h + integral u is closest to c; the ends
-    end0 (t = 0) and end1 (t = 1) are ``_tilted_chain`` tuples below and above c.
+def _path_newton(work: _EdgeModel, end0: tuple, end1: tuple, alpha: float, c: float, width: float, scale: float):
+    """(chain, beta, solve) of the chain on the path Q_t = (1 - t) Q0 + t Q1,
+    tilted to mean alpha, whose level (``_level``) is closest to c; the ends
+    end0 = (Q0, beta0, sol0) and end1 = (Q1, beta1, sol1) are such triples.
 
     One Newton iteration on the residuals r_m = mean - alpha and r_L = level - c
     in (beta, t), each iterate one ``work.solve((beta, 0...), chain=Q_t)``.  The
@@ -374,14 +358,16 @@ def _path_newton(
       ends and the iterates with |r_m| <= 1e-9 scale, the one closest to c comes
       back; ``_checked`` catches a miss.
     """
+    (Q0, beta0, sol0), (Q1, beta1, sol1) = end0, end1
+    L0, L1 = _level(sol0), _level(sol1)
     mask, D, g = work.mask, Q1 - Q0, work.edges[0]
     u = work.edges[1] if len(work.funcs) > 1 else 0.0
     zeros = (0.0,) * (len(work.funcs) - 1)
-    best = min((end0, end1), key=lambda e: abs(e[3] - c))
+    best, gap = min((end0, abs(L0 - c)), (end1, abs(L1 - c)), key=lambda e: e[1])
     a, b = 0.0, 1.0
-    t = 1.0 - np.sqrt((end1[3] - c) / (end1[3] - end0[3]))
-    beta = (1.0 - t) * end0[4] + t * end1[4]
-    good, r0 = (end1 if t > 0.5 else end0)[4], None
+    t = 1.0 - np.sqrt((L1 - c) / (L1 - L0))
+    beta = (1.0 - t) * beta0 + t * beta1
+    good, r0 = beta1 if t > 0.5 else beta0, None
     for _ in range(_PATH_STEPS):
         Qt = Q0 + t * D
         try:
@@ -393,14 +379,14 @@ def _path_newton(
         if sol is None or not abs(sol.means[0] - alpha) <= 0.05 * width:  # NaN re-pins too
             beta, sol = _tilt(work, alpha, good, chain=Qt)
         good = beta
-        r_m, r_L = sol.means[0] - alpha, sol.entropy + sum(sol.means[1:]) - c
-        if abs(r_m) <= 1e-9 * scale and abs(r_L) < abs(best[3] - c):
-            best = (sol.Q, sol.pi, sol.means[0], r_L + c, beta)
+        r_m, r_L = sol.means[0] - alpha, _level(sol) - c
+        if abs(r_m) <= 1e-9 * scale and abs(r_L) < gap:
+            best, gap = (Qt, beta, sol), abs(r_L + c - c)  # |level - c| of the level r_L + c, as for the ends
         if abs(r_m) <= 1e-13 * scale and abs(r_L) <= 1e-13 * (1.0 + abs(c)):
             break
         on_edges = np.where(mask, Qt, 1.0)  # D is 0 off the edges
         try:
-            cov, ahead = _covariance(sol, [g, u - np.log(on_edges) - beta * g, D / on_edges], slopes=True)
+            cov, ahead = _covariance(sol, [g, u - np.log(on_edges) - beta * g, D / on_edges])
         except np.linalg.LinAlgError:  # no Jacobian: bisect t and keep beta
             cov, ahead = np.full((3, 3), np.nan), None
         s_gg, s_fg, s_gp, s_fp = cov[0, 0], cov[0, 1], cov[0, 2], cov[1, 2]
@@ -424,38 +410,38 @@ def _path_newton(
     return best
 
 
-def _mu0_pull(work: _EdgeModel, Qlow: np.ndarray, Qtop: np.ndarray, low: tuple, mu0: InvariantMeasure, alpha: float, level: float):
+def _mu0_pull(work: _EdgeModel, low: tuple, top: tuple, mu0: InvariantMeasure, alpha: float, level: float):
     """Pull both path ends toward mu0: the largest lam = 1 - 2^-j, j <= 14,
     whose tilted ends straddle level (end0 at most level, end1 at least).
 
-    The ends at lam are Qlow and Qtop mixed with the Markov projection
-    ``_markovize`` of mu0, each tilted to mean alpha.  The lam = 0 ends
-    (``low`` itself and Qtop tilted from it) must straddle, or the level is
-    out of band; then j is bisected over [0, 15), so j = 14 is reachable,
-    each tilt starting from its end's tilt at the last j that straddled, and
-    end1 tilted only when end0 passes.  Returns (j, (Q0, end0), (Q1, end1)).
+    ``low`` and ``top`` are the path's lam = 0 ends, (chain, beta, solve)
+    triples; the ends at lam mix their chains with the Markov projection
+    ``_markovize`` of mu0, each tilted to mean alpha by ``spectrum._tilt``.
+    The lam = 0 ends must straddle, or the level is out of band; then j is
+    bisected over [0, 15), so j = 14 is reachable, each tilt starting from
+    its end's beta at the last j that straddled, and end1 tilted only when
+    end0 passes.  Returns (j, end0, end1).
     """
     Qm0 = _markovize(mu0, work.rec.m)
 
-    def end(j: int, Q: np.ndarray, beta0: float | None) -> tuple:
+    def end(j: int, Q: np.ndarray, beta0: float) -> tuple:
         lam = 1.0 - 2.0 ** (-j)
         Qj = (1.0 - lam) * Q + lam * Qm0
-        return Qj, _tilted_chain(work, Qj, alpha, beta0)
+        return (Qj, *_tilt(work, alpha, beta0, chain=Qj))
 
-    lo_end, hi_end = (Qlow, low), (Qtop, _tilted_chain(work, Qtop, alpha, low[4]))
-    if hi_end[1][3] < level:
+    if _level(top[2]) < level:
         raise DomainError("c outside admissible band for the requested mu0", name="band")
-    j, fail = 0, 15
+    j, fail, end0, end1 = 0, 15, low, top
     while fail - j > 1:
         mid = (j + fail) // 2
-        e0 = end(mid, Qlow, lo_end[1][4])
-        if e0[1][3] <= level:
-            e1 = end(mid, Qtop, hi_end[1][4])
-            if e1[1][3] >= level:
-                j, lo_end, hi_end = mid, e0, e1
+        e0 = end(mid, low[0], end0[1])
+        if _level(e0[2]) <= level:
+            e1 = end(mid, top[0], end1[1])
+            if _level(e1[2]) >= level:
+                j, end0, end1 = mid, e0, e1
                 continue
         fail = mid
-    return j, lo_end, hi_end
+    return j, end0, end1
 
 
 def birkhoff_witness_2d(sft: Sft, g: LocallyConstantFunction, h: LocallyConstantFunction, alpha, tol: float = 1e-9) -> InvariantMeasure:

@@ -139,3 +139,21 @@ def count_checks(monkeypatch):
     monkeypatch.setattr(witness, "_witness_checks", spy)
     monkeypatch.setattr(cli, "_witness_checks", spy)
     return runs
+
+
+def spy_tilts(monkeypatch):
+    """Record every tilt of ``witness._tilt`` as a dict: the beta0 it started
+    from, whether it tilted a chain, the beta it returned and the level
+    h + integral u it reached (``witness._level``)."""
+    from symflow import witness
+
+    tilts, tilt = [], witness._tilt
+
+    def spy(model, alpha, beta0=None, **kwargs):
+        beta, sol = tilt(model, alpha, beta0, **kwargs)
+        chain = kwargs.get("chain") is not None
+        tilts.append({"beta0": beta0, "chain": chain, "beta": beta, "level": witness._level(sol)})
+        return beta, sol
+
+    monkeypatch.setattr(witness, "_tilt", spy)
+    return tilts

@@ -330,6 +330,19 @@ def test_certify_rejects_bad_counts_without_a_traceback(files, pack_file, flags,
     assert "Traceback" not in fresh.stderr
 
 
+def test_certify_refuses_a_malformed_pack_with_one_error_line(files, tmp_path):
+    # An empty word set ended in a ZeroDivisionError traceback.
+    full2 = json.loads(files["full2"].read_text())
+    targets = [bernoulli_measure(Sft.from_json(full2), p).to_json() for p in ([0.7, 0.3], [0.3, 0.7])]
+    pack = {"sft": full2, "n": 4, "anchor": 0, "eta": 0.5, "zeta": 0.4,
+            "word_sets": [["0001", "0011"], []], "measures": targets}
+    path = tmp_path / "empty_set.json"
+    path.write_text(json.dumps({"pack": pack}))
+    code, out, err = run_cli("certify", "--pack", path, "--samples", "4", "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input: ") and len(err.splitlines()) == 1, err
+
+
 def test_witness_verify_roundtrip(files, tmp_path):
     req = {
         "kind": "intermediate",

@@ -17,7 +17,6 @@ from symflow.horseshoe import (
     WordProcessMeasure,
     _classify,
     _measure_tables,
-    _necklace_chunks,
     _simplex_grid,
     _word_roof_root,
     build_multi_horseshoe,
@@ -198,7 +197,7 @@ def test_necklace_chunks_match_least_rotation_filter(shift, chunk, monkeypatch):
     for n in range(1, 14):
         for anchor in range(sft.k):
             words, periods = brute_necklaces(sft, n, anchor)
-            chunks = list(_necklace_chunks(sft, n, anchor))
+            chunks = list(horseshoe._Prenecklaces(sft, anchor).necklaces(n))
             got_words = np.concatenate([w for w, _ in chunks]) if chunks else np.zeros((0, n), dtype=np.int8)
             got_periods = np.concatenate([p for _, p in chunks]) if chunks else np.zeros(0, dtype=int)
             assert got_words.dtype == np.int8
@@ -701,9 +700,33 @@ def test_certify_small_pack_reproduces_recorded_certificate(small_pack):
     got = {**c2, **c3}
     for key, want in recorded.items():
         assert np.abs(np.asarray(got[key]) - np.asarray(want)).max() <= 1e-12, key
-    assert rep["condition1"] == {"alphabet_sizes": [189, 91], "transitive": True, "disjoint": True}
+    assert rep["condition1"] == {
+        "alphabet_sizes": [189, 91], "transitive": True, "disjoint": True, "free_concatenation": True,
+    }
     assert (c2["all_positive"], c3["pass"], rep["pass"]) == (True, True, True)
     assert (c3["samples"], c3["seed"], c3["depth"], c3["zeta"]) == (24, 0, 10, 0.4)
+
+
+def test_certify_fails_words_that_do_not_concatenate_freely(small_pack, golden):
+    # Condition 1 checked only that the word sets are non-empty and disjoint,
+    # so each of these passed: 0011 holds the golden shift's forbidden 11,
+    # 1111111111 does not start at the anchor 0, and 0000000012 uses a symbol
+    # the shift does not have.
+    def markov(Q):
+        return InvariantMeasure.single(MarkovComponent(golden, 1, [(0,), (1,)], np.array(Q)))
+
+    targets = [markov([[0.8, 0.2], [1.0, 0.0]]), markov([[0.3, 0.7], [1.0, 0.0]])]
+    pack = HorseshoePack(golden, 4, 0, 0.5, 0.9, [[(0, 0, 0, 1), (0, 0, 1, 1)], [(0, 1, 0, 1)]], targets)
+    rep = certify_pack(pack, 20, 0)
+    assert rep["condition1"]["free_concatenation"] is False and rep["pass"] is False
+    assert rep["condition1"]["disjoint"] and rep["condition2"]["all_positive"] and rep["condition3"]["pass"]
+    doc = small_pack.to_json()
+    doc["word_sets"][0][0] = "1111111111"
+    rep = certify_pack(HorseshoePack.from_json(doc), 24, 0)
+    assert rep["condition1"]["free_concatenation"] is False and rep["pass"] is False
+    doc["word_sets"][0][0] = "0000000012"
+    with pytest.raises(InputError, match="not a word on 2 symbols"):
+        HorseshoePack.from_json(doc)
 
 
 def test_certify_and_lift_check_their_arguments(small_pack, monkeypatch):
@@ -901,6 +924,25 @@ def test_word_process_entropy_of_each_kind():
     assert abs(wp.entropy() + (pi[:, None] * Q * np.log(Q)).sum() / n) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [
+        ("bernoulli", [0.5]),  # one weight for two words
+        ("bernoulli", [0.7, 0.7]),  # level tables summed to 1.4
+        ("bernoulli", [-0.5, 1.5]),  # entropy -0.304
+        ("perm_mix", 2.0, np.array([1, 0])),  # negative entropy
+        ("perm_mix", 0.5, np.array([0, 0])),
+        ("markov", np.array([0.5, 0.5]), np.array([[1.5, -0.5], [-0.5, 1.5]])),  # entropy -0.173
+        ("markov", np.array([0.5, 0.5]), np.array([[0.5, 0.6], [0.5, 0.5]])),
+        ("markov", np.array([0.9, 0.1]), np.array([[0.5, 0.5], [0.5, 0.5]])),
+    ],
+    ids=["short", "over_one", "negative", "eps", "not_a_permutation", "negative_Q", "row_sum", "not_stationary"],
+)
+def test_a_word_process_kind_that_is_not_a_measure_is_refused(full2, kind):
+    with pytest.raises(InputError):
+        WordProcessMeasure(full2, [(0, 1), (1, 0)], kind)
+
+
 @pytest.mark.parametrize("key", ["sft", "n", "anchor", "eta", "zeta", "word_sets", "measures"])
 def test_a_pack_document_missing_a_key_is_an_input_error(small_pack, key):
     doc = small_pack.to_json()
@@ -909,7 +951,20 @@ def test_a_pack_document_missing_a_key_is_an_input_error(small_pack, key):
         HorseshoePack.from_json(doc)
 
 
-@pytest.mark.parametrize("part", [{"word_sets": "01"}, {"word_sets": [5]}, {"measures": {}}, {"meta": "x"}])
+@pytest.mark.parametrize(
+    "part",
+    [
+        {"word_sets": "01"}, {"word_sets": [5]}, {"word_sets": [[5]]}, {"measures": {}}, {"meta": "x"},
+        # n = 4 on the two measures of the small pack: a 3-symbol word, an empty
+        # set, three sets for two measures, words shorter than n, an anchor
+        # that is not a symbol
+        {"n": 4, "word_sets": [["0001", "0011"], ["011"]]},
+        {"n": 4, "word_sets": [["0001", "0011"], []]},
+        {"n": 4, "word_sets": [["0001"], ["0011"], ["0111"]]},
+        {"n": 5, "word_sets": [["0001", "0011"], ["0111"]]},
+        {"n": 4, "anchor": 5, "word_sets": [["0001", "0011"], ["0111"]]},
+    ],
+)
 def test_pack_word_sets_measures_and_meta_must_be_of_their_types(small_pack, part):
     with pytest.raises(InputError):
         HorseshoePack.from_json({**small_pack.to_json(), **part})

@@ -185,7 +185,7 @@ def test_covariance_is_the_jacobian_of_the_means(name, memory, request):
     h = LocallyConstantFunction(sft, memory, dict(zip(words, vals[len(words) :])))
     model = _EdgeModel(sft, [g, h])
     beta = np.array([0.7, -0.4])
-    H = _covariance(model.solve(tuple(beta)), model.edges)
+    H = _covariance(model.solve(tuple(beta)), model.edges)[0]
     step = 1e-5
     J = np.empty((2, 2))
     for k in range(2):
@@ -205,8 +205,8 @@ def test_covariance_of_a_direction_is_its_quadratic_form(full2, seed):
     model = _EdgeModel(full2, [phi, roof])
     sol = model.solve((rng.normal(), -rng.uniform(0.1, 1.0)))
     d = np.array([1.0, -rng.uniform(-1.0, 1.0)])
-    var = _covariance(sol, [model._combined(d)])[0, 0]
-    assert abs(var - d @ _covariance(sol, model.edges) @ d) <= 1e-12
+    var = _covariance(sol, [model._combined(d)])[0][0, 0]
+    assert abs(var - d @ _covariance(sol, model.edges)[0] @ d) <= 1e-12
 
 
 def test_pressure_refuses_a_nan_tol(full2):
@@ -360,8 +360,7 @@ def test_covariance_slopes_are_the_log_right_vector_derivative(full2, seed):
     model = _EdgeModel(full2, [g, h])
     beta = rng.normal(size=2)
     sol = model.solve(tuple(beta))
-    cov, ahead = _covariance(sol, model.edges, slopes=True)
-    assert np.array_equal(cov, _covariance(sol, model.edges))
+    _, ahead = _covariance(sol, model.edges)
     step = 1e-5
     for k in range(2):
         e = np.zeros(2)

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bernoulli_measure, binary_entropy, count_checks, count_karp, count_models, count_solves, sign_change_bracket
+from conftest import (
+    bernoulli_measure, binary_entropy, count_checks, count_karp, count_models, count_solves, sign_change_bracket, spy_tilts,
+)
 import symflow.thermo as thermo
 import symflow.witness as witness
 from symflow.errors import DomainError, InputError
@@ -204,20 +206,14 @@ def test_intermediate_witness_snaps_to_the_top_end(full2, monkeypatch):
     # the witness, and no root-finding runs on the same-sign bracket.
     g = ind1(full2)
     mu0 = InvariantMeasure.single(MarkovComponent(full2, 1, [(0,), (1,)], np.array([[0.7, 0.3], [0.6, 0.4]])))
-    tilt, pull = witness._tilted_chain, witness._mu0_pull
-    log, ends = [], []
-
-    def logged(*args):
-        out = tilt(*args)
-        log.append(out[3])
-        return out
+    pull, ends = witness._mu0_pull, []
+    log = spy_tilts(monkeypatch)
 
     def spied(*args):
         out = pull(*args)
-        ends.append((out[1][1][3], out[2][1][3], len(log)))  # end0, end1, tilts so far
+        ends.append((witness._level(out[1][2]), witness._level(out[2][2]), len(log)))  # end0, end1, tilts so far
         return out
 
-    monkeypatch.setattr(witness, "_tilted_chain", logged)
     monkeypatch.setattr(witness, "_mu0_pull", spied)
     intermediate_witness(full2, g, 0.3, 0.5, mu0=mu0, zeta=0.5)
     ((v0, v1, _),) = ends
@@ -297,10 +293,11 @@ def test_tilted_chain_warm_start(full2, monkeypatch):
     Q = model.solve((0.7,)).Q
     near = 0.999 * Q + 0.001 * model.solve((-0.2,)).Q
     calls = count_solves(monkeypatch)
-    *_, beta = witness._tilted_chain(model, Q, 0.4)
+    beta, _ = witness._tilt(model, 0.4, chain=Q)
     cold = len(calls)
     calls.clear()
-    _, _, mean, _, beta_near = witness._tilted_chain(model, near, 0.4, beta)
+    beta_near, sol = witness._tilt(model, 0.4, beta, chain=near)
+    mean = sol.means[0]
     assert abs(mean - 0.4) < 1e-12
     assert abs(beta_near - beta) < 1e-2
     assert len(calls) < cold
@@ -317,7 +314,8 @@ def test_tilted_chain_matches_the_spectrum(k, frac):
     uniform = model.mask / model.mask.sum(axis=1, keepdims=True)
     alpha = frac  # L_g = [0, 1]
     spec = conditional_entropy_spectrum(sft, g, alpha)
-    _, _, mean, value, beta = witness._tilted_chain(model, uniform, alpha)
+    beta, sol = witness._tilt(model, alpha, chain=uniform)
+    mean, value = sol.means[0], witness._level(sol)
     assert abs(beta - spec.beta) <= 1e-10 * max(1.0, abs(beta))
     assert abs(value - spec.entropy) <= 1e-12
     assert abs(mean - alpha) <= 1e-12
@@ -416,10 +414,9 @@ def _scan_mu0_pull(work, Qlow, Qtop, mu0, alpha, level):
     beta0 = beta1 = None
     for j in range(14, -1, -1):
         lam = 1.0 - 2.0 ** (-j) if j > 0 else 0.0
-        end0 = witness._tilted_chain(work, (1.0 - lam) * Qlow + lam * Qm0, alpha, beta0)
-        end1 = witness._tilted_chain(work, (1.0 - lam) * Qtop + lam * Qm0, alpha, beta1)
-        beta0, beta1 = end0[4], end1[4]
-        if end0[3] <= level and end1[3] >= level:
+        beta0, end0 = witness._tilt(work, alpha, beta0, chain=(1.0 - lam) * Qlow + lam * Qm0)
+        beta1, end1 = witness._tilt(work, alpha, beta1, chain=(1.0 - lam) * Qtop + lam * Qm0)
+        if witness._level(end0) <= level and witness._level(end1) >= level:
             return j
     return None
 
@@ -432,9 +429,9 @@ def test_mu0_pull_finds_the_scanned_lambda(full2, monkeypatch):
     pull = witness._mu0_pull
     seen = []
 
-    def spy(work, Qlow, Qtop, low, mu0, alpha, level):
-        seen.append([(work, Qlow, Qtop, mu0, alpha, level), None])  # None: refused as out of band
-        out = pull(work, Qlow, Qtop, low, mu0, alpha, level)
+    def spy(work, low, top, mu0, alpha, level):
+        seen.append([(work, low[0], top[0], mu0, alpha, level), None])  # None: refused as out of band
+        out = pull(work, low, top, mu0, alpha, level)
         seen[-1][1] = out[0]
         return out
 
@@ -529,19 +526,14 @@ def test_mu0_pull_starts_every_tilt_warm(full2, monkeypatch):
     # solved (a cold probe of both ends at j = 14 made 18 cold tilts).
     g = ind1(full2)
     mu0 = bernoulli_measure(full2, [0.7, 0.3])
-    tilt, starts = witness._tilted_chain, []
-
-    def logged(model, Qt, alpha, beta0=None):
-        starts.append(beta0)
-        return tilt(model, Qt, alpha, beta0)
-
-    monkeypatch.setattr(witness, "_tilted_chain", logged)
+    tilts = spy_tilts(monkeypatch)
     for alpha in (0.26, 0.30, 0.34):
         for c in (0.3, 0.4, 0.5):
             try:
                 intermediate_witness(full2, g, alpha, c, mu0=mu0, zeta=0.1)
             except DomainError as e:
                 assert e.name == "zeta", (alpha, c, e.name)
+    starts = [t["beta0"] for t in tilts if t["chain"]]  # the top end's tilt has no chain
     assert starts and None not in starts
 
 
@@ -730,7 +722,8 @@ def test_a_tilt_from_deep_in_the_tail_steps_back_and_solves(full2):
     Qlow = witness._markovize(nu_low, work.rec.m)
     Qlow = np.where(work.mask & (Qlow == 0.0), 1e-9, Qlow)
     Qlow /= Qlow.sum(axis=1, keepdims=True)
-    *_, want = witness._tilted_chain(work, Qlow, 0.2, 0.0)
-    _, _, mean, _, beta = witness._tilted_chain(work, Qlow, 0.2, -0.498)
+    want, _ = witness._tilt(work, 0.2, 0.0, chain=Qlow)
+    beta, sol = witness._tilt(work, 0.2, -0.498, chain=Qlow)
+    mean = sol.means[0]
     assert len(Qlow) == 4
     assert abs(mean - 0.2) <= 1e-12 and abs(beta - want) <= 1e-9
