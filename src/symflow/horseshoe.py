@@ -53,7 +53,7 @@ from .sft import (
     _word_levels,
     admissible_words,
 )
-from .spectrum import _brentq
+from .spectrum import _dinkelbach
 from .suspension import SuspensionSystem, abramov_entropy, d_star_flow, flow_integral, flow_mixture_weights
 
 __all__ = [
@@ -959,8 +959,13 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
     The weighted word matrix B(s)[w,w'] = exp(-s * R(w,w')) uses the roof
     summed over the n block positions (the last windows cross into w').
     B(s) factors through the words' (suffix, prefix) classes of length
-    m - 1, so its nonzero spectrum lives on a k^(m-1) x k^(m-1) matrix and
-    the root of log(Perron(B(s))) = 0 never touches a word-by-word matrix.
+    m - 1, so its nonzero spectrum is that of the class matrix
+    A(s) = M(s) G(s) (junction weights times class sums of word weights),
+    k^(m-1) x k^(m-1) at most and 1 x 1 for m = 1.  F(s) = log Perron(A(s))
+    is convex and decreasing, and ``spectrum._dinkelbach`` runs its Newton
+    step s <- s + F/R, R = -l A' r / (Perron l r) the exact mean roof per
+    word from the Perron vectors, up from the bracket end log(num)/(n max
+    roof).  An iterate above log(num)/(n min roof) raises ``no_convergence``.
     """
     roof = system.roof
     m = roof.memory
@@ -978,60 +983,54 @@ def _word_roof_root(system: SuspensionSystem, words) -> float:
     rmin, rmax = roof.bounds()
     lo, hi = np.log(num) / (n * rmax), np.log(num) / (n * rmin)
 
-    if m == 1:
-        def f(s: float) -> float:
-            shifted = np.exp(-s * (base - b0))
-            return float(np.log(shifted.sum())) - s * b0
-    else:
-        suf = arr[:, n - (m - 1) :] @ _powers(k, m - 1)
-        pre = arr[:, : m - 1] @ _powers(k, m - 1)
-        su_classes = np.unique(suf)
-        pr_classes = np.unique(pre)
-        Ks, Kp = len(su_classes), len(pr_classes)
-        # The junction's window at offset t takes the last m - 1 - t digits
-        # of the suffix and the first t + 1 of the prefix; the roof is summed
-        # over the offsets in order.
-        cross = 0.0
-        for t in range(m - 1):
-            window = su_classes[:, None] % k ** (m - 1 - t) * k ** (t + 1) + pr_classes[None, :] // k ** (m - 2 - t)
-            if not np.isin(window, codes).all():
-                raise InputError("the words do not concatenate freely: a junction window is not admissible")
-            cross = cross + vals[window]
-        # Bin each word by (prefix class, suffix class); the collapsed
-        # product is M[u,v] * G[v,u'] with G the class-binned exponentials.
-        combo = np.searchsorted(pr_classes, pre) * Ks + np.searchsorted(su_classes, suf)
+    suf = arr[:, n - (m - 1) :] @ _powers(k, m - 1)
+    pre = arr[:, : m - 1] @ _powers(k, m - 1)
+    su_classes = np.unique(suf)
+    pr_classes = np.unique(pre)
+    Ks, Kp = len(su_classes), len(pr_classes)
+    # The junction's window at offset t takes the last m - 1 - t digits
+    # of the suffix and the first t + 1 of the prefix; the roof is summed
+    # over the offsets in order.
+    cross = np.zeros((Ks, Kp))
+    for t in range(m - 1):
+        window = su_classes[:, None] % k ** (m - 1 - t) * k ** (t + 1) + pr_classes[None, :] // k ** (m - 2 - t)
+        if not np.isin(window, codes).all():
+            raise InputError("the words do not concatenate freely: a junction window is not admissible")
+        cross = cross + vals[window]
+    # Words sorted by (prefix class, suffix class) once, so that each class
+    # sum of G[v,u'] is one pairwise sum.
+    combo = np.searchsorted(pr_classes, pre) * Ks + np.searchsorted(su_classes, suf)
+    order = np.argsort(combo, kind="stable")
+    cells, starts = np.unique(combo[order], return_index=True)
+    base = base[order]
 
-        def f(s: float) -> float:
-            wts = np.exp(-s * (base - b0))
-            Gm = np.bincount(combo, weights=wts, minlength=Kp * Ks).reshape(Kp, Ks)
-            M = np.exp(-s * cross)
-            lam, _, _ = _perron_right(M @ Gm)
-            return float(np.log(lam)) - s * b0
+    def classes(x: np.ndarray) -> np.ndarray:
+        G = np.zeros(Kp * Ks)
+        G[cells] = np.add.reduceat(x, starts)
+        return G.reshape(Kp, Ks)
 
-    if hi - lo < 1e-15:
-        return lo
-    known: dict = {}  # the bracket test's f(lo) and f(hi) serve Brent's first step
+    def step(s: float) -> tuple:
+        wts = np.exp(-s * (base - b0))  # B(s) scaled by exp(s * b0)
+        M = np.exp(-s * cross)
+        G = classes(wts)
+        A = M @ G
+        lam, r, _ = _perron_right(A)
+        _, l, _ = _perron_right(A.T)
+        slope = l @ ((cross * M) @ G + M @ classes(base * wts)) @ r  # -l A'(s) r, scaled alike
+        nxt = float(s + (np.log(lam) - s * b0) * lam * (l @ r) / slope)
+        if not nxt <= hi + 1e-15 * max(1.0, hi):  # roundoff above hi is a root at hi
+            msg = f"Bowen root did not converge in [{lo:.17g}, {hi:.17g}]: last s {nxt:.17g}"
+            raise DomainError(msg, name="no_convergence")
+        return nxt, nxt
 
-    def f_known(s: float) -> float:
-        if s not in known:
-            known[s] = f(s)
-        return known[s]
-
-    if f_known(lo) <= 0.0:
-        return lo
-    if f_known(hi) >= 0.0:
-        return hi
-    root, converged = _brentq(f_known, lo, hi, 1e-14, 8.9e-16, 200)
-    if not converged:
-        msg = f"Bowen root did not converge in [{lo:.17g}, {hi:.17g}]: last s {root:.17g}"
-        raise DomainError(msg, name="no_convergence")
-    return root
+    return _dinkelbach(step, lo)[1]
 
 
 def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: int = 50, seed: int = 0) -> dict:
     """Transport the pack's certificate to the suspension flow.
 
-    Horseshoe flow entropies are Bowen roots on the word graphs, target
+    Horseshoe flow entropies are Bowen roots on the word graphs, found by
+    the Newton loop ``spectrum._dinkelbach`` (``_word_roof_root``), target
     entropies follow Abramov, and the entropy margins are re-expressed with
     eta divided by each target's roof integral (so a constant roof scales
     all margins by the same factor).  The mixture reweighting identity is

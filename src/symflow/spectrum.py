@@ -124,10 +124,10 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
     table d.edges under the chain of ``sol`` (``thermo._covariance``,
     Parry & Pollicott 1990).  Each step narrows the sign-change bracket
     [lo, hi] (both ends start infinite) and returns once f = 0, the Newton
-    step is within 1e-13 + 8.9e-16 |beta|, or the bracket is narrower than
-    that (the tolerances of ``_brentq``).  That test comes before the safeguard,
-    so a sign flip at roundoff level ends the solve instead of starting a
-    bisection.  A Newton step that leaves (lo, hi), or a variance that is
+    step is within its tolerance 1e-13 + 8.9e-16 |beta|, or the bracket is
+    narrower than that.  That test comes before the safeguard, so a sign
+    flip at roundoff level ends the solve instead of starting a bisection.
+    A Newton step that leaves (lo, hi), or a variance that is
     not positive and finite, is replaced by the midpoint when both ends are
     finite, and otherwise by a move of max(1, |beta|) toward the root.
     Each beta is solved once.  On a model that warm-starts its Perron solves
@@ -209,42 +209,6 @@ def _tilt(model: _EdgeModel, alpha: float, beta0: float | None = None, base=None
             r0 = start(nxt)
         beta = nxt
     raise failed("tilt solve did not converge", 200, "no_convergence")
-
-
-def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> tuple:
-    """(root, converged) of f on the sign-change bracket [a, b] by Brent's method
-    (1973), ported step for step from scipy's C ``brentq``: f is evaluated at the
-    same points in the same order.  ValueError when f(a) and f(b) share a sign;
-    after ``maxiter`` steps the last iterate comes back unconverged."""
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre if fpre == 0.0 else xcur), True
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # both nonzero here
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta, sbis = (xtol + rtol * abs(xcur)) / 2.0, (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, True
-        stry = math.inf  # bisect unless interpolation gives a short enough step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:  # inverse quadratic
-                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            stry = num / den if den else math.inf  # C's inf or nan also bisects
-        good = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = float(f(xcur))
-    return xcur, False
 
 
 def conditional_entropy_spectrum(sft: Sft, g: LocallyConstantFunction, alpha: float, tol: float = 1e-10) -> SpectrumResult:

@@ -5,7 +5,8 @@ function.  Invariant measures of the flow correspond to invariant measures
 of the base, with time rescaled by the roof integral: entropy transforms by
 Abramov's formula, observables by the ratio of base integrals, and the
 flow's topological entropy is the root of P(-s * roof) = 0, found by the
-Dinkelbach loop the flow spectrum uses (``spectrum._dinkelbach``).
+Dinkelbach loop (``spectrum._dinkelbach``) that also finds the flow spectrum
+and the Bowen roots of the horseshoes that ``horseshoe`` lifts to the flow.
 """
 
 from __future__ import annotations

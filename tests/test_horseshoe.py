@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -456,28 +457,28 @@ def test_word_roof_root_refuses_words_that_do_not_concatenate():
 
 
 def test_word_roof_root_names_a_missed_root(monkeypatch):
-    from symflow import horseshoe, spectrum
-
+    # A Perron root inflated a thousandfold puts the first Newton iterate
+    # above the bracket's high end.
     full2 = Sft([[1, 1], [1, 1]])
     words = [(0,) + w for w in admissible_words(full2, 3)]
     roof = LocallyConstantFunction(full2, 2, {(0, 0): 1.0, (0, 1): 1.4, (1, 0): 2.2, (1, 1): 0.7})
     system = SuspensionSystem(full2, roof)
+    perron = horseshoe._perron_right
 
-    def two_steps(f, a, b, xtol, rtol, maxiter):
-        return spectrum._brentq(f, a, b, xtol, rtol, 2)
+    def inflated(*args, **kwargs):
+        lam, right, start = perron(*args, **kwargs)
+        return 1e3 * lam, right, start
 
-    monkeypatch.setattr(horseshoe, "_brentq", two_steps)
+    monkeypatch.setattr(horseshoe, "_perron_right", inflated)
     with pytest.raises(DomainError) as e:
         _word_roof_root(system, words)
     assert e.value.name == "no_convergence"
     assert "Bowen root did not converge in [" in str(e.value) and "last s " in str(e.value)
 
 
-def test_word_roof_root_solves_each_bracket_end_once(monkeypatch):
-    # The bracket test's f(lo) and f(hi) are Brent's first two evaluations:
-    # 7 Perron solves instead of 9, and the root to the last bit.
-    from symflow import horseshoe
-
+def test_word_roof_root_takes_four_newton_evaluations(monkeypatch):
+    # Each Newton evaluation solves the class matrix for its right and its
+    # left Perron vector; from the bracket's low end the root takes four.
     full2 = Sft([[1, 1], [1, 1]])
     words = [(0,) + w for w in admissible_words(full2, 3)]
     roof = LocallyConstantFunction(full2, 2, {(0, 0): 1.0, (0, 1): 1.4, (1, 0): 2.2, (1, 1): 0.7})
@@ -489,8 +490,40 @@ def test_word_roof_root_solves_each_bracket_end_once(monkeypatch):
 
     monkeypatch.setattr(horseshoe, "_perron_right", counted)
     root = _word_roof_root(SuspensionSystem(full2, roof), words)
-    assert len(calls) == 7
-    assert root == float.fromhex("0x1.901321e8309abp-2")  # recorded without the memo
+    assert len(calls) == 8
+    assert root == float.fromhex("0x1.901321e8309abp-2")  # the correctly rounded root
+
+
+def decimal_roof_root(roof_sums) -> Decimal:
+    """Root of sum_w exp(-s R_w) = 1 at 40 digits, by Newton on the log from
+    s = 0 (the log-sum is convex and decreasing, so the iterates increase)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sums = [Decimal(float(x)) for x in roof_sums]
+        s = Decimal(0)
+        for _ in range(100):
+            terms = [(-s * x).exp() for x in sums]
+            total = sum(terms)
+            step = total.ln() * total / sum(x * t for x, t in zip(sums, terms))
+            s += step
+            if step < Decimal(10) ** -38:
+                return s
+    raise AssertionError("decimal Newton did not converge")
+
+
+def test_word_roof_root_matches_a_decimal_root_for_memory_one_roofs(small_pack):
+    full2 = Sft([[1, 1], [1, 1]])
+    cases = [(LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}), arr) for arr in small_pack.word_arrays]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        shift = Sft(np.ones((2 + seed % 2,) * 2, dtype=int))
+        table = dict(zip(admissible_words(shift, 1), rng.uniform(0.5, 2.0, size=shift.k)))
+        cases.append((LocallyConstantFunction(shift, 1, table), rng.integers(0, shift.k, size=(60, 5 + seed))))
+    for roof, arr in cases:
+        sums = roof.values(admissible_words(roof.sft, 1))[arr].sum(axis=1)
+        got = _word_roof_root(SuspensionSystem(roof.sft, roof), arr)
+        want = float(decimal_roof_root(sums))
+        assert abs(got - want) <= math.ulp(want), (got.hex(), want.hex())
 
 
 def test_word_roof_root_constant_roof_scaling(small_pack):
@@ -556,10 +589,10 @@ def test_lift_small_pack_reproduces_recorded_report(small_pack):
     roof = LocallyConstantFunction(small_pack.sft, 1, {(0,): 1.0, (1,): 2.0})
     rep = lift_pack_to_flow(SuspensionSystem(small_pack.sft, roof), small_pack, mixtures=20, seed=0)
     recorded = {
-        "flow_horseshoe_entropies": ["0x1.9ac31593475c0p-2", "0x1.17562be5bca8ep-2"],
+        "flow_horseshoe_entropies": ["0x1.9ac31593475c0p-2", "0x1.17562be5bca86p-2"],
         "flow_target_entropies": ["0x1.ccaa3a31b187dp-2", "0x1.490be06ca3610p-2"],
         "roof_integrals": ["0x1.4000000000000p+0", "0x1.c000000000000p+0"],
-        "margins": ["0x1.67b274fb2f6ddp-2", "0x1.e5b9293b57220p-3"],
+        "margins": ["0x1.67b274fb2f6ddp-2", "0x1.e5b9293b57210p-3"],
         "flow_push_distances": ["0x1.72d17fa42eb6fp-4", "0x1.8d4ca9d277a4ep-4"],
         "max_identity_gap": ["0x1.0000000000000p-52"],
     }

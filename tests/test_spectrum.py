@@ -674,74 +674,6 @@ def test_flow_spectrum_matches_a_dual_oracle(shift, memory, frac, monkeypatch):
     assert res.entropy == res.s
 
 
-def _seeded_bracketed_functions(count: int):
-    """(f, a, b) with a sign change on [a, b]: polynomials, steps smoothed
-    by tanh or atan, exponentials and odd roots, drawn from default_rng(0)."""
-    import math
-
-    rng = np.random.default_rng(0)
-    shapes = [
-        lambda c, x: c[0] * (x - c[1]) + c[2] * (x - c[1]) ** 3,
-        lambda c, x: math.tanh(c[0] * (x - 0.3 * c[1])) * abs(c[3]) + 1e-3 * c[4],
-        lambda c, x: math.exp(c[0] * x) - math.exp(0.5 * c[1]),
-        lambda c, x: (x - 0.2 * c[1]) ** 3,
-        lambda c, x: math.copysign(abs(x - 0.3 * c[1]) ** 0.3, x - 0.3 * c[1]),
-        lambda c, x: np.float64(math.atan(50.0 * (x - 0.3 * c[1]))),
-        lambda c, x: (x - 0.3 * c[1]) * (x - 0.1 * c[2]) * (x + 2.5),
-    ]
-    out = []
-    while len(out) < count:
-        shape = shapes[len(out) % len(shapes)]
-        c = rng.normal(size=6)
-        a, b = -1.0 - abs(c[5]), 1.0 + abs(c[4])
-        if rng.random() < 0.5:
-            a, b = b, a
-        f = lambda x, c=c, shape=shape: shape(c, x)  # noqa: E731
-        if np.sign(f(a)) * np.sign(f(b)) < 0:
-            out.append((f, a, b))
-    return out
-
-
-@pytest.mark.parametrize("xtol, rtol", [(1e-15, 8.9e-16), (1e-14, 8.9e-16)])
-def test_brentq_port_matches_scipy_step_for_step(xtol, rtol):
-    from scipy.optimize import brentq
-
-    from symflow.spectrum import _brentq
-
-    for f, a, b in _seeded_bracketed_functions(2100):
-        for maxiter in (300, 4):
-            seen_scipy, seen_port = [], []
-            want, info = brentq(
-                lambda x: seen_scipy.append(x) or f(x), a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
-                full_output=True, disp=False,
-            )
-            got, converged = _brentq(lambda x: seen_port.append(x) or f(x), a, b, xtol, rtol, maxiter)
-            assert got == want and seen_port == seen_scipy, (a, b, maxiter)
-            assert converged == info.converged
-
-
-def test_brentq_port_ends_and_bad_bracket():
-    from scipy.optimize import brentq
-
-    from symflow.spectrum import _brentq
-
-    f = lambda x: x * (x - 1.0)  # noqa: E731
-    for a, b in ((0.0, 0.5), (0.5, 1.0), (1.0, 3.0), (-2.0, 0.0)):
-        assert _brentq(f, a, b, 1e-15, 8.9e-16, 100) == (brentq(f, a, b, xtol=1e-15, rtol=8.9e-16), True)
-    with pytest.raises(ValueError):
-        _brentq(f, 2.0, 3.0, 1e-15, 8.9e-16, 100)
-    # f of order 1e-200: the inverse quadratic step's denominator underflows
-    # to 0, and the port bisects there as the C code does with its inf/nan.
-    tiny = lambda x: 1e-200 * ((x - 0.3) ** 3 + 0.1 * (x - 0.3))  # noqa: E731
-    seen_scipy, seen_port = [], []
-    want = brentq(lambda x: seen_scipy.append(x) or tiny(x), 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    assert _brentq(lambda x: seen_port.append(x) or tiny(x), 0.0, 1.0, 1e-15, 8.9e-16, 100) == (want, True)
-    assert seen_port == seen_scipy
-    root, converged = _brentq(lambda x: x**3 - 2.0, 0.0, 4.0, 1e-15, 8.9e-16, 3)
-    assert not converged
-    assert root == brentq(lambda x: x**3 - 2.0, 0.0, 4.0, xtol=1e-15, rtol=8.9e-16, maxiter=3, disp=False)
-
-
 @pytest.mark.parametrize("shift", ["full2", "golden", "full3", "full4"])
 def test_rotation_set_hull_matches_qhull(shift):
     from dataclasses import replace
