@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .horseshoe import HorseshoePack, build_multi_horseshoe, certify_pack, lift_
 from .jsonio import config_hash, csv_text, read_json, write_csv, write_json
 from .lorenz import LorenzModel, simulate_return_map, validate_lorenz
 from .measures import InvariantMeasure
-from .sft import LocallyConstantFunction, Sft, topological_entropy
+from .sft import ENUMERATION_BUDGET, LocallyConstantFunction, Sft, topological_entropy
 from .spectrum import (
     conditional_entropy_spectrum,
     conditional_entropy_spectrum_2d,
@@ -64,15 +65,15 @@ def _load_fn(sft: Sft, path: str) -> LocallyConstantFunction:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """The points of ``lo:hi:count``: finite ends and an integer count >= 1."""
+    """The points of ``lo:hi:count``: finite ends and an integer count in 1..ENUMERATION_BUDGET."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError("grid must be lo:hi:count")
     lo, hi, count = (_text_number(f"grid {part}", p) for part, p in zip(("lo", "hi", "count"), parts))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError(f"grid ends must be finite, got {text!r}")
-    if not (count >= 1 and count.is_integer()):
-        raise InputError(f"grid count must be an integer >= 1, got {parts[2]!r}")
+    if not (1 <= count <= ENUMERATION_BUDGET and count.is_integer()):
+        raise InputError(f"grid count must be an integer in 1..{ENUMERATION_BUDGET}, got {parts[2]!r}")
     return np.linspace(lo, hi, int(count))
 
 
@@ -99,10 +100,13 @@ def _emit_csv(args, header, rows, *comments) -> None:
 
 
 def _run_grid(fn, payloads, jobs: int) -> list:
-    if jobs > 1 and len(payloads) > 1:
+    """fn over the payloads, in at most ``jobs`` processes and no more than
+    there are payloads or cores (a pool starts all its workers at once)."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
@@ -151,6 +155,7 @@ def _scan(args, point, grid) -> None:
     """A grid is a CSV of rows; a single point is the same row as JSON,
     headed by its second field."""
     row, grid_row, names, header = _SCANS[args.command]
+    _check_count("jobs", args.jobs, 1)
     sft = _load_sft(args.sft)
     g = _load_fn(sft, args.g)
     if grid is not None:
@@ -241,7 +246,7 @@ def _cmd_horseshoe(args) -> None:
     sft = _load_sft(args.sft)
     targets = _load_targets(sft, args.targets)
     pack = build_multi_horseshoe(sft, targets, args.eta, args.zeta, args.n_max, seed=args.seed)
-    sizes = ",".join(str(len(ws)) for ws in pack.word_sets)
+    sizes = ",".join(str(len(arr)) for arr in pack.word_arrays)
     _emit(args, {"pack": pack.to_json()}, f"n={pack.n} anchor={pack.anchor} sizes={sizes}")
 
 

@@ -35,7 +35,7 @@ quadratic in the alphabet:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -83,6 +83,26 @@ def _admissible_codes(sft: Sft, N: int, budget: int = ENUMERATION_BUDGET) -> lis
     for parent, last, _ in _word_levels(sft, N, budget)[1 : N + 1]:
         codes.append(codes[-1][parent] * sft.k + last)
     return [None] + codes[1:]
+
+
+def _word_array(sft: Sft, words, n: int | None = None) -> np.ndarray:
+    """``words``, a list of words or an integer array, as a (count, n) int8 array.
+
+    Raises ``InputError`` unless there is at least one word and every word
+    is n integer symbols in 0..k-1 (n defaults to the words' common length).
+    The symbols are checked before the int8 cast, so that none wraps; int8
+    holds the symbols of shifts of at most 128 symbols.
+    """
+    k = min(sft.k, 128)
+    try:
+        arr = np.asarray(words)
+    except ValueError:  # words of different lengths
+        arr = None
+    if (arr is None or arr.ndim != 2 or arr.dtype.kind not in "iu" or not arr.size
+            or (n is not None and arr.shape[1] != n) or arr.min() < 0 or arr.max() >= k):
+        length = "" if n is None else f"{n} "
+        raise InputError(f"words must be a nonempty list of words of {length}integer symbols in 0..{k - 1}")
+    return np.ascontiguousarray(arr, dtype=np.int8)
 
 
 def _measure_tables(sft: Sft, mu, N: int) -> list:
@@ -287,8 +307,9 @@ class WordProcessMeasure:
     """Stationary word-concatenation process pushed to the ambient shift.
 
     ``words`` is the alphabet of n-blocks, a list of words or a (num, n)
-    integer array; the word sequence is drawn from a stationary chain given
-    by ``kind``:
+    integer array of at least one word of symbols 0..k-1 (``InputError``
+    otherwise); the word sequence is drawn from a stationary chain given by
+    ``kind``:
 
     * ``("bernoulli", weights)`` - i.i.d. words, weights nonnegative and
       summing to 1 within 1e-9,
@@ -309,7 +330,7 @@ class WordProcessMeasure:
     def __init__(self, sft: Sft, words, kind: tuple):
         self.sft = sft
         self.words = words if isinstance(words, np.ndarray) else list(words)
-        self._arr = np.asarray(self.words, dtype=np.int8)
+        self._arr = _word_array(sft, self.words)
         num, self.n = self._arr.shape
         self.kind = kind
         self._tables: dict = {}
@@ -408,35 +429,30 @@ class WordProcessMeasure:
         return self._arr[idx].reshape(-1).astype(np.int64)
 
 
-@dataclass
 class HorseshoePack:
     """An anchored multi-horseshoe certificate candidate.
 
-    ``word_sets[i]`` spans the horseshoe for target ``measures[i]``; all
-    words share the anchor first symbol and can be freely concatenated.
-    ``word_sets`` holds tuples of ints and is what ``to_json`` writes;
-    :attr:`word_arrays` holds the same sets as int8 arrays, which the table
-    engine, the lifts and the flow roots read.  The build hands the arrays
-    over with the pack; a pack made otherwise (``from_json``) converts its
-    word sets on first use.
+    Word set i spans the horseshoe for target ``measures[i]``; all words
+    share the anchor first symbol and can be freely concatenated.  Each set
+    is given as a list of words or as an integer array and is kept only as
+    ``word_arrays[i]``, one (count, n) int8 array, which the certificate,
+    the lifts, the flow roots and ``to_json`` read.  :attr:`word_sets`, the
+    same sets as lists of tuples of ints, is made on first read.  A set
+    that is not at least one word of n symbols 0..k-1 raises ``InputError``.
     """
 
-    sft: Sft
-    n: int
-    anchor: int
-    eta: float
-    zeta: float
-    word_sets: list
-    measures: list
-    meta: dict = field(default_factory=dict)
-    _arrays: list | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, sft: Sft, n: int, anchor: int, eta: float, zeta: float, word_sets, measures, meta=None):
+        self.sft, self.n, self.anchor, self.eta, self.zeta = sft, n, anchor, eta, zeta
+        self.word_arrays = [_word_array(sft, ws, n) for ws in word_sets]
+        if not self.word_arrays:
+            raise InputError("a pack needs at least one word set")
+        self.measures = measures
+        self.meta = {} if meta is None else meta
 
-    @property
-    def word_arrays(self) -> list:
-        """``word_sets[i]`` as one (count, n) int8 array, rows in the same order."""
-        if self._arrays is None:
-            self._arrays = [np.asarray(ws, dtype=np.int8).reshape(len(ws), self.n) for ws in self.word_sets]
-        return self._arrays
+    @cached_property
+    def word_sets(self) -> list:
+        """``word_arrays[i]`` as a list of tuples of ints, rows in the same order."""
+        return [list(map(tuple, arr.tolist())) for arr in self.word_arrays]
 
     @property
     def union_words(self) -> list:
@@ -446,7 +462,7 @@ class HorseshoePack:
         return out
 
     def entropies(self) -> list:
-        return [float(np.log(len(ws))) / self.n for ws in self.word_sets]
+        return [float(np.log(len(arr))) / self.n for arr in self.word_arrays]
 
     def uniform_lift(self, i: int) -> WordProcessMeasure:
         arr = self.word_arrays[i]
@@ -454,10 +470,8 @@ class HorseshoePack:
 
     def mixture_lift(self, theta) -> WordProcessMeasure:
         """Word-Bernoulli matching the target mixture sum(theta_i mu_i)."""
-        weights = []
-        for t, ws in zip(theta, self.word_sets):
-            weights.extend([t / len(ws)] * len(ws))
-        return WordProcessMeasure(self.sft, np.concatenate(self.word_arrays), ("bernoulli", np.asarray(weights)))
+        weights = np.concatenate([np.full(len(arr), t / len(arr)) for t, arr in zip(theta, self.word_arrays)])
+        return WordProcessMeasure(self.sft, np.concatenate(self.word_arrays), ("bernoulli", weights))
 
     def to_json(self) -> dict:
         return {
@@ -466,7 +480,7 @@ class HorseshoePack:
             "anchor": self.anchor,
             "eta": self.eta,
             "zeta": self.zeta,
-            "word_sets": [[_word_key(w, self.sft.k) for w in ws] for ws in self.word_sets],
+            "word_sets": [[_word_key(w, self.sft.k) for w in arr.tolist()] for arr in self.word_arrays],
             "measures": [mu.to_json() for mu in self.measures],
             "meta": self.meta,
         }
@@ -491,10 +505,6 @@ class HorseshoePack:
         eta, zeta = _number("eta", data["eta"]), _number("zeta", data["zeta"])
         _check_tol(eta=eta, zeta=zeta)
         word_sets = [[_parse_word_key(wk, sft.k) for wk in ws] for ws in word_sets]
-        if not (word_sets and all(word_sets)):
-            raise InputError("a pack needs at least one word set, and every word set a word")
-        if any(len(w) != n for ws in word_sets for w in ws):
-            raise InputError(f"every pack word must have length n = {n}")
         if len(measures) != len(word_sets):
             raise InputError(f"a pack needs one measure per word set: {len(word_sets)} sets, {len(measures)} measures")
         measures = [InvariantMeasure.from_json(sft, d) for d in measures]
@@ -709,19 +719,16 @@ def build_multi_horseshoe(sft: Sft, measures, eta: float, zeta: float, n_max: in
                 best = (deficit, n, anchor)
             if not ok:
                 continue
-            arrays = [_anchored_rotations(classes, anchor) for classes in accepted]
-            pack = HorseshoePack(
+            return HorseshoePack(
                 sft=sft,
                 n=n,
                 anchor=anchor,
                 eta=eta,
                 zeta=zeta,
-                word_sets=[list(map(tuple, arr.tolist())) for arr in arrays],
+                word_sets=[_anchored_rotations(classes, anchor) for classes in accepted],
                 measures=measures,
                 meta={"seed": seed, "n_max": n_max},
             )
-            pack._arrays = arrays
-            return pack
         if exhausted:
             break
     if best is None:
@@ -860,11 +867,12 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
-    K = len(pack.word_sets)
+    K = len(pack.word_arrays)
     N = min(_DSTAR_DEPTH, pack.n + 1)
-    counts = [len(ws) for ws in pack.word_sets]
+    counts = [len(arr) for arr in pack.word_arrays]
     numU = sum(counts)
-    disjoint = len(set().union(*pack.word_sets)) == numU
+    W = np.concatenate(pack.word_arrays)
+    disjoint = len(np.unique(W.view(np.dtype((np.void, pack.n))))) == numU
 
     entropies = [float(np.log(c)) / pack.n for c in counts]
     target_h = [mu.entropy() for mu in pack.measures]
@@ -874,9 +882,9 @@ def certify_pack(pack: HorseshoePack, samples: int, seed: int) -> dict:
     grid = _simplex_grid(K, 40 if K == 2 else 8)
     G = grid.shape[0]
 
-    W, A, k = np.concatenate(pack.word_arrays), pack.sft.A > 0, pack.sft.k
-    free = bool(  # the symbol range first, so the rest may index A
-        ((W >= 0) & (W < k)).all() and 0 <= pack.anchor < k and A[W[:, :-1], W[:, 1:]].all()
+    A = pack.sft.A > 0
+    free = bool(  # the anchor first, so the rest may index A with it
+        0 <= pack.anchor < pack.sft.k and A[W[:, :-1], W[:, 1:]].all()
         and (W[:, 0] == pack.anchor).all() and A[W[:, -1], pack.anchor].all()
     )
     engine = _TableEngine(pack.sft, W, N)
@@ -1045,7 +1053,7 @@ def lift_pack_to_flow(system: SuspensionSystem, pack: HorseshoePack, mixtures: i
     _check_count("seed", seed, 0)
     if system.base != pack.sft:
         raise InputError("pack and suspension live over different SFTs")
-    K = len(pack.word_sets)
+    K = len(pack.word_arrays)
     N = min(_DSTAR_DEPTH, pack.n + 1)
     roof = system.roof
     roof_ints = [mu.integrate(roof) for mu in pack.measures]

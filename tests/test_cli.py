@@ -172,6 +172,39 @@ def test_pressure_grid_parallel_rows_match(files, tmp_path):
         assert read_csv(serial)[1:] == read_csv(parallel)[1:]
 
 
+def test_jobs_are_capped_by_the_grid_and_the_cores(files, tmp_path, monkeypatch):
+    # A pool starts all its workers at its first task, so --jobs 100000 on a
+    # two-point grid would ask for 100,000 processes.  The recording pool
+    # maps serially and starts none.
+    import concurrent.futures
+
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    base = ["spectrum", "--sft", files["full2"], "--g", files["g"]]
+    for grid, jobs, want in [("0:1:2", "100000", [2]), ("0:1:7", "100000", [3]), ("0:1:7", "2", [2]), ("0:1:7", "1", [])]:
+        asked.clear()
+        assert run_cli(*base, f"--alpha-grid={grid}", "--jobs", jobs, "--out", tmp_path / "grid.csv")[0] == 0
+        assert asked == want, (grid, jobs)
+    for jobs in ("0", "-3"):
+        code, _, err = run_cli(*base, "--alpha-grid=0:1:2", "--jobs", jobs)
+        assert code == 1 and err.startswith("error: input: jobs must be an integer >= 1"), err
+
+
 def test_spectrum_single(files, tmp_path):
     outfile = tmp_path / "spec.json"
     code, out, _ = run_cli(
@@ -1027,6 +1060,9 @@ def _fresh_cli(*argv) -> tuple:
         ["certify", "--pack", "pack_without_n", "--seed", "0", "--out", "out"],
         ["horseshoe", "--sft", "full2", "--targets", "targets", "--eta", "inf", "--zeta", "0.4",
          "--n-max", "16", "--seed", "0", "--out", "out"],
+        ["spectrum", "--sft", "full2", "--g", "g", "--alpha-grid=0.1:0.9:1e15", "--out", "out"],
+        ["spectrum", "--sft", "full2", "--g", "g", "--alpha-grid=0.1:0.9:1e30", "--out", "out"],
+        ["pressure", "--sft", "full2", "--g", "g", "--beta-grid=0:1:3", "--jobs", "0", "--out", "out"],
     ],
 )
 def test_out_of_domain_flags_and_packs_are_input_errors(files, pack_file, tmp_path, argv):

@@ -3,7 +3,11 @@ from __future__ import annotations
 import hashlib
 import math
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,17 +575,71 @@ def test_pack_json_round_trip(small_pack):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_pack_word_arrays_match_word_sets(small_pack):
-    # The build hands its sorted rotations over as the arrays; a pack read
-    # from JSON converts its word sets on first use.
-    again = HorseshoePack.from_json(json.loads(json.dumps(small_pack.to_json())))
-    assert small_pack._arrays is not None and again._arrays is None
-    for pack in (small_pack, again):
-        assert len(pack.word_arrays) == len(pack.word_sets)
-        for arr, ws in zip(pack.word_arrays, pack.word_sets):
-            assert arr.dtype == np.int8 and arr.shape == (len(ws), pack.n)
-            assert np.array_equal(arr, np.asarray(ws, dtype=np.int8))
-    assert again.word_arrays is again.word_arrays
+def test_pack_word_arrays_match_word_sets():
+    # A pack keeps its words only as int8 arrays: certify, lift and JSON read
+    # them without making the tuple lists, and a pack read from JSON holds the
+    # same arrays and the same tuple lists as the build.
+    full2 = Sft([[1, 1], [1, 1]])
+    targets = [bernoulli_measure(full2, [0.75, 0.25]), bernoulli_measure(full2, [0.25, 0.75])]
+    pack = build_multi_horseshoe(full2, targets, eta=0.5, zeta=0.4, n_max=16, seed=0)
+    assert [arr.shape for arr in pack.word_arrays] == [(189, pack.n), (91, pack.n)]
+    assert all(arr.dtype == np.int8 for arr in pack.word_arrays)
+    system = SuspensionSystem(full2, LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}))
+    certify_pack(pack, samples=4, seed=0)
+    lift_pack_to_flow(system, pack, mixtures=2, seed=0)
+    again = HorseshoePack.from_json(json.loads(json.dumps(pack.to_json())))
+    assert "word_sets" not in vars(pack)
+    for a, b in zip(pack.word_arrays, again.word_arrays, strict=True):
+        assert b.dtype == np.int8 and np.array_equal(a, b)
+    assert again.word_sets == pack.word_sets
+    assert all(isinstance(w, tuple) and isinstance(w[0], int) for ws in pack.word_sets for w in ws)
+
+
+_BAD_WORDS = r"""
+import numpy as np
+from symflow.errors import InputError
+from symflow.horseshoe import HorseshoePack, WordProcessMeasure, certify_pack
+from symflow.measures import InvariantMeasure, MarkovComponent
+from symflow.sft import Sft
+
+full2 = Sft([[1, 1], [1, 1]])
+targets = [InvariantMeasure.single(MarkovComponent(full2, 1, [(0,), (1,)], np.array([[p, 1 - p]] * 2)))
+           for p in (0.75, 0.25)]
+bernoulli = ("bernoulli", [0.5, 0.5])
+cases = {
+    "negative": lambda: WordProcessMeasure(full2, [[0, -1, 1], [0, 1, 1]], bernoulli).cylinder_tables(3),
+    "pack_negative": lambda: certify_pack(
+        HorseshoePack(full2, 4, 0, 0.5, 0.9, [[(0, 0, 0, 1), (0, -1, 1, 1)], [(0, 1, 0, 1)]], targets), 4, 0),
+    "symbol_k": lambda: WordProcessMeasure(full2, [[0, 2], [0, 1]], bernoulli).cylinder_tables(1),
+    "wraps_in_int8": lambda: WordProcessMeasure(full2, np.array([[0, 258], [0, 1]]), bernoulli),
+    "pack_wraps_in_int8": lambda: HorseshoePack(full2, 2, 0, 0.5, 0.9, [np.array([[0, 256]])], targets[:1]),
+    "past_int8": lambda: WordProcessMeasure(Sft(np.ones((129, 129), dtype=int)), [[0, 128], [0, 1]], bernoulli),
+    "float": lambda: WordProcessMeasure(full2, [[0.0, 1.0], [0.0, 1.0]], bernoulli),
+    "ragged": lambda: WordProcessMeasure(full2, [(0, 1), (0,)], bernoulli),
+    "no_words": lambda: WordProcessMeasure(full2, [], ("bernoulli", [])),
+    "empty_set": lambda: HorseshoePack(full2, 2, 0, 0.5, 0.9, [[(0, 1)], []], targets),
+    "no_sets": lambda: HorseshoePack(full2, 2, 0, 0.5, 0.9, [], []),
+    "length_not_n": lambda: HorseshoePack(full2, 3, 0, 0.5, 0.9, [[(0, 1)]], targets[:1]),
+}
+for name, make in cases.items():
+    try:
+        make()
+    except InputError:
+        print(name, "input")
+    else:
+        print(name, "accepted")
+"""
+
+
+def test_words_that_are_not_symbols_of_the_shift_are_input_errors():
+    # Run in a fresh interpreter: a negative symbol once reached scipy's
+    # unchecked sparse constructor and aborted the process, and a symbol 258
+    # wrapped to 2 in the int8 cast (128 to -128 on a 129-symbol shift).
+    env = dict(os.environ, PYTHONPATH=str(Path(horseshoe.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", _BAD_WORDS], capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0, (fresh.returncode, fresh.stderr)
+    lines = fresh.stdout.split("\n")[:-1]
+    assert len(lines) == 12 and all(line.endswith(" input") for line in lines), fresh.stdout
 
 
 def test_lift_small_pack_reproduces_recorded_report(small_pack):
