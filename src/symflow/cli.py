@@ -362,10 +362,7 @@ def _cmd_lorenz_simulate(args) -> None:
         raise InputError("n must be at least 1")
     model = LorenzModel.from_json(read_json(args.model))
     traj = simulate_return_map(model, args.x0, args.y0, args.n)
-    rows = [
-        (k, traj.xs[k], traj.ys[k], int(traj.itinerary[k]))
-        for k in range(len(traj))
-    ]
+    rows = zip(range(len(traj)), traj.xs.tolist(), traj.ys.tolist(), traj.itinerary.tolist())
     _emit_csv(args, ["step", "x", "y", "s"], rows, f"halted={str(traj.halted).lower()}")
     print(f"{len(traj)} points halted={str(traj.halted).lower()}")
 

@@ -105,6 +105,24 @@ def _word_array(sft: Sft, words, n: int | None = None) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int8)
 
 
+def _parse_word_set(keys: list, n: int, k: int):
+    """The words of a list of :func:`_word_key` keys.
+
+    On k <= 10 symbols a set whose keys are all n ASCII digits below k is
+    read in one pass, as a (count, n) int8 array.  Any other set is read key
+    by key with :func:`_parse_word_key`, which names a key that is not a
+    word; the constructor checks the lengths of the words it returns.
+    """
+    if k <= 10 and keys and set(map(len, keys)) == {n}:
+        joined = "".join(keys)
+        if joined.isascii():
+            # uint8 wraps the characters below "0" to codes above 207
+            codes = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(len(keys), n) - 48
+            if codes.max() < k:
+                return codes.astype(np.int8)
+    return [_parse_word_key(key, k) for key in keys]
+
+
 def _measure_tables(sft: Sft, mu, N: int) -> list:
     """tables[ell][code] = mu[cylinder], dense over all k^ell codes."""
     codes, tables = _admissible_codes(sft, N), mu.cylinder_tables(N)
@@ -329,8 +347,7 @@ class WordProcessMeasure:
 
     def __init__(self, sft: Sft, words, kind: tuple):
         self.sft = sft
-        self.words = words if isinstance(words, np.ndarray) else list(words)
-        self._arr = _word_array(sft, self.words)
+        self._arr = _word_array(sft, words)
         num, self.n = self._arr.shape
         self.kind = kind
         self._tables: dict = {}
@@ -504,7 +521,7 @@ class HorseshoePack:
             raise InputError(f"pack anchor {anchor} is not a symbol of the {sft.k}-symbol shift")
         eta, zeta = _number("eta", data["eta"]), _number("zeta", data["zeta"])
         _check_tol(eta=eta, zeta=zeta)
-        word_sets = [[_parse_word_key(wk, sft.k) for wk in ws] for ws in word_sets]
+        word_sets = [_parse_word_set(ws, n, sft.k) for ws in word_sets]
         if len(measures) != len(word_sets):
             raise InputError(f"a pack needs one measure per word set: {len(word_sets)} sets, {len(measures)} measures")
         measures = [InvariantMeasure.from_json(sft, d) for d in measures]

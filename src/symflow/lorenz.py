@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -174,11 +176,15 @@ def simulate_return_map(model: LorenzModel, x0: float, y0: float, n: int) -> Tra
     The orbit is a scalar recurrence over Python floats, the same IEEE
     operations as ``model.f`` and ``model.H`` at one point (``**`` is libm
     ``pow``, as numpy's scalar power is).  The itinerary codes s_k = 1 where
-    x_k > 0 and 0 otherwise.  Errors: ``on_line`` (DomainError) when x0 is
-    within 1e-15 of the singular line; ``input`` (InputError) when (x0, y0)
-    is outside the section square or n is not a non-negative integer;
-    ``containment`` (DomainError) at the first step that leaves the square
-    by more than 1e-12, overflows or is NaN.
+    x_k > 0 and 0 otherwise.  The orbit is stored as two float64 buffers,
+    16 bytes a step, that become ``xs`` and ``ys`` without a copy.
+    Containment is tested once per chunk of steps (16, 32, 64, ...), so an
+    orbit that leaves the square runs at most one chunk past the step that
+    left it.  Errors: ``on_line`` (DomainError) when x0 is within 1e-15 of
+    the singular line; ``input`` (InputError) when (x0, y0) is outside the
+    section square or n is not a non-negative integer; ``containment``
+    (DomainError) at the first step that leaves the square by more than
+    1e-12, overflows or is NaN.
     """
     if abs(x0) <= _LINE_TOL:
         raise DomainError("initial point lies on the singular line", name="on_line")
@@ -186,27 +192,53 @@ def simulate_return_map(model: LorenzModel, x0: float, y0: float, n: int) -> Tra
         raise InputError("initial point outside the section square")
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
         raise InputError(f"n must be a non-negative integer, got {n!r}")
+    n = int(n)
     c, gamma, a, b = float(model.c), float(model.gamma), float(model.a), float(model.b)
     x, y = float(x0), float(y0)
-    xs, ys = [x], [y]
+    xs, ys = array("d", [x]), array("d", [y])
+    x_append, y_append, lo, hi, inf = xs.append, ys.append, -_LINE_TOL, _LINE_TOL, math.inf
     halted = False
-    for k in range(1, int(n) + 1):
-        s = 1.0 if x > 0.0 else -1.0
-        try:
-            x, y = s * (c * abs(x) ** gamma - 1.0), a * s + b * y
-        except OverflowError:  # |x|**gamma beyond the double range
-            x = math.inf
-        if not (abs(x) <= _BOX and abs(y) <= _BOX):
-            raise DomainError(f"trajectory left the section square at step {k}", name="containment")
-        xs.append(x)
-        ys.append(y)
-        if abs(x) <= _LINE_TOL:
-            halted = True
-            break
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    done, chunk = 0, 16
+    while done < n and not halted:
+        # One branch a step: s*(c*|x|**gamma - 1) and a*s + b*y with
+        # s = +-1, where multiplying by s is exact.  The negative branch
+        # negates t - 1 rather than computing 1 - t, which is +0.0 where
+        # the map gives -0.0 (at t = 1).
+        for _ in repeat(None, min(chunk, n - done)):
+            try:
+                if x > 0.0:
+                    x = c * x**gamma - 1.0
+                    y = a + b * y
+                else:
+                    x = -(c * (-x) ** gamma - 1.0)
+                    y = b * y - a
+            except OverflowError:  # |x|**gamma beyond the double range
+                x = inf
+            x_append(x)
+            y_append(y)
+            if x <= hi and x >= lo:
+                halted = True
+                break
+        _check_contained(xs, ys, done + 1)
+        done = len(xs) - 1
+        chunk *= 2
+    xs = np.frombuffer(xs)
+    ys = np.frombuffer(ys)
     itinerary = (xs > 0).astype(int)
     return Trajectory(model=model, xs=xs, ys=ys, itinerary=itinerary, halted=halted)
+
+
+def _check_contained(xs: array, ys: array, start: int) -> None:
+    """Raise ``containment`` at the first step from ``start`` on outside the square.
+
+    The numpy views of the buffers die with this call, so the buffers can
+    grow again afterwards.
+    """
+    x, y = np.frombuffer(xs)[start:], np.frombuffer(ys)[start:]
+    # min and max carry a NaN, which fails every comparison
+    if not (-_BOX <= x.min() and x.max() <= _BOX and -_BOX <= y.min() and y.max() <= _BOX):
+        k = start + int(((np.abs(x) <= _BOX) & (np.abs(y) <= _BOX)).argmin())
+        raise DomainError(f"trajectory left the section square at step {k}", name="containment")
 
 
 @dataclass

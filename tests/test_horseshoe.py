@@ -1067,3 +1067,36 @@ def test_build_refuses_a_budget_that_is_not_finite_and_positive(small_pack, budg
     args = {"eta": 0.5, "zeta": 0.4, **budget}
     with pytest.raises(InputError, match="must be finite and positive"):
         build_multi_horseshoe(small_pack.sft, small_pack.measures, n_max=16, seed=0, **args)
+
+
+@pytest.mark.parametrize(
+    "word_sets, names",
+    [
+        # the keys of the first set join to 2n characters: every length counts
+        ([["000", "00111"], ["0111"]], None),
+        ([["0001", "0021"], ["0111"]], "'0021'"),
+        ([["0001", "0/11"], ["0111"]], "'0/11'"),
+        ([["0001"], ["0111", "01a1"]], "'01a1'"),
+    ],
+)
+def test_pack_word_keys_of_the_wrong_length_or_symbol_are_refused(small_pack, word_sets, names):
+    with pytest.raises(InputError, match=names) as err:
+        HorseshoePack.from_json({**small_pack.to_json(), "n": 4, "word_sets": word_sets})
+    if names is None:
+        assert "words of 4 integer symbols" in str(err.value)
+
+
+def test_pack_word_keys_read_as_their_words():
+    # the bench pack; keys in full-width digits or with commas are read key
+    # by key, to the same words
+    full2 = Sft([[1, 1], [1, 1]])
+    targets = [bernoulli_measure(full2, [0.8, 0.2]), bernoulli_measure(full2, [0.2, 0.8])]
+    pack = build_multi_horseshoe(full2, targets, eta=0.15, zeta=0.22, n_max=40, seed=0)
+    doc = json.loads(json.dumps(pack.to_json()))
+    again = HorseshoePack.from_json(doc)
+    for a, b in zip(pack.word_arrays, again.word_arrays, strict=True):
+        assert b.dtype == np.int8 and np.array_equal(a, b)
+    wide = str.maketrans("01", "０１")
+    odd = [[ws[0].translate(wide), ",".join(ws[1]), *ws[2:]] for ws in doc["word_sets"]]
+    for a, b in zip(pack.word_arrays, HorseshoePack.from_json({**doc, "word_sets": odd}).word_arrays, strict=True):
+        assert b.dtype == np.int8 and np.array_equal(a, b)

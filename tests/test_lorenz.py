@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -222,3 +223,116 @@ def test_h_entries_match_brute_force_grid(a, b):
         e = entries[name]
         assert abs(e["value"] - value) <= 1e-12 and abs(e["margin"] - margin) <= 1e-12, name
         assert e["pass"] == (margin > 0.0), name
+
+
+def reference_orbit(model, x0, y0, n):
+    """The orbit one scalar step at a time, containment tested at every step:
+    (xs, ys, halted), or the ``containment`` error of the first bad step."""
+    c, gamma, a, b = float(model.c), float(model.gamma), float(model.a), float(model.b)
+    x, y = float(x0), float(y0)
+    xs, ys = [x], [y]
+    halted = False
+    for k in range(1, n + 1):
+        s = 1.0 if x > 0.0 else -1.0
+        try:
+            x, y = s * (c * abs(x) ** gamma - 1.0), a * s + b * y
+        except OverflowError:
+            x = math.inf
+        if not (abs(x) <= 1.0 + 1e-12 and abs(y) <= 1.0 + 1e-12):
+            raise DomainError(f"trajectory left the section square at step {k}", name="containment")
+        xs.append(x)
+        ys.append(y)
+        if abs(x) <= 1e-15:
+            halted = True
+            break
+    return np.array(xs), np.array(ys), halted
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DomainError as err:
+        return type(err).__name__, err.name, str(err)
+
+
+def _sweep_cases():
+    rng = np.random.default_rng(20260)
+    lambdas = (-3.0, -1.0, 2.0)
+    weak = LorenzModel(c=1.5, gamma=0.8, a=-0.5, b=-0.25, lambdas=lambdas)
+    cases = [
+        (model, x0, y0, n)
+        for model in (EXAMPLE, weak)
+        for x0, y0 in ((0.3, 0.1), (-0.71, -0.6), (1.0, -1.0))
+        for n in (0, 1, 2, 16, 17, 3000)
+    ]
+    cases += [
+        # c*x**gamma = 1 exactly: the orbit halts on the singular line at
+        # step 1, at x = +0.0 from the right and at x = -0.0 from the left
+        (LorenzModel(c=2.0, gamma=1.0, a=-0.5, b=-0.25, lambdas=lambdas), 0.5, 0.0, 10),
+        (LorenzModel(c=2.0, gamma=1.0, a=-0.5, b=-0.25, lambdas=lambdas), -0.5, 0.3, 10),
+        # NaN at step 2: 1.0**nan is 1.0 and 0.5**nan is nan
+        (LorenzModel(c=1.5, gamma=math.nan, a=-0.5, b=-0.25, lambdas=lambdas), 1.0, 0.0, 50),
+        (LorenzModel(c=1.5, gamma=math.nan, a=-0.5, b=-0.25, lambdas=lambdas), -1.0, 0.0, 50),
+        (LorenzModel(c=1.9, gamma=0.78, a=math.nan, b=-0.25, lambdas=lambdas), 0.5, 0.0, 50),
+        # pow overflows at step 2: x_1 = c - 1 is about 1e-11 and x_1**-30 > 1e308
+        (LorenzModel(c=1.0 + 1e-11, gamma=-30.0, a=-0.5, b=-0.25, lambdas=lambdas), 1.0, 0.0, 50),
+        (LorenzModel(c=1.9, gamma=-2000.0, a=-0.5, b=-0.25, lambdas=lambdas), 0.5, 0.0, 50),
+    ]
+    # a = 0 and b = 1.5: |y| grows by 1.5 a step and leaves the square near
+    # step m, on both sides of the chunk ends at steps 16, 48, 112 and 240
+    for m in (14, 15, 16, 17, 46, 47, 48, 49, 111, 112, 113, 239, 240, 241):
+        cases.append((LorenzModel(c=1.9, gamma=0.78, a=0.0, b=1.5, lambdas=lambdas), 0.3, 1.5**-m, 500))
+    while len(cases) < 600:
+        model = LorenzModel(
+            c=rng.uniform(-0.5, 3.0),
+            gamma=float(rng.choice([rng.uniform(-1.0, 3.0), rng.uniform(0.3, 1.2), rng.integers(-3, 4)])),
+            a=rng.uniform(-1.2, 1.2),
+            b=rng.uniform(-1.3, 1.3),
+            lambdas=lambdas,
+        )
+        x0, y0 = rng.uniform(-1.0, 1.0, size=2)
+        cases.append((model, float(x0), float(y0), int(rng.choice([0, 1, 2, 15, 16, 17, 48, 49, 113, 400]))))
+    return cases
+
+
+def test_orbits_match_the_one_step_reference_bit_for_bit():
+    kinds = {"orbit": 0, "halted": 0, "containment": 0}
+    steps = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, x0, y0, n in _sweep_cases():
+            want = _outcome(lambda: reference_orbit(model, x0, y0, n))
+            got = _outcome(lambda: simulate_return_map(model, x0, y0, n))
+            case = (model, x0, y0, n)
+            if isinstance(want[0], str):
+                assert got == want, case
+                kinds["containment"] += 1
+                steps.add(int(want[2].rsplit(" ", 1)[1]))
+                continue
+            xs, ys, halted = want
+            assert not isinstance(got, tuple), (case, got)
+            # tobytes: the sign of a zero counts
+            assert got.xs.tobytes() == xs.tobytes() and got.ys.tobytes() == ys.tobytes(), case
+            assert got.itinerary.dtype == np.dtype(int), case
+            assert got.itinerary.tobytes() == (xs > 0).astype(int).tobytes(), case
+            assert got.halted == halted and len(got) == len(xs), case
+            kinds["halted" if halted else "orbit"] += 1
+    assert min(kinds.values()) >= 2, kinds
+    assert {1, 2, 16, 17, 48, 49, 113, 241} <= steps, sorted(steps)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        LorenzModel(c=math.nan, gamma=0.78, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0)),
+        LorenzModel(c=10.0, gamma=2.0, a=-0.5, b=-0.25, lambdas=(-3.0, -1.0, 2.0)),
+    ],
+)
+def test_an_orbit_that_leaves_the_square_stops_soon_after(model):
+    # containment is tested once per chunk of steps: an orbit that has left
+    # stops at the end of that chunk, not after n steps
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="at step 1$") as err:
+        simulate_return_map(model, 0.5, 0.0, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.name == "containment"
