@@ -490,15 +490,9 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             raise InputError("a command is required (see --help)", name="usage")
         args.func(args)
-    except InputError as exc:
+    except SymflowError as exc:
         print(f"error: {exc.name}: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc.name}: {exc}", file=sys.stderr)
-        return 2
-    except SymflowError as exc:  # base-class fallback, same channel
-        print(f"error: {exc.name}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
     return 0
 
 

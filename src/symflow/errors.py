@@ -5,8 +5,8 @@ Every failure the library raises on purpose carries a short machine-readable
 codes) next to the human-readable message.
 
 ``_check_tol`` and ``_check_count`` check tolerance and count arguments, and
-``_number`` and ``_numbers`` read the numbers of every JSON document and
-``_text_number`` those of the CLI's grid and pair flags.
+``_number`` and ``_numbers`` read the numbers of every JSON document and call
+and ``_text_number`` those of the CLI's grid and pair flags.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class DomainError(SymflowError):
 
 
 def _check_tol(**tols) -> None:
-    """Raise ``InputError`` unless every given tolerance is finite and positive."""
+    """Raise ``InputError`` unless every given tolerance is a finite and positive number (``_number``)."""
     for name, value in tols.items():
-        if not 0.0 < value < float("inf"):
+        if not 0.0 < _number(name, value) < float("inf"):
             raise InputError(f"{name} must be finite and positive, got {value}")
 
 
@@ -57,8 +57,8 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def _number(name: str, value) -> float:
-    """The float of a JSON number; InputError for a string, null, bool or other value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """The float of a Python or numpy real number; InputError for a string, null, bool or other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InputError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -47,9 +47,9 @@ from .sft import (
     ENUMERATION_BUDGET,
     LocallyConstantFunction,
     Sft,
-    _parse_word_key,
     _perron_right,
-    _word_key,
+    _read_word_keys,
+    _word_keys,
     _word_levels,
     admissible_words,
 )
@@ -103,24 +103,6 @@ def _word_array(sft: Sft, words, n: int | None = None) -> np.ndarray:
         length = "" if n is None else f"{n} "
         raise InputError(f"words must be a nonempty list of words of {length}integer symbols in 0..{k - 1}")
     return np.ascontiguousarray(arr, dtype=np.int8)
-
-
-def _parse_word_set(keys: list, n: int, k: int):
-    """The words of a list of :func:`_word_key` keys.
-
-    On k <= 10 symbols a set whose keys are all n ASCII digits below k is
-    read in one pass, as a (count, n) int8 array.  Any other set is read key
-    by key with :func:`_parse_word_key`, which names a key that is not a
-    word; the constructor checks the lengths of the words it returns.
-    """
-    if k <= 10 and keys and set(map(len, keys)) == {n}:
-        joined = "".join(keys)
-        if joined.isascii():
-            # uint8 wraps the characters below "0" to codes above 207
-            codes = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(len(keys), n) - 48
-            if codes.max() < k:
-                return codes.astype(np.int8)
-    return [_parse_word_key(key, k) for key in keys]
 
 
 def _measure_tables(sft: Sft, mu, N: int) -> list:
@@ -497,7 +479,7 @@ class HorseshoePack:
             "anchor": self.anchor,
             "eta": self.eta,
             "zeta": self.zeta,
-            "word_sets": [[_word_key(w, self.sft.k) for w in arr.tolist()] for arr in self.word_arrays],
+            "word_sets": [_word_keys(arr, self.sft.k) for arr in self.word_arrays],
             "measures": [mu.to_json() for mu in self.measures],
             "meta": self.meta,
         }
@@ -521,7 +503,7 @@ class HorseshoePack:
             raise InputError(f"pack anchor {anchor} is not a symbol of the {sft.k}-symbol shift")
         eta, zeta = _number("eta", data["eta"]), _number("zeta", data["zeta"])
         _check_tol(eta=eta, zeta=zeta)
-        word_sets = [_parse_word_set(ws, n, sft.k) for ws in word_sets]
+        word_sets = [_read_word_keys(ws, sft.k, n) for ws in word_sets]
         if len(measures) != len(word_sets):
             raise InputError(f"a pack needs one measure per word set: {len(word_sets)} sets, {len(measures)} measures")
         measures = [InvariantMeasure.from_json(sft, d) for d in measures]

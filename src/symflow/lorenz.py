@@ -21,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, InputError, _number
+from .errors import DomainError, InputError, _check_count, _number
 
 __all__ = [
     "LorenzModel",
@@ -180,21 +180,21 @@ def simulate_return_map(model: LorenzModel, x0: float, y0: float, n: int) -> Tra
     16 bytes a step, that become ``xs`` and ``ys`` without a copy.
     Containment is tested once per chunk of steps (16, 32, 64, ...), so an
     orbit that leaves the square runs at most one chunk past the step that
-    left it.  Errors: ``on_line`` (DomainError) when x0 is within 1e-15 of
-    the singular line; ``input`` (InputError) when (x0, y0) is outside the
+    left it.  Errors: ``input`` (InputError) when x0 or y0 is not a real
+    number (``errors._number``); ``on_line`` (DomainError) when x0 is within
+    1e-15 of the singular line; ``input`` when (x0, y0) is outside the
     section square or n is not a non-negative integer; ``containment``
     (DomainError) at the first step that leaves the square by more than
     1e-12, overflows or is NaN.
     """
-    if abs(x0) <= _LINE_TOL:
+    x, y = _number("x0", x0), _number("y0", y0)
+    if abs(x) <= _LINE_TOL:
         raise DomainError("initial point lies on the singular line", name="on_line")
-    if not (abs(x0) <= 1.0 and abs(y0) <= 1.0):
+    if not (abs(x) <= 1.0 and abs(y) <= 1.0):
         raise InputError("initial point outside the section square")
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-        raise InputError(f"n must be a non-negative integer, got {n!r}")
+    _check_count("n", n, 0)
     n = int(n)
     c, gamma, a, b = float(model.c), float(model.gamma), float(model.a), float(model.b)
-    x, y = float(x0), float(y0)
     xs, ys = array("d", [x]), array("d", [y])
     x_append, y_append, lo, hi, inf = xs.append, ys.append, -_LINE_TOL, _LINE_TOL, math.inf
     halted = False

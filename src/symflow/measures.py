@@ -249,8 +249,7 @@ class MarkovComponent:
     """
 
     def __init__(self, sft: Sft, memory: int, states, Q, pi=None):
-        if memory < 1:
-            raise InputError("memory must be >= 1")
+        _check_count("memory", memory, 1)
         states = [tuple(w) for w in states]
         Q = np.asarray(Q, dtype=float)
         n = len(states)
@@ -503,8 +502,7 @@ def d_star(mu, nu, N: int = 10, budget: int = ENUMERATION_BUDGET) -> float:
     """
     if mu.sft != nu.sft:
         raise InputError("measures live on different SFTs")
-    if N < 1:
-        raise InputError("depth must be >= 1")
+    _check_count("depth", N, 1)
     a, b = mu.cylinder_tables(N, budget), nu.cylinder_tables(N, budget)
     return sum(2.0**-n * float(np.abs(a[n] - b[n]).max()) for n in range(1, N + 1))
 

@@ -316,8 +316,7 @@ def _extend(level, k: int, index, symbol) -> np.ndarray:
 
 def admissible_words(sft: Sft, n: int, budget: int = ENUMERATION_BUDGET) -> list[Word]:
     """All admissible words of length n in lexicographic order."""
-    if n < 1:
-        raise InputError("word length must be >= 1")
+    _check_count("word length", n, 1)
     if n in sft._word_cache:
         return sft._word_cache[n]
     words = [()]
@@ -360,27 +359,40 @@ class BlockRecoding:
 
 
 def block_recode(sft: Sft, m: int, budget: int = ENUMERATION_BUDGET) -> BlockRecoding:
-    if m < 1:
-        raise InputError("block length must be >= 1")
+    _check_count("block length", m, 1)
     return BlockRecoding(sft, m, budget=budget)
 
 
-def _word_key(word: Word, k: int) -> str:
+def _word_keys(words, k: int) -> list[str]:
+    """The keys of the rows of a (count, n) integer array of words: one digit
+    a symbol on at most 10 symbols (``"0110"``), decimal symbols joined by
+    commas above (``"10,0"``).  This is the one spelling of a word key."""
     if k <= 10:
-        return "".join(str(a) for a in word)
-    return ",".join(str(a) for a in word)
+        count, n = words.shape
+        text = (words + 48).astype(np.uint8).tobytes().decode("ascii")
+        return [text[i : i + n] for i in range(0, count * n, n)]
+    return [",".join(map(str, row)) for row in words.tolist()]
 
 
-def _parse_word_key(key: str, k: int) -> Word:
-    """The word of a :func:`_word_key` key; on more than 10 symbols it is comma-separated.
-    A key that is not a sequence of symbols 0..k-1 raises ``InputError``."""
+def _read_word_keys(keys: list, k: int, n: int) -> np.ndarray:
+    """The (count, n) integer array of the words of ``keys``, read in one pass.
+    ``InputError`` names the first key that is not the :func:`_word_keys`
+    spelling of a word of n symbols in 0..k-1, so no two keys name one word."""
     try:
-        word = tuple(int(p) for p in key.split(",")) if k > 10 or "," in key else tuple(int(ch) for ch in key)
-    except ValueError:
-        word = None
-    if word is None or not all(0 <= s < k for s in word):
-        raise InputError(f"word key {key!r} is not a word on {k} symbols")
-    return word
+        if k <= 10:
+            if set(map(len, keys)) - {n}:
+                raise ValueError  # a key of another length
+            # uint8 wraps the characters below "0" to codes above 207
+            words = np.frombuffer("".join(keys).encode("ascii"), np.uint8).reshape(len(keys), n) - 48
+        else:
+            words = np.array(",".join(keys).split(",") if keys else [], dtype=np.int64).reshape(len(keys), n)
+        if not words.size or (words.min() >= 0 and words.max() < k and (k <= 10 or _word_keys(words, k) == keys)):
+            return words
+    except (TypeError, ValueError, OverflowError):  # a key that is not ASCII text, or a part not an integer
+        pass
+    for key in keys if len(keys) > 1 else ():  # the first key that does not read alone raises
+        _read_word_keys([key], k, n)
+    raise InputError(f"word key {keys[0]!r} is not a word on {k} symbols: keys spell words of {n} integer symbols")
 
 
 class LocallyConstantFunction:
@@ -394,8 +406,7 @@ class LocallyConstantFunction:
     """
 
     def __init__(self, sft: Sft, memory: int, table: dict):
-        if memory < 1:
-            raise InputError("memory must be >= 1")
+        _check_count("memory", memory, 1)
         words = admissible_words(sft, memory)
         table = {tuple(w): float(v) for w, v in table.items()}
         missing = [w for w in words if w not in table]
@@ -474,8 +485,9 @@ class LocallyConstantFunction:
         return np.array([self(w) for w in words])
 
     def to_json(self) -> dict:
-        keys = sorted(self.table)
-        return {"memory": self.memory, "table": {_word_key(w, self.sft.k): self.table[w] for w in keys}}
+        words = sorted(self.table)
+        keys = _word_keys(np.array(words), self.sft.k)
+        return {"memory": self.memory, "table": dict(zip(keys, map(self.table.get, words)))}
 
     @classmethod
     def from_json(cls, sft: Sft, doc: dict) -> "LocallyConstantFunction":
@@ -483,4 +495,5 @@ class LocallyConstantFunction:
             raise InputError("function document needs 'memory' and a 'table' object")
         _check_count("memory", doc["memory"], 1)
         table = {key: _number(f"table value at {key!r}", v) for key, v in doc["table"].items()}
-        return cls(sft, doc["memory"], {_parse_word_key(key, sft.k): v for key, v in table.items()})
+        words = _read_word_keys(list(table), sft.k, doc["memory"])
+        return cls(sft, doc["memory"], dict(zip(map(tuple, words.tolist()), table.values())))

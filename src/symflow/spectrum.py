@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, _check_count, _check_tol
+from .errors import DomainError, InputError, _check_count, _check_tol, _number, _numbers
 from .measures import MarkovComponent
 from .sft import LocallyConstantFunction, Sft
 from .thermo import _covariance, _EdgeModel
@@ -98,11 +98,12 @@ def birkhoff_range(sft: Sft, g: LocallyConstantFunction) -> BirkhoffRange:
 
 def _check_interior(lo: float, hi: float, alpha: float, spread: float = 1e-12, what: str = "L_g") -> None:
     """Raise unless alpha lies strictly inside [lo, hi], the ends of a request's
-    model, named ``what`` in the messages: NaN is ``input``; a spread of at most
+    model, named ``what`` in the messages: NaN or an alpha that is not a real
+    number (``errors._number``) is ``input``; a spread of at most
     ``spread`` (1e-12 for L_g, 1e-10 for flow ratios) ``degenerate``; beyond an
     end by more than 1e-9*max(1, |lo|, |hi|) ``outside_range`` (so is +-inf),
     and within that of an end ``boundary``."""
-    if math.isnan(alpha):
+    if math.isnan(_number("alpha", alpha)):
         raise InputError("alpha is NaN")
     ends = f"{what} = [{lo:.12g}, {hi:.12g}]"
     if hi - lo <= spread:
@@ -337,9 +338,9 @@ def conditional_entropy_spectrum_2d(
     otherwise.
     """
     _check_tol(tol=tol)
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _numbers("alpha", alpha)
     if alpha.shape != (2,) or np.isnan(alpha).any():
-        raise DomainError("alpha must be a pair of numbers", name="input")
+        raise InputError("alpha must be a pair of numbers")
     model = _EdgeModel(sft, [g, h])
     rset = _rotation_set(model, directions)
     cls = rset.classify(alpha)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InputError, _check_tol
+from .errors import DomainError, InputError, _check_tol, _number
 from .measures import InvariantMeasure, MarkovComponent, _markovize, d_star, stationary, support_is_full
 from .sft import LocallyConstantFunction, Sft
 from .spectrum import _FAILED_TRIAL, _check_interior, _tilt, conditional_entropy_spectrum_2d
@@ -153,6 +153,7 @@ def low_entropy_mean_witness(
     The result passes ``_witness_checks``, the mean to max(tol, 1e-9).
     """
     _check_tol(tol=tol)
+    h_cap = _number("h_cap", h_cap)
     model = _EdgeModel(sft, [g])
     lo, _, hi, _ = model.ends
     try:
@@ -262,9 +263,10 @@ def intermediate_witness(
     max(tol_mean, 1e-8) and the level to max(tol, 1e-5).
     """
     _check_tol(tol=tol, tol_mean=tol_mean)
+    c = _number("c", c)
     if not np.isfinite(c):
         raise InputError(f"c must be finite, got {c}")
-    if mu0 is not None and not (zeta is not None and zeta > 0.0):
+    if mu0 is not None and not (zeta is not None and _number("zeta", zeta) > 0.0):
         raise InputError("mu0 requires a positive zeta")
     funcs = [g] + ([u] if u is not None else [])
     model = _EdgeModel(sft, funcs)

@@ -111,6 +111,63 @@ def test_every_public_tol_is_checked():
                     calls[name](**{param: bad})
 
 
+_TOL_ARGUMENTS = [(name, p) for name in symflow.__all__ for p in _tol_params(getattr(symflow, name))]
+_TARGET_ARGUMENTS = [
+    ("conditional_entropy_spectrum", "alpha"), ("flow_conditional_spectrum", "alpha"),
+    ("intermediate_witness", "alpha"), ("intermediate_witness", "c"),
+    ("low_entropy_mean_witness", "alpha"), ("low_entropy_mean_witness", "h_cap"),
+]
+_COUNT_ARGUMENTS = [
+    ("admissible_words", "n"), ("block_recode", "m"), ("LocallyConstantFunction", "memory"),
+    ("MarkovComponent", "memory"), ("d_star", "N"), ("rotation_set_2d", "directions"),
+]
+
+
+def _argument_calls() -> dict:
+    """(call, good value) by (public name, argument): a valid call that takes
+    the argument's value, for every tol of _tol_calls, target and count."""
+    full2 = symflow.Sft(np.ones((2, 2), dtype=int))
+    g = symflow.LocallyConstantFunction.indicator(full2, (1,))
+    h = symflow.LocallyConstantFunction.indicator(full2, (1, 1))
+    system = symflow.SuspensionSystem(full2, symflow.LocallyConstantFunction(full2, 1, {(0,): 1.0, (1,): 2.0}))
+    mu = symflow.InvariantMeasure.single(symflow.pressure(full2, g).equilibrium)
+    tol_calls = _tol_calls()
+    calls = {(name, p): (lambda v, f=tol_calls[name], p=p: f(**{p: v}), 1e-6) for name, p in _TOL_ARGUMENTS}
+    calls.update({
+        ("conditional_entropy_spectrum", "alpha"): (lambda v: symflow.conditional_entropy_spectrum(full2, g, v), 0.3),
+        ("flow_conditional_spectrum", "alpha"): (lambda v: symflow.flow_conditional_spectrum(system, g, v), 0.3),
+        ("intermediate_witness", "alpha"): (lambda v: symflow.intermediate_witness(full2, g, v, 0.5), 0.3),
+        ("intermediate_witness", "c"): (lambda v: symflow.intermediate_witness(full2, g, 0.3, v), 0.5),
+        ("low_entropy_mean_witness", "alpha"): (lambda v: symflow.low_entropy_mean_witness(full2, g, v, 0.1), 0.3),
+        ("low_entropy_mean_witness", "h_cap"): (lambda v: symflow.low_entropy_mean_witness(full2, g, 0.3, v), 0.1),
+        ("admissible_words", "n"): (lambda v: symflow.admissible_words(full2, v), 2),
+        ("block_recode", "m"): (lambda v: symflow.block_recode(full2, v), 2),
+        ("LocallyConstantFunction", "memory"): (lambda v: symflow.LocallyConstantFunction(full2, v, {(0,): 0.0, (1,): 1.0}), 1),
+        ("MarkovComponent", "memory"): (lambda v: symflow.MarkovComponent(full2, v, [(0,), (1,)], np.full((2, 2), 0.5)), 1),
+        ("d_star", "N"): (lambda v: symflow.d_star(mu, mu, N=v), 3),
+        ("rotation_set_2d", "directions"): (lambda v: symflow.rotation_set_2d(full2, g, h, directions=v), 8),
+    })
+    return calls
+
+
+@pytest.mark.parametrize("name, arg", _TOL_ARGUMENTS + _TARGET_ARGUMENTS + _COUNT_ARGUMENTS)
+def test_numbers_and_counts_of_library_calls_are_input_errors(name, arg):
+    # A tol or target is a real number and a count an integer, numpy scalars
+    # included; a string, None, bool or list (or a float count) is InputError,
+    # never a TypeError.  The tol cases are every tol of the public API, so a
+    # new one fails here until _tol_calls has a call for it.
+    call, good = _argument_calls()[name, arg]
+    if (name, arg) in _COUNT_ARGUMENTS:
+        call(np.int64(good))
+        bads = [good + 0.5, str(good), True, None]
+    else:
+        call(np.float32(good))
+        bads = [str(good), None, True, [good]]
+    for bad in bads:
+        with pytest.raises(symflow.InputError):
+            call(bad)
+
+
 def _json_docs() -> dict:
     """A valid document of every public class with a from_json, by name: the
     reader, the document and the paths in it at which a number belongs."""

@@ -997,6 +997,13 @@ def test_domain_errors_print_their_name_once(files):
     assert err.strip() == "error: outside_range: alpha outside the flow ratio range = [0, 0.5]", err
 
 
+def test_a_nan_spectrum2d_target_is_an_input_error(files):
+    # exit 1, as `spectrum --alpha nan`, not the domain errors' exit 2
+    for alpha in ("nan,0.2", "0.2,nan"):
+        code, out, err = run_cli("spectrum2d", "--sft", files["full2"], "--g", files["g"], "--h", files["h"], "--alpha", alpha)
+        assert code == 1 and out == "" and err.startswith("error: input: alpha must be a pair of numbers"), err
+
+
 @pytest.mark.parametrize(
     "kind, name",
     [

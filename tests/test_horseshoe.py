@@ -28,6 +28,7 @@ from symflow.horseshoe import (
     certify_pack,
     lift_pack_to_flow,
 )
+from symflow.jsonio import canonical_dumps
 from symflow.measures import InvariantMeasure, MarkovComponent, _entropy_rate, d_star, periodic_orbit_measure, random_markov_component
 from symflow.sft import LocallyConstantFunction, Sft, admissible_words
 from symflow.suspension import SuspensionSystem
@@ -1087,8 +1088,8 @@ def test_pack_word_keys_of_the_wrong_length_or_symbol_are_refused(small_pack, wo
 
 
 def test_pack_word_keys_read_as_their_words():
-    # the bench pack; keys in full-width digits or with commas are read key
-    # by key, to the same words
+    # the bench pack; keys in full-width digits or with commas are not the
+    # one spelling of a word, and the first such key is named
     full2 = Sft([[1, 1], [1, 1]])
     targets = [bernoulli_measure(full2, [0.8, 0.2]), bernoulli_measure(full2, [0.2, 0.8])]
     pack = build_multi_horseshoe(full2, targets, eta=0.15, zeta=0.22, n_max=40, seed=0)
@@ -1098,5 +1099,21 @@ def test_pack_word_keys_read_as_their_words():
         assert b.dtype == np.int8 and np.array_equal(a, b)
     wide = str.maketrans("01", "０１")
     odd = [[ws[0].translate(wide), ",".join(ws[1]), *ws[2:]] for ws in doc["word_sets"]]
-    for a, b in zip(pack.word_arrays, HorseshoePack.from_json({**doc, "word_sets": odd}).word_arrays, strict=True):
+    with pytest.raises(InputError, match=f"word key '{odd[0][0]}'"):
+        HorseshoePack.from_json({**doc, "word_sets": odd})
+    commas = [[ws[0], ",".join(ws[1]), *ws[2:]] for ws in doc["word_sets"]]
+    with pytest.raises(InputError, match=f"word key '{commas[0][1]}'"):
+        HorseshoePack.from_json({**doc, "word_sets": commas})
+
+
+def test_a_built_pack_reads_back_to_its_bytes():
+    # the bench pack's words, written and read back, are the same arrays
+    # and write the same canonical JSON
+    full2 = Sft([[1, 1], [1, 1]])
+    targets = [bernoulli_measure(full2, [0.8, 0.2]), bernoulli_measure(full2, [0.2, 0.8])]
+    pack = build_multi_horseshoe(full2, targets, eta=0.15, zeta=0.22, n_max=40, seed=0)
+    text = canonical_dumps(pack.to_json())
+    again = HorseshoePack.from_json(json.loads(text))
+    for a, b in zip(pack.word_arrays, again.word_arrays, strict=True):
         assert b.dtype == np.int8 and np.array_equal(a, b)
+    assert canonical_dumps(again.to_json()) == text

@@ -122,6 +122,14 @@ def test_n_must_be_a_non_negative_integer():
     assert len(simulate_return_map(EXAMPLE, 0.5, 0.0, 0)) == 1
 
 
+@pytest.mark.parametrize("bad", ["0.3", None, [0.1], True])
+def test_a_start_point_that_is_not_a_real_number_is_an_input_error(bad):
+    for x0, y0 in ((bad, 0.1), (0.3, bad)):
+        with pytest.raises(InputError):
+            simulate_return_map(EXAMPLE, x0, y0, 5)
+    assert len(simulate_return_map(EXAMPLE, np.float32(0.3), np.int64(0), 5)) == 6
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 import time
 
 import numpy as np
@@ -13,6 +15,8 @@ from symflow.sft import (
     Sft,
     _STALL_STEPS,
     _perron_right,
+    _read_word_keys,
+    _word_keys,
     admissible_words,
     block_recode,
     is_irreducible,
@@ -286,3 +290,64 @@ def test_word_keys_round_trip_on_twelve_symbols(memory):
     assert ("10" in doc["table"]) if memory == 1 else ("10,11" in doc["table"])
     again = LocallyConstantFunction.from_json(full12, doc)
     assert again.table == g.table
+
+
+_SHIFTS = {
+    "full2": np.ones((2, 2), dtype=int),
+    "full3": np.ones((3, 3), dtype=int),
+    "golden": np.array([[1, 1], [1, 0]]),
+    "full12": np.ones((12, 12), dtype=int),
+}
+
+
+def _key_loop(word, k: int) -> str:
+    """The spelling of a word key, one symbol at a time."""
+    return ("" if k <= 10 else ",").join(str(a) for a in word)
+
+
+@pytest.mark.parametrize("shift", list(_SHIFTS))
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_word_key_codec_round_trips(shift, memory):
+    sft = Sft(_SHIFTS[shift])
+    rng = np.random.default_rng(memory)
+    g = LocallyConstantFunction.from_callable(sft, memory, lambda w: float(rng.normal()))
+    doc = json.loads(json.dumps(g.to_json()))
+    assert list(doc["table"]) == [_key_loop(w, sft.k) for w in sorted(g.table)]
+    assert LocallyConstantFunction.from_json(sft, doc).table == g.table
+    words = rng.integers(0, sft.k, size=(200, memory + 4))
+    for arr in (words, words.astype(np.int8)):
+        keys = _word_keys(arr, sft.k)
+        assert keys == [_key_loop(w, sft.k) for w in words.tolist()]
+        assert np.array_equal(_read_word_keys(keys, sft.k, memory + 4), words)
+
+
+@pytest.mark.parametrize(
+    "shift, key",
+    [
+        # on at most 10 symbols: commas, non-ASCII digits, a wrong length or
+        # a symbol outside the shift
+        ("full2", "0,1"), ("full2", "\uff10\uff11"), ("full2", "011"), ("full2", "0"), ("full2", "02"),
+        ("full2", "0 "), ("full2", 1),
+        # above 10 symbols: leading zeros, signs, spaces, a wrong symbol count
+        # or a symbol outside the shift
+        ("full12", "01,2"), ("full12", " 1,2"), ("full12", "+1,2"), ("full12", "1,2 "), ("full12", "-1,2"),
+        ("full12", "1,2,3"), ("full12", "12"), ("full12", "1,12"), ("full12", "1,,2"), ("full12", "1_0,2"),
+    ],
+)
+def test_word_keys_not_in_their_one_spelling_are_refused(shift, key):
+    # the first key that is not a word of 2 symbols is named, in a table too
+    sft = Sft(_SHIFTS[shift])
+    good = _word_keys(np.array([[0, 0], [1, 1]]), sft.k)
+    with pytest.raises(InputError, match=re.escape(f"word key {key!r} is not a word on {sft.k} symbols")) as err:
+        _read_word_keys([good[0], key, "?"], sft.k, 2)
+    assert "words of 2 integer symbols" in str(err.value)
+    table = dict.fromkeys([good[0], key, *good[1:]], 0.0)
+    with pytest.raises(InputError, match=re.escape(f"word key {key!r}")):
+        LocallyConstantFunction.from_json(sft, {"memory": 2, "table": table})
+
+
+def test_a_table_cannot_name_a_word_twice(full2):
+    # "0,1" once read as the word (0, 1) too, and its value replaced 1.0
+    doc = {"memory": 2, "table": {"00": 0, "01": 1, "0,1": 5, "10": 2, "11": 3}}
+    with pytest.raises(InputError, match="'0,1'"):
+        LocallyConstantFunction.from_json(full2, doc)

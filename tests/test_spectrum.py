@@ -202,9 +202,18 @@ def test_spectrum_refuses_a_nan_alpha(full2, golden):
 def test_2d_spectrum_refuses_a_nan_coordinate(full2):
     h = LocallyConstantFunction.indicator(full2, (1, 1))
     for alpha in ((float("nan"), 0.3), (0.5, float("nan")), (0.5,)):
-        with pytest.raises(DomainError) as e:
+        with pytest.raises(InputError) as e:
             conditional_entropy_spectrum_2d(full2, ind1(full2), h, alpha)
         assert e.value.name == "input", alpha
+
+
+def test_2d_spectrum_refuses_a_target_that_is_not_a_pair_of_numbers(full2):
+    # an InputError, not a ValueError or TypeError from the float cast
+    h = LocallyConstantFunction.indicator(full2, (1, 1))
+    for alpha in (("a", 0.2), (0.5, None), (True, 0.3), "0.5,0.3", None, [[0.5, 0.3]]):
+        with pytest.raises(InputError):
+            conditional_entropy_spectrum_2d(full2, ind1(full2), h, alpha)
+    assert conditional_entropy_spectrum_2d(full2, ind1(full2), h, np.array([0.5, 0.3], dtype=np.float32)).status == "interior"
 
 
 def test_spectrum_concavity(full2):
